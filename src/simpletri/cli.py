@@ -10,13 +10,7 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .errors import (
-    CycleError,
-    LimitExceeded,
-    NotAnExtension,
-    ParseError,
-    SimpleTriError,
-)
+from .errors import ParseError, SimpleTriError
 from .graphs import APEX_PATTERNS, find_pattern, fulfills_c4_rule, is_cocomparability_ordering
 from .io import emit_representation, load_graph, load_order
 from .oracles import (
@@ -226,10 +220,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handler = handlers[(args.command, getattr(args, "subcommand", None))]
     try:
         return handler(args, say)
-    except (ParseError, CycleError, NotAnExtension, LimitExceeded, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SimpleTriError as exc:
+    except (SimpleTriError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ import random
 from itertools import combinations, permutations
 from typing import Iterator
 
+from ._bits import iter_bits
 from .graphs import Graph
 from .orders import PartialOrder, make_partial_order
 
@@ -39,28 +40,13 @@ def naturally_ordered_relations(n: int) -> Iterator[PartialOrder]:
     transitively closed ones.
     """
     pair_list = list(combinations(range(n), 2))
-    m = len(pair_list)
-    for mask in range(1 << m):
+    for mask in range(1 << len(pair_list)):
         succ = [0] * n
-        for i in range(m):
-            if mask >> i & 1:
-                u, v = pair_list[i]
-                succ[u] |= 1 << v
-        ok = True
-        for u in range(n):
-            rest = succ[u]
-            while rest and ok:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                if succ[v] & ~succ[u]:
-                    ok = False
-            if not ok:
-                break
-        if ok:
-            pairs = frozenset(
-                (u, v) for u in range(n) for v in range(n) if succ[u] >> v & 1
-            )
+        for i in iter_bits(mask):
+            u, v = pair_list[i]
+            succ[u] |= 1 << v
+        if all(not succ[v] & ~succ[u] for u in range(n) for v in iter_bits(succ[u])):
+            pairs = frozenset((u, v) for u in range(n) for v in iter_bits(succ[u]))
             yield PartialOrder(n, pairs)
 
 

@@ -1,21 +1,23 @@
 """Simple undirected graphs, ordered forbidden patterns, and orientations.
 
-Vertex orderings are plain permutations of ``0..n-1``.  The two three-vertex
-patterns below characterize comparability and cocomparability orderings; the
-two four-vertex patterns are the extra obstructions an apex ordering of a
-simple-triangle graph must avoid.  Rules and predicates here are all pure
-functions over immutable values.
+Vertex orderings are plain permutations of ``0..n-1``.  The ordered patterns
+of :mod:`simpletri.patterns` are re-exported here: the three-vertex ones
+characterize comparability and cocomparability orderings, and the four-vertex
+ones are the extra obstructions of an apex ordering.  Rules and predicates
+here are all pure functions over immutable values.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ._bits import iter_bits
 from .errors import EdgeSetMismatch, NotComparabilityOrdering, SizeMismatch
-from .orders import PartialOrder
+from .orders import PartialOrder, _check_permutation, _positions
+from .patterns import APEX_PATTERNS, OrderedPattern
+from .patterns import PATTERN_CP, PATTERN_CPC, PATTERN_P1, PATTERN_P2
 
 __all__ = [
     "Graph",
@@ -106,49 +108,10 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges)
 
 
-@dataclass(frozen=True)
-class OrderedPattern:
-    """Edge/non-edge constraints on a tuple of ordering positions.
-
-    Positions are 0-based ranks inside the matched subordering; pairs not
-    listed in either set are unconstrained.
-    """
-
-    size: int
-    required_edges: frozenset[tuple[int, int]]
-    required_non_edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        both = self.required_edges & self.required_non_edges
-        if both:
-            raise ValueError(f"positions {sorted(both)} required present and absent")
-        for i, j in self.required_edges | self.required_non_edges:
-            if not 0 <= i < j < self.size:
-                raise ValueError(f"position pair ({i}, {j}) invalid for size {self.size}")
-
-
-def _pattern(size, edges, non_edges):
-    return OrderedPattern(size, frozenset(edges), frozenset(non_edges))
-
-
-# Middle vertex adjacent to both ends of a non-edge: breaks transitive
-# orientability along the ordering.
-PATTERN_CP = _pattern(3, [(0, 1), (1, 2)], [(0, 2)])
-# An edge spanning a vertex adjacent to neither end: breaks cocomparability.
-PATTERN_CPC = _pattern(3, [(0, 2)], [(0, 1), (1, 2)])
-# Interleaved edge pair (0-2 and 1-3) with the inner and outer pairs absent.
-PATTERN_P1 = _pattern(4, [(0, 2), (1, 3)], [(1, 2), (0, 3)])
-# Nested edge pair (0-3 over 1-2) with the interleaved pairs absent.
-PATTERN_P2 = _pattern(4, [(0, 3), (1, 2)], [(0, 2), (1, 3)])
-
-APEX_PATTERNS = (("cpc", PATTERN_CPC), ("p1", PATTERN_P1), ("p2", PATTERN_P2))
-
-
 def _check_ordering(g: Graph, ordering: Sequence[int]) -> None:
     if len(ordering) != g.n:
         raise SizeMismatch(f"ordering has {len(ordering)} vertices, graph has {g.n}")
-    if sorted(ordering) != list(range(g.n)):
-        raise ValueError(f"{tuple(ordering)!r} is not a permutation of 0..{g.n - 1}")
+    _check_permutation(ordering, g.n)
 
 
 def find_pattern(
@@ -209,9 +172,6 @@ def induced_2k2s(g: Graph) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...
     """Induced pairs of disjoint edges with no other adjacency among the four."""
     out = []
     for quad in combinations(range(g.n), 4):
-        inside = 0
-        for q in quad:
-            inside |= 1 << q
         pairs = [
             (a, b) for a, b in combinations(quad, 2) if g.adjacent(a, b)
         ]
@@ -235,9 +195,7 @@ def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
     negates all four comparisons of the other).
     """
     _check_ordering(g, ordering)
-    pos = [0] * g.n
-    for i, vtx in enumerate(ordering):
-        pos[vtx] = i
+    pos = _positions(ordering)
     for u, v, w, x in induced_four_cycles(g):
         for a, b, c, d in ((u, v, w, x), (v, w, x, u)):
             if not _all_equal(
@@ -254,9 +212,7 @@ def fulfills_2k2_rule(g: Graph, ordering: Sequence[int]) -> bool:
     the condition does not depend on which labeling of the two edges is used.
     """
     _check_ordering(g, ordering)
-    pos = [0] * g.n
-    for i, vtx in enumerate(ordering):
-        pos[vtx] = i
+    pos = _positions(ordering)
     for (u, w), (v, x) in induced_2k2s(g):
         if not _all_equal(
             (pos[u] < pos[v], pos[w] < pos[v], pos[w] < pos[x], pos[u] < pos[x])
@@ -311,9 +267,7 @@ class Orientation:
 def orientation_from_ordering(g: Graph, ordering: Sequence[int]) -> Orientation:
     """Direct every edge of g from the earlier to the later endpoint."""
     _check_ordering(g, ordering)
-    pos = [0] * g.n
-    for i, vtx in enumerate(ordering):
-        pos[vtx] = i
+    pos = _positions(ordering)
     arcs = frozenset(
         (u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges
     )

@@ -291,16 +291,9 @@ def _on_segment(a: Point, b: Point, p: Point) -> bool:
 
 def _segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
     """Closed segment intersection, collinear overlaps included."""
-    d1 = _cross(c, d, a)
-    d2 = _cross(c, d, b)
-    d3 = _cross(a, b, c)
-    d4 = _cross(a, b, d)
-    if (d1 > 0 and d2 < 0 or d1 < 0 and d2 > 0) and (
-        d3 > 0 and d4 < 0 or d3 < 0 and d4 > 0
-    ):
-        return True
     return (
-        _on_segment(c, d, a)
+        _segments_cross_properly(a, b, c, d)
+        or _on_segment(c, d, a)
         or _on_segment(c, d, b)
         or _on_segment(a, b, c)
         or _on_segment(a, b, d)

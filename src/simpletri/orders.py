@@ -6,7 +6,9 @@ endpoints as it goes.  When it succeeds, the produced intervals induce an
 interval order P_I with ``linear_order(L) ∩ P_I == P``.  When the peeling
 stalls, the ground set still contains an alternating anticycle, which is
 extracted and returned as a certificate that no such interval order exists
-for this extension.
+for this extension.  Linear extensions are enumerated, and linear-interval
+orders recognized, by the pattern search engine of :mod:`simpletri.patterns`
+that also recognizes simple-triangle graphs.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._bits import iter_bits, lowest_bit
 from .errors import CycleError, NotAnExtension, SizeMismatch
+from .patterns import PATTERN_P1, PATTERN_P2, search_orderings
 
 __all__ = [
     "PartialOrder",
@@ -196,23 +199,7 @@ def is_linear_extension(p: PartialOrder, order: Sequence[int]) -> bool:
 
 def enumerate_linear_extensions(p: PartialOrder) -> Iterator[tuple[int, ...]]:
     """Yield every linear extension exactly once, lexicographically smallest first."""
-    n, pred = p.n, p.pred
-    out: list[int] = []
-
-    def extend(used: int) -> Iterator[tuple[int, ...]]:
-        if len(out) == n:
-            yield tuple(out)
-            return
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            if pred[v] & ~used:
-                continue
-            out.append(v)
-            yield from extend(used | (1 << v))
-            out.pop()
-
-    return extend(0)
+    return (ext for ext, _ in search_orderings((), p.pred, ()))
 
 
 def _dashed_masks(p: PartialOrder, order: Sequence[int]) -> list[int]:
@@ -434,12 +421,16 @@ def recognize_linear_interval_order(
     """First extension (lexicographic) admitting an interval representation.
 
     Returns ``(extension, representation)`` or None when every linear
-    extension of ``p`` contains a 4-anticycle.
+    extension of ``p`` contains a 4-anticycle.  An extension has no
+    4-anticycle exactly when it avoids the patterns p1 and p2 on the
+    comparability graph of ``p``, so the pattern search prunes extension
+    prefixes instead of enumerating whole extensions.
     """
-    for ext in enumerate_linear_extensions(p):
-        dashed = _dashed_masks(p, ext)
-        if _four_anticycle(p, dashed) is None:
-            rep = build_interval_representation(p, ext)
-            assert isinstance(rep, IntervalRepresentation)
-            return ext, rep
-    return None
+    comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
+    search = search_orderings(comparable, p.pred, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
+    ext = next((o for o, hit in search if hit is None), None)
+    if ext is None:
+        return None
+    rep = build_interval_representation(p, ext)
+    assert isinstance(rep, IntervalRepresentation)
+    return ext, rep

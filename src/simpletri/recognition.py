@@ -1,18 +1,19 @@
 """Apex-ordering recognition of simple-triangle graphs.
 
 A vertex ordering is an apex ordering iff it avoids the three forbidden
-patterns (cpc, p1, p2).  Recognition backtracks over ordering prefixes,
-pruning as soon as the newest vertex completes a pattern; an accepted
-ordering is turned into an actual triangle representation by orienting the
-complement along it and building interval bases for the resulting order.
+patterns (cpc, p1, p2).  The search for one is the pattern engine of
+:mod:`simpletri.patterns`, shared with linear-interval order recognition;
+an accepted ordering is turned into a triangle representation by orienting
+the complement along it and building interval bases for the resulting order.
 """
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
 from .errors import NotApexOrdering
-from .graphs import APEX_PATTERNS, Graph, find_pattern, orient_complement_by_ordering
+from .graphs import Graph, find_pattern, orient_complement_by_ordering
 from .orders import Anticycle, build_interval_representation
+from .patterns import APEX_PATTERNS, search_orderings
 from .triangles import TriangleRepresentation, order_to_triangles
 
 __all__ = [
@@ -28,64 +29,12 @@ def check_apex_ordering(g: Graph, ordering: Sequence[int]) -> bool:
     return all(find_pattern(g, ordering, pat) is None for _, pat in APEX_PATTERNS)
 
 
-def _pattern_closing_at(
-    adj: Sequence[int], prefix: Sequence[int]
-) -> Optional[tuple[str, tuple[int, ...]]]:
-    """Pattern instance whose last vertex is the newest prefix entry, if any."""
-    k = len(prefix) - 1
-    z = prefix[k]
-    for i in range(k):
-        u = prefix[i]
-        for j in range(i + 1, k):
-            v = prefix[j]
-            # cpc: edge u-z over a middle vertex adjacent to neither end
-            if adj[u] >> z & 1 and not adj[u] >> v & 1 and not adj[v] >> z & 1:
-                return "cpc", (u, v, z)
-    for i in range(k):
-        u = prefix[i]
-        for j in range(i + 1, k):
-            v = prefix[j]
-            for l in range(j + 1, k):
-                w = prefix[l]
-                uw = adj[u] >> w & 1
-                vz = adj[v] >> z & 1
-                vw = adj[v] >> w & 1
-                uz = adj[u] >> z & 1
-                if uw and vz and not vw and not uz:
-                    return "p1", (u, v, w, z)
-                if uz and vw and not uw and not vz:
-                    return "p2", (u, v, w, z)
-    return None
-
-
 def recognize(
     g: Graph,
 ) -> Optional[tuple[tuple[int, ...], TriangleRepresentation]]:
-    """Lexicographically least apex ordering with its realization, or None.
-
-    Backtracking over ordering prefixes; a prefix is abandoned as soon as the
-    vertex just placed completes a forbidden pattern, which is sound because
-    a pattern lies entirely within the prefix ending at its last vertex.
-    """
-    n = g.n
-    adj = g.adj
-    prefix: list[int] = []
-
-    def search(used: int) -> Optional[tuple[int, ...]]:
-        if len(prefix) == n:
-            return tuple(prefix)
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            prefix.append(v)
-            if _pattern_closing_at(adj, prefix) is None:
-                found = search(used | (1 << v))
-                if found:
-                    return found
-            prefix.pop()
-        return None
-
-    ordering = search(0)
+    """Lexicographically least apex ordering with its realization, or None."""
+    search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)
+    ordering = next((o for o, hit in search if hit is None), None)
     if ordering is None:
         return None
     return ordering, realize(g, ordering)
@@ -99,25 +48,8 @@ def rejection_certificates(
     Follows the same search order as :func:`recognize`; on a rejected graph
     the yielded certificates cover every abandoned branch of the search tree.
     """
-    n = g.n
-    adj = g.adj
-    prefix: list[int] = []
-
-    def search(used: int):
-        if len(prefix) == n:
-            return
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            prefix.append(v)
-            hit = _pattern_closing_at(adj, prefix)
-            if hit is None:
-                yield from search(used | (1 << v))
-            else:
-                yield tuple(prefix), hit[0], hit[1]
-            prefix.pop()
-
-    yield from search(0)
+    search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)
+    return ((prefix, *hit) for prefix, hit in search if hit is not None)
 
 
 def realize(g: Graph, ordering: Sequence[int]) -> TriangleRepresentation:

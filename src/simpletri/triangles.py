@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import SizeMismatch
-from .orders import IntervalRepresentation, PartialOrder, _check_permutation
+from .orders import IntervalRepresentation, PartialOrder, _check_permutation, _positions
 
 __all__ = [
     "TriangleRepresentation",
@@ -78,7 +78,5 @@ def order_to_triangles(
     if len(order) != rep.n:
         raise SizeMismatch(f"ordering has {len(order)} elements, intervals {rep.n}")
     _check_permutation(order, rep.n)
-    apex = [0] * rep.n
-    for i, v in enumerate(order):
-        apex[v] = i + 1
-    return TriangleRepresentation(tuple(apex), rep.intervals)
+    apex = tuple(i + 1 for i in _positions(order))
+    return TriangleRepresentation(apex, rep.intervals)
