@@ -40,6 +40,7 @@ from .graphs import (
     is_transitive_orientation,
     orient_complement_by_ordering,
     orientation_from_ordering,
+    transitive_orientation,
     union_is_acyclic,
 )
 from .orders import (
@@ -56,7 +57,7 @@ from .orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from .recognition import check_apex_ordering, realize, recognize
+from .recognition import check_apex_ordering, is_simple_triangle, realize, recognize
 from .triangles import (
     TriangleRepresentation,
     order_to_triangles,

@@ -245,18 +245,16 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
     """Every transitive orientation of the complement extends to an acyclic
     union with some alternating orientation of g.
 
-    Requires g to be accepted by the recognizer.  Every transitive
-    orientation of the complement is induced by each of its topological
-    orderings, so one scan of all vertex orderings visits them all; a
-    particular orientation succeeds when at least one of its orderings
-    induces an alternating orientation of g.
+    Requires g to be a simple-triangle graph, which the same scan decides:
+    :class:`NotSimpleTriangle` is raised when no ordering gives an
+    alternating and transitive pair.  Every transitive orientation of the
+    complement is induced by each of its topological orderings, so one scan
+    of all vertex orderings visits them all; a particular orientation
+    succeeds when at least one of its orderings induces an alternating
+    orientation of g.
     """
-    from .recognition import recognize
-
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    if recognize(g) is None:
-        raise NotSimpleTriangle("graph is not a simple-triangle graph")
     gc = complement(g)
     outcome: dict[frozenset[tuple[int, int]], bool] = {}
     for sigma in permutations(range(g.n)):
@@ -268,6 +266,8 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
             continue
         o_g = orientation_from_ordering(g, sigma)
         outcome[key] = is_alternating_orientation(g, o_g)
+    if not any(outcome.values()):
+        raise NotSimpleTriangle("graph is not a simple-triangle graph")
     return all(outcome.values())
 
 

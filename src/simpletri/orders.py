@@ -415,20 +415,27 @@ def is_interval_order(p: PartialOrder) -> bool:
     return True
 
 
+def _first_interval_extension(p: PartialOrder) -> Optional[tuple[int, ...]]:
+    """First linear extension (lexicographic) without a 4-anticycle, or None.
+
+    An extension has no 4-anticycle exactly when it avoids the patterns p1
+    and p2 on the comparability graph of ``p``, so the pattern search prunes
+    extension prefixes instead of enumerating whole extensions.
+    """
+    comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
+    search = search_orderings(comparable, p.pred, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
+    return next((o for o, hit in search if hit is None), None)
+
+
 def recognize_linear_interval_order(
     p: PartialOrder,
 ) -> Optional[tuple[tuple[int, ...], IntervalRepresentation]]:
     """First extension (lexicographic) admitting an interval representation.
 
     Returns ``(extension, representation)`` or None when every linear
-    extension of ``p`` contains a 4-anticycle.  An extension has no
-    4-anticycle exactly when it avoids the patterns p1 and p2 on the
-    comparability graph of ``p``, so the pattern search prunes extension
-    prefixes instead of enumerating whole extensions.
+    extension of ``p`` contains a 4-anticycle.
     """
-    comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
-    search = search_orderings(comparable, p.pred, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
-    ext = next((o for o, hit in search if hit is None), None)
+    ext = _first_interval_extension(p)
     if ext is None:
         return None
     rep = build_interval_representation(p, ext)

@@ -1,23 +1,50 @@
-"""Apex-ordering recognition of simple-triangle graphs.
+"""Recognition of simple-triangle graphs: decided by orientation, then searched.
 
 A vertex ordering is an apex ordering iff it avoids the three forbidden
-patterns (cpc, p1, p2).  The search for one is the pattern engine of
-:mod:`simpletri.patterns`, shared with linear-interval order recognition;
-an accepted ordering is turned into a triangle representation by orienting
-the complement along it and building interval bases for the resulting order.
+patterns (cpc, p1, p2), and G is a simple-triangle graph iff it has one.
+:func:`is_simple_triangle` decides this without searching all orderings:
+
+1. Orient the complement Ḡ transitively (``graphs.transitive_orientation``,
+   polynomial), and reject when that fails.  This step is unconditional: an
+   ordering without cpc on G has no cp on Ḡ, so it orients Ḡ transitively
+   and is a linear extension of that orientation.
+2. Search the linear extensions of that one orientation T for one avoiding
+   p1 and p2 on Ḡ, the comparability graph of T, with the pattern engine of
+   :mod:`simpletri.patterns` (the search that recognizes linear-interval
+   orders), and reject when none does.  This step rests on the paper's
+   theorem, pinned by acceptance test 07: when G is simple-triangle, every
+   transitive orientation of Ḡ, T included, has an apex ordering of G among
+   its linear extensions, and an apex ordering avoids p1 and p2.
+
+Accepting is self-checking.  p1 and p2 are each other's complement, so an
+extension of T avoiding them on Ḡ avoids them on G, and it has no cpc on G
+because T is transitive: it is an apex ordering of G.  :func:`recognize`
+decides first and only then runs the search over all orderings for the
+lexicographically least apex ordering, which must find one; if it does not,
+it raises instead of returning None.  :func:`rejection_certificates` runs
+that search ungated.  An accepted ordering is turned into a triangle
+representation by orienting the complement along it and building interval
+bases for the resulting order.
 """
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
 from .errors import NotApexOrdering
-from .graphs import Graph, find_pattern, orient_complement_by_ordering
-from .orders import Anticycle, build_interval_representation
+from .graphs import (
+    Graph,
+    complement,
+    find_pattern,
+    orient_complement_by_ordering,
+    transitive_orientation,
+)
+from .orders import Anticycle, _first_interval_extension, build_interval_representation
 from .patterns import APEX_PATTERNS, search_orderings
 from .triangles import TriangleRepresentation, order_to_triangles
 
 __all__ = [
     "check_apex_ordering",
+    "is_simple_triangle",
     "recognize",
     "realize",
     "rejection_certificates",
@@ -29,15 +56,27 @@ def check_apex_ordering(g: Graph, ordering: Sequence[int]) -> bool:
     return all(find_pattern(g, ordering, pat) is None for _, pat in APEX_PATTERNS)
 
 
+def is_simple_triangle(g: Graph) -> bool:
+    """True iff g is a simple-triangle graph, by the two steps of the module doc."""
+    t = transitive_orientation(complement(g))
+    return t is not None and _first_interval_extension(t) is not None
+
+
 def recognize(
     g: Graph,
 ) -> Optional[tuple[tuple[int, ...], TriangleRepresentation]]:
-    """Lexicographically least apex ordering with its realization, or None."""
+    """Lexicographically least apex ordering with its realization, or None.
+
+    Returns None exactly when :func:`is_simple_triangle` rejects; raises
+    RuntimeError if it accepts and the search finds no apex ordering.
+    """
+    if not is_simple_triangle(g):
+        return None
     search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)
     ordering = next((o for o, hit in search if hit is None), None)
     if ordering is None:
-        return None
-    return ordering, realize(g, ordering)
+        raise RuntimeError(f"accepted graph has no apex ordering: {sorted(g.edges)}")
+    return ordering, _represent(g, ordering)
 
 
 def rejection_certificates(
@@ -45,8 +84,9 @@ def rejection_certificates(
 ) -> Iterator[tuple[tuple[int, ...], str, tuple[int, ...]]]:
     """Yield (prefix, pattern name, witness) for every pruned search prefix.
 
-    Follows the same search order as :func:`recognize`; on a rejected graph
-    the yielded certificates cover every abandoned branch of the search tree.
+    Follows the search order of :func:`recognize` without its decision step;
+    on a rejected graph the yielded certificates cover every abandoned branch
+    of the search tree.
     """
     search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)
     return ((prefix, *hit) for prefix, hit in search if hit is not None)
@@ -63,6 +103,11 @@ def realize(g: Graph, ordering: Sequence[int]) -> TriangleRepresentation:
         witness = find_pattern(g, ordering, pat)
         if witness is not None:
             raise NotApexOrdering(f"pattern {name} at vertices {witness}")
+    return _represent(g, ordering)
+
+
+def _represent(g: Graph, ordering: Sequence[int]) -> TriangleRepresentation:
+    """The construction of :func:`realize`, on an ordering already known clean."""
     p = orient_complement_by_ordering(g, ordering)
     rep = build_interval_representation(p, tuple(ordering))
     if isinstance(rep, Anticycle):
