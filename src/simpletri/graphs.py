@@ -54,12 +54,14 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``edges`` holds normalized pairs ``(u, v)`` with u < v; ``adj`` caches a
-    neighbour bitmask per vertex.
+    neighbour bitmask per vertex, and ``_derived`` the induced structures
+    computed on demand, so both live and die with the instance.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
     adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         adj = [0] * self.n
@@ -109,6 +111,20 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges)
 
 
+def _cached_on_graph(fn):
+    """Memoize ``fn(g, *args)`` in ``g._derived``: the predicates that loop
+    over many orderings or orientations of one graph compute it once."""
+
+    @functools.wraps(fn)
+    def cached(g: Graph, *args, **kwargs):
+        key = (fn.__name__, args, tuple(sorted(kwargs.items())))
+        if key not in g._derived:
+            g._derived[key] = fn(g, *args, **kwargs)
+        return g._derived[key]
+
+    return cached
+
+
 def _check_ordering(g: Graph, ordering: Sequence[int]) -> None:
     if len(ordering) != g.n:
         raise SizeMismatch(f"ordering has {len(ordering)} vertices, graph has {g.n}")
@@ -146,7 +162,7 @@ def is_cocomparability_ordering(g: Graph, ordering: Sequence[int]) -> bool:
     return find_pattern(g, ordering, PATTERN_CPC) is None
 
 
-@functools.cache
+@_cached_on_graph
 def induced_four_cycles(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     """Induced 4-cycles as tuples (u, v, w, x) with edges uv, vw, wx, xu."""
     out = []
@@ -168,7 +184,7 @@ def induced_four_cycles(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-@functools.cache
+@_cached_on_graph
 def induced_2k2s(g: Graph) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
     """Induced pairs of disjoint edges with no other adjacency among the four."""
     out = []
@@ -337,7 +353,7 @@ def is_transitive_orientation(g: Graph, o: Orientation) -> bool:
     return True
 
 
-@functools.cache
+@_cached_on_graph
 def chordless_cycles(g: Graph, min_length: int = 4) -> tuple[tuple[int, ...], ...]:
     """All chordless cycles of g with at least ``min_length`` vertices.
 

@@ -28,6 +28,11 @@ __all__ = [
 ]
 
 
+# Far above what any exact search here decides, and small enough that the
+# per-vertex tables of a graph or order always fit in memory.
+MAX_VERTICES = 10_000
+
+
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -45,8 +50,8 @@ def _read_count(lines, what: str) -> tuple[int, object]:
         n = int(line)
     except ValueError:
         raise ParseError(f"expected {what} size, got {line!r}", lineno) from None
-    if n < 0:
-        raise ParseError(f"{what} size must be nonnegative", lineno)
+    if not 0 <= n <= MAX_VERTICES:
+        raise ParseError(f"{what} size must be in 0..{MAX_VERTICES}, got {n}", lineno)
     return n, lines
 
 
@@ -154,12 +159,22 @@ def parse_representation(text: str) -> TriangleRepresentation:
     apex = []
     base = []
     for i, entry in enumerate(triangles):
-        if entry.get("v") != i:
+        if not isinstance(entry, dict):
+            raise ParseError(f"triangle {i} is not an object, got {entry!r}")
+        # type() rather than isinstance(): JSON true is a bool, an int subclass
+        if type(entry.get("v")) is not int or entry["v"] != i:
             raise ParseError(f"triangle entries must be ascending, got {entry!r}")
+        if type(entry.get("apex")) is not int:
+            raise ParseError(f"triangle {i}: apex must be an integer, got {entry!r}")
+        bounds = entry.get("base")
+        if not (isinstance(bounds, list) and len(bounds) == 2 and all(type(b) is int for b in bounds)):
+            raise ParseError(f"triangle {i}: base must be two integers, got {entry!r}")
         apex.append(entry["apex"])
-        lo, hi = entry["base"]
-        base.append((lo, hi))
-    return TriangleRepresentation(tuple(apex), tuple(base))
+        base.append(tuple(bounds))
+    try:
+        return TriangleRepresentation(tuple(apex), tuple(base))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def _to_svg(t: TriangleRepresentation, scale: int = 40, height: int = 160) -> str:

@@ -3,6 +3,11 @@
 Both recognizers, the rejection certificates and the linear-extension
 enumeration run on :func:`search_orderings`, with different patterns and
 precedence relations; one given ordering is checked by ``graphs.find_pattern``.
+The search checks forward: it abandons a prefix as soon as its newest vertex
+is second to last in a pattern whose last vertex is still unplaced, since
+that vertex must come later and the pattern is then certain to appear
+(Haralick and Elliott, "Increasing tree search efficiency for constraint
+satisfaction problems", Artificial Intelligence 14, 1980).
 """
 from __future__ import annotations
 
@@ -30,7 +35,10 @@ class OrderedPattern:
     Positions are 0-based ranks inside the matched subordering; pairs not
     listed in either set are unconstrained.  ``codes`` compiles the pairs
     for the search, those ending at the last position first, then the rest
-    in lexicographic order: 0 unconstrained, 1 edge, 2 non-edge.
+    in lexicographic order: 0 unconstrained, 1 edge, 2 non-edge.  The search
+    turns each code into a table of allowed neighbours; the pairs ending at
+    the last position cut down the mask of unplaced vertices that can close
+    the pattern, the others match its placed vertices.
     """
 
     size: int
@@ -71,41 +79,43 @@ PATTERN_P2 = _pattern(4, [(0, 3), (1, 2)], [(0, 2), (1, 3)])
 APEX_PATTERNS = (("cpc", PATTERN_CPC), ("p1", PATTERN_P1), ("p2", PATTERN_P2))
 
 
-def _completes3(tables, upto, used, z):
-    """Witness of a 3-vertex pattern ending at the newest vertex z, or None.
+def _closes3(tables, upto, used, v, later):
+    """Witness of a 3-vertex pattern that v, newly placed, leaves to close, or None.
 
-    ``used`` holds the vertices placed before z, ``upto[x]`` those up to x
-    inclusive; each table maps a vertex to the vertices its pair allows.  The
-    last earlier position is only tested, never enumerated: O(k) mask
-    operations on a k-prefix here, O(k^2) in _completes4.
+    The witness is ``(x0, v, z)`` with x0 among ``used``, the vertices placed
+    before v, and z among ``later``, the vertices not yet placed.  Each table
+    maps a vertex to the vertices its pair of positions allows, in the order
+    of ``OrderedPattern.codes``.  The candidates z form one mask that each
+    placed position cuts down, so only placed positions are enumerated: O(k)
+    mask operations on a k-prefix here, O(k^2) in _closes4, where
+    ``upto[x0]``, the vertices placed up to x0 inclusive, keeps x1 after x0.
     """
-    z0, z1, t01 = tables
-    last = used & z1[z]
+    t02, t12, t01 = tables
+    last = later & t12[v]
     if last:
-        for x0 in iter_bits(used & z0[z]):
-            found = last & ~upto[x0] & t01[x0]
+        for x0 in iter_bits(used & t01[v]):
+            found = last & t02[x0]
             if found:
-                return (x0, lowest_bit(found), z)
+                return (x0, v, lowest_bit(found))
     return None
 
 
-def _completes4(tables, upto, used, z):
-    z0, z1, z2, t01, t02, t12 = tables
-    last = used & z2[z]
+def _closes4(tables, upto, used, v, later):
+    t03, t13, t23, t01, t02, t12 = tables
+    last = later & t23[v]
     if last:
-        middle = used & z1[z]
-        for x0 in iter_bits(used & z0[z]):
-            after0 = ~upto[x0]
-            last0 = last & after0 & t02[x0]
+        middle = used & t12[v]
+        for x0 in iter_bits(used & t02[v]):
+            last0 = last & t03[x0]
             if last0:
-                for x1 in iter_bits(middle & after0 & t01[x0]):
-                    found = last0 & ~upto[x1] & t12[x1]
+                for x1 in iter_bits(middle & ~upto[x0] & t01[x0]):
+                    found = last0 & t13[x1]
                     if found:
-                        return (x0, x1, lowest_bit(found), z)
+                        return (x0, x1, v, lowest_bit(found))
     return None
 
 
-_COMPLETES = {3: _completes3, 4: _completes4}
+_CLOSES = {3: _closes3, 4: _closes4}
 
 
 def search_orderings(
@@ -116,17 +126,29 @@ def search_orderings(
     """Depth-first search over orderings of ``0..len(pred)-1`` in lexicographic order.
 
     Vertex v may be placed once all of the bitmask ``pred[v]`` is.  Yields
-    ``(prefix, (name, witness))`` for each prefix whose newest vertex
-    completes one of the 3- or 4-position ``patterns`` on the graph ``adj``
-    (the first such), and ``(ordering, None)`` for each complete ordering.
-    Pruning is sound: a pattern lies within the prefix ending at its last vertex.
-    The witness ends at the newest vertex; its earlier vertices are picked by
-    vertex label, not by prefix position as ``graphs.find_pattern`` does.
+    ``(ordering, None)`` for each complete ordering that avoids the 3- and
+    4-position ``patterns`` on the graph ``adj``, and ``(prefix, (name,
+    witness))`` for each abandoned branch.  A branch is abandoned as soon as
+    its newest vertex v is second to last in an instance of a pattern (the
+    first in ``patterns`` order) whose earlier vertices are placed and whose
+    last vertex z is not: z has to come later in every completion, so the
+    pattern is certain to appear (forward checking).  The yielded ``prefix``
+    is the abandoned branch followed by z, and the witness ends at z; its
+    earlier vertices are picked by vertex label, not by prefix position as
+    ``graphs.find_pattern`` does.  z need not be placeable yet under
+    ``pred``.
+
+    Every abandoned branch is dead, since no ordering extending it avoids the
+    pattern.  No pattern-avoiding ordering is lost and none containing a
+    pattern is yielded: when the second-to-last vertex of any instance is
+    placed, its last vertex is still unplaced and the others are placed, so
+    the check at that node finds an instance.  The complete orderings yielded
+    are therefore exactly the pattern-avoiding ones, in lexicographic order.
     """
     n = len(pred)
     by_code = ((-1,) * n, adj, [~mask for mask in adj])
     compiled = [
-        (name, _COMPLETES[pat.size], [by_code[c] for c in pat.codes])
+        (name, _CLOSES[pat.size], [by_code[c] for c in pat.codes])
         for name, pat in patterns
     ]
     full = (1 << n) - 1
@@ -140,15 +162,15 @@ def search_orderings(
         for v in range(n):
             if used >> v & 1 or pred[v] & ~used:
                 continue
-            upto[v] = used | 1 << v
+            upto[v] = placed = used | 1 << v
             prefix.append(v)
-            for name, completes, tables in compiled:
-                witness = completes(tables, upto, used, v)
+            for name, closes, tables in compiled:
+                witness = closes(tables, upto, used, v, full & ~placed)
                 if witness is not None:
-                    yield tuple(prefix), (name, witness)
+                    yield (*prefix, witness[-1]), (name, witness)
                     break
             else:
-                yield from extend(upto[v])
+                yield from extend(placed)
             prefix.pop()
 
     return extend(0)

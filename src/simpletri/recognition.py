@@ -86,7 +86,8 @@ def rejection_certificates(
 
     Follows the search order of :func:`recognize` without its decision step;
     on a rejected graph the yielded certificates cover every abandoned branch
-    of the search tree.
+    of the search tree.  A prefix is an abandoned branch followed by the
+    unplaced vertex that closes the witness, which ends at that vertex.
     """
     search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)
     return ((prefix, *hit) for prefix, hit in search if hit is not None)

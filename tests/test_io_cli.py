@@ -7,6 +7,7 @@ from simpletri.cli import main
 from simpletri.errors import CycleError, DuplicateEdge, ParseError, SelfLoop
 from simpletri.graphs import cycle_graph
 from simpletri.io import (
+    MAX_VERTICES,
     emit_representation,
     graph_to_text,
     order_to_text,
@@ -55,6 +56,13 @@ class TestParseGraph:
             parse_graph("2\n0 7\n")
         with pytest.raises(ParseError):
             parse_graph("-1\n")
+
+    def test_vertex_count_cap(self):
+        assert parse_graph(f"{MAX_VERTICES}\n").n == MAX_VERTICES
+        with pytest.raises(ParseError):
+            parse_graph(f"{MAX_VERTICES + 1}\n")
+        with pytest.raises(ParseError):
+            parse_order("99999999999\n")
 
     @given(graphs(max_n=7))
     @settings(max_examples=60)
@@ -114,6 +122,30 @@ class TestRepresentationFormats:
         with pytest.raises(ValueError):
             emit_representation(TriangleRepresentation((1,), ((1, 2),)), "png")
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [1],
+            [{"v": 0, "base": [1, 2]}],
+            [{"v": 0, "apex": 1}],
+            [{"v": 0, "apex": 1, "base": [1]}],
+            [{"v": 0, "apex": 1, "base": [1, 2, 3]}],
+            [{"v": 0, "apex": 1, "base": "12"}],
+            [{"v": 0, "apex": 1, "base": [1, "2"]}],
+            [{"v": 0, "apex": 1, "base": [2, 2]}],
+            [{"v": 0, "apex": 1, "base": [3, 1]}],
+            [{"v": 0, "apex": "x", "base": [1, 2]}],
+            [{"v": 0, "apex": True, "base": [1, 2]}],
+            [{"v": 0, "apex": 1.0, "base": [1, 2]}],
+            [{"v": 0, "apex": 1, "base": [False, 2]}],
+            [{"v": False, "apex": 1, "base": [1, 2]}],
+            [{"v": 0, "apex": 1, "base": [1, 2]}, {"v": 1, "apex": 1, "base": [3, 4]}],
+        ],
+    )
+    def test_malformed_entry(self, entries):
+        with pytest.raises(ParseError):
+            parse_representation(json.dumps({"version": 1, "triangles": entries}))
+
 
 @pytest.fixture()
 def c4_file(tmp_path):
@@ -162,6 +194,13 @@ class TestCliRecognize:
 
     def test_missing_file(self, capsys):
         assert main(["recognize", "/nonexistent/g.graph"]) == 2
+
+    @pytest.mark.parametrize("command", [["recognize"], ["order", "recognize"]])
+    def test_huge_vertex_count(self, command, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("99999999999\n")
+        assert main([*command, str(path)]) == 2
+        assert "size must be in" in capsys.readouterr().err
 
 
 class TestCliRepresent:

@@ -3,12 +3,16 @@
 Both recognizers and the extension enumeration run on
 :func:`simpletri.patterns.search_orderings`; these tests pin its answers to
 the plain scanners: ``find_pattern`` over every permutation for graphs, and
-enumerate-then-filter by the anticycle search for orders.
+enumerate-then-filter by the anticycle search for orders.  The whole yield
+stream is pinned, not only its first ordering: the complete orderings are
+exactly the clean ones in lexicographic order, and every pruned prefix
+carries a real pattern and abandons a branch no clean ordering lies in.
 """
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 from simpletri.exhaustive import (
+    all_graphs,
     naturally_ordered_relations,
     random_partial_order,
     relabel_order,
@@ -17,13 +21,69 @@ from simpletri.graphs import APEX_PATTERNS, PATTERN_P1, PATTERN_P2, Graph, find_
 from simpletri.orders import (
     enumerate_linear_extensions,
     find_alternating_anticycle,
+    is_linear_extension,
     make_partial_order,
     recognize_linear_interval_order,
 )
-from simpletri.recognition import recognize
+from simpletri.patterns import search_orderings
+from simpletri.recognition import is_simple_triangle, recognize, rejection_certificates
 
 SEED = 20261017
 CROWN = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
+INTERVAL_PATTERNS = (("p1", PATTERN_P1), ("p2", PATTERN_P2))
+
+
+def random_graph(rng, n):
+    density = rng.uniform(0.2, 0.8)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    )
+
+
+def crown_or_random_order(rng, i, n):
+    """Random orders are nearly all accepted, so every other instance is a
+    3-crown (rejected, as the class is closed under suborders) next to a
+    random order on up to two more elements, randomly relabeled."""
+    if not i % 2:
+        return random_partial_order(rng, n)
+    rest = [(u + 6, v + 6) for u, v in random_partial_order(rng, n - 6).pairs]
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return relabel_order(make_partial_order(n, CROWN + rest), tuple(labels))
+
+
+def split_stream(search):
+    complete, pruned = [], []
+    for ordering, hit in search:
+        if hit is None:
+            complete.append(ordering)
+        else:
+            pruned.append((ordering, *hit))
+    return complete, pruned
+
+
+def assert_certificates(g, patterns, certificates, clean):
+    """Each certificate is real and dead.
+
+    Real: its prefix is a branch followed by one vertex not on it, and the
+    witness is a subsequence of the prefix ending at that vertex on which
+    ``find_pattern`` finds the named pattern.  Dead: no clean ordering
+    starts with the branch.
+    """
+    by_name = dict(patterns)
+    starts = {s[:k] for s in clean for k in range(g.n + 1)}
+    matched = set()
+    for prefix, name, witness in certificates:
+        assert witness[-1] == prefix[-1] not in prefix[:-1], prefix
+        assert witness == tuple(v for v in prefix if v in witness), prefix
+        assert prefix[:-1] not in starts, (sorted(g.edges), prefix)
+        if (name, witness) not in matched:
+            k = len(witness)
+            sub = Graph.from_edges(
+                k, [(i, j) for i, j in combinations(range(k), 2) if g.adjacent(witness[i], witness[j])]
+            )
+            assert find_pattern(sub, tuple(range(k)), by_name[name]) == tuple(range(k))
+            matched.add((name, witness))
 
 
 def test_two_plus_two_rule_is_the_p1_p2_pair():
@@ -93,3 +153,58 @@ def test_graph_recognition_matches_permutation_scan():
         assert (None if got is None else got[0]) == expected, sorted(g.edges)
         outcomes.add(expected is None)
     assert outcomes == {False, True}
+
+
+def test_graph_search_yields_exactly_the_clean_permutations(small_graphs):
+    """Every graph with n <= 5 and seeded ones with n = 6-7: the complete
+    orderings are the permutations ``find_pattern`` clears of cpc, p1 and p2,
+    in lexicographic order, and every pruned prefix is real and dead."""
+    rng = random.Random(SEED)
+    graphs = [g for n in range(6) for g in small_graphs[n]]
+    graphs += [random_graph(rng, rng.randint(6, 7)) for _ in range(6)]
+    outcomes = set()
+    for g in graphs:
+        clean = [
+            sigma
+            for sigma in permutations(range(g.n))
+            if all(find_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
+        ]
+        complete, pruned = split_stream(search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS))
+        assert complete == clean, sorted(g.edges)
+        assert_certificates(g, APEX_PATTERNS, pruned, clean)
+        outcomes.add((g.n > 5, not clean))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_order_search_yields_exactly_the_clean_extensions():
+    """Seeded orders with n <= 7: the complete orderings are the linear
+    extensions without p1 and p2 on the comparability graph, found by
+    filtering all permutations, and every pruned prefix is real and dead."""
+    rng = random.Random(SEED)
+    outcomes = set()
+    for i in range(60):
+        p = crown_or_random_order(rng, i, rng.randint(6, 7) if i % 2 else rng.randint(3, 7))
+        comparability = Graph.from_edges(p.n, p.pairs)
+        clean = [
+            ext
+            for ext in permutations(range(p.n))
+            if is_linear_extension(p, ext)
+            and all(find_pattern(comparability, ext, pat) is None for _, pat in INTERVAL_PATTERNS)
+        ]
+        search = search_orderings(comparability.adj, p.pred, INTERVAL_PATTERNS)
+        complete, pruned = split_stream(search)
+        assert complete == clean, sorted(p.pairs)
+        assert_certificates(comparability, INTERVAL_PATTERNS, pruned, clean)
+        outcomes.add((not clean, bool(pruned)))
+    assert outcomes == {(False, False), (False, True), (True, True)}
+
+
+def test_rejection_certificates_are_real_on_rejected_graphs():
+    """Every certificate on every rejected graph with n <= 6."""
+    rejected = 0
+    for n in range(7):
+        for g in all_graphs(n):
+            if not is_simple_triangle(g):
+                rejected += 1
+                assert_certificates(g, APEX_PATTERNS, list(rejection_certificates(g)), ())
+    assert rejected == 12 + 2664
