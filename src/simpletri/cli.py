@@ -11,7 +11,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ParseError, SimpleTriError
-from .graphs import APEX_PATTERNS, find_pattern, fulfills_c4_rule, is_cocomparability_ordering
+from .graphs import APEX_PATTERNS, find_pattern, fulfills_c4_rule
 from .io import emit_representation, load_graph, load_order
 from .oracles import (
     all_transitive_complements_extend,
@@ -27,7 +27,7 @@ from .orders import (
     find_alternating_anticycle,
     recognize_linear_interval_order,
 )
-from .recognition import check_apex_ordering, recognize, rejection_certificates
+from .recognition import recognize, rejection_certificates
 from .triangles import triangles_disjoint
 
 REJECT_MESSAGE = "not a simple-triangle graph"
@@ -135,12 +135,12 @@ def cmd_represent(args, say) -> int:
 def cmd_check_ordering(args, say) -> int:
     g = load_graph(args.graph)
     ordering = _parse_ordering(args.ordering, g.n)
-    say(f"cocomparability: {'yes' if is_cocomparability_ordering(g, ordering) else 'no'}")
+    witnesses = {name: find_pattern(g, ordering, pat) for name, pat in APEX_PATTERNS}
+    say(f"cocomparability: {'yes' if witnesses['cpc'] is None else 'no'}")
     say(f"C4 rule: {'yes' if fulfills_c4_rule(g, ordering) else 'no'}")
-    for name, pat in APEX_PATTERNS:
-        witness = find_pattern(g, ordering, pat)
+    for name, witness in witnesses.items():
         say(f"{name}: " + ("none" if witness is None else ",".join(map(str, witness))))
-    accepted = check_apex_ordering(g, ordering)
+    accepted = all(witness is None for witness in witnesses.values())
     say(f"apex ordering: {'yes' if accepted else 'no'}")
     return 0 if accepted else 1
 
@@ -152,9 +152,8 @@ def cmd_order_recognize(args, say) -> int:
         say("not a linear-interval order")
         first = next(enumerate_linear_extensions(p))
         _emit(say, "witness extension", first)
-        ac = find_alternating_anticycle(p, first, k_max=2)
-        if ac is not None:
-            _say_anticycle(say, ac)
+        # never None: a rejected order has a 4-anticycle in every extension
+        _say_anticycle(say, find_alternating_anticycle(p, first, k_max=2))
         return 1
     ext, rep = result
     _emit(say, "extension", ext)

@@ -80,9 +80,6 @@ class Graph:
     def adjacent(self, u: int, v: int) -> bool:
         return self.adj[u] >> v & 1 == 1
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def __len__(self) -> int:
         return self.n
 
@@ -112,15 +109,14 @@ def complement(g: Graph) -> Graph:
 
 
 def _cached_on_graph(fn):
-    """Memoize ``fn(g, *args)`` in ``g._derived``: the predicates that loop
-    over many orderings or orientations of one graph compute it once."""
+    """Memoize ``fn(g)`` in ``g._derived``: the predicates that loop over
+    many orderings or orientations of one graph compute it once."""
 
     @functools.wraps(fn)
-    def cached(g: Graph, *args, **kwargs):
-        key = (fn.__name__, args, tuple(sorted(kwargs.items())))
-        if key not in g._derived:
-            g._derived[key] = fn(g, *args, **kwargs)
-        return g._derived[key]
+    def cached(g: Graph):
+        if fn not in g._derived:
+            g._derived[fn] = fn(g)
+        return g._derived[fn]
 
     return cached
 
@@ -208,17 +204,16 @@ def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
     """All-equal comparison condition around every induced 4-cycle.
 
     For a cycle (u, v, w, x) the four comparisons u<v, w<v, w<x, u<x must
-    agree; both cyclic labelings are evaluated (they always agree, since one
-    negates all four comparisons of the other).
+    agree; the other cyclic labeling (v, w, x, u) negates all four, so the
+    condition does not depend on the labeling either.
     """
     _check_ordering(g, ordering)
     pos = _positions(ordering)
     for u, v, w, x in induced_four_cycles(g):
-        for a, b, c, d in ((u, v, w, x), (v, w, x, u)):
-            if not _all_equal(
-                (pos[a] < pos[b], pos[c] < pos[b], pos[c] < pos[d], pos[a] < pos[d])
-            ):
-                return False
+        if not _all_equal(
+            (pos[u] < pos[v], pos[w] < pos[v], pos[w] < pos[x], pos[u] < pos[x])
+        ):
+            return False
     return True
 
 
@@ -319,9 +314,6 @@ class Orientation:
     def underlying_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((min(u, v), max(u, v)) for u, v in self.arcs)
 
-    def has(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
 
 def orientation_from_ordering(g: Graph, ordering: Sequence[int]) -> Orientation:
     """Direct every edge of g from the earlier to the later endpoint."""
@@ -354,8 +346,8 @@ def is_transitive_orientation(g: Graph, o: Orientation) -> bool:
 
 
 @_cached_on_graph
-def chordless_cycles(g: Graph, min_length: int = 4) -> tuple[tuple[int, ...], ...]:
-    """All chordless cycles of g with at least ``min_length`` vertices.
+def chordless_cycles(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """All chordless cycles of g with at least four vertices.
 
     Depth-first extension of induced paths anchored at each cycle's smallest
     vertex; exponential in the worst case, intended for small instances.
@@ -370,7 +362,7 @@ def chordless_cycles(g: Graph, min_length: int = 4) -> tuple[tuple[int, ...], ..
             if adj[w] >> start & 1:
                 # closing the cycle; a chord from w into the path interior,
                 # like the edge back to start from anywhere deeper, kills it
-                if chord_free and path[1] < w and len(path) + 1 >= min_length:
+                if chord_free and path[1] < w and len(path) + 1 >= 4:
                     found.append(tuple(path) + (w,))
                 continue
             if not chord_free:
@@ -394,7 +386,7 @@ def is_alternating_orientation(g: Graph, o: Orientation) -> bool:
     """
     _check_orients(g, o)
     arcs = o.arcs
-    for cycle in chordless_cycles(g, 4):
+    for cycle in chordless_cycles(g):
         m = len(cycle)
         for i in range(m):
             prev_in = (cycle[i - 1], cycle[i]) in arcs

@@ -149,9 +149,13 @@ def parse_representation(text: str) -> TriangleRepresentation:
     """Inverse of the structured format of :func:`emit_representation`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and over-long integer literals,
+        # RecursionError deeply nested arrays or objects
         raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("version") != 1:
+    # type() rather than isinstance(): JSON true is a bool, an int subclass
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != 1:
         raise ParseError("expected a version-1 representation document")
     triangles = doc.get("triangles")
     if not isinstance(triangles, list):
@@ -161,7 +165,6 @@ def parse_representation(text: str) -> TriangleRepresentation:
     for i, entry in enumerate(triangles):
         if not isinstance(entry, dict):
             raise ParseError(f"triangle {i} is not an object, got {entry!r}")
-        # type() rather than isinstance(): JSON true is a bool, an int subclass
         if type(entry.get("v")) is not int or entry["v"] != i:
             raise ParseError(f"triangle entries must be ascending, got {entry!r}")
         if type(entry.get("apex")) is not int:

@@ -74,9 +74,6 @@ class PartialOrder:
         """True iff u strictly precedes v."""
         return self.succ[u] >> v & 1 == 1
 
-    def comparable(self, u: int, v: int) -> bool:
-        return self.less(u, v) or self.less(v, u)
-
     def __len__(self) -> int:
         return self.n
 
@@ -155,6 +152,8 @@ def make_partial_order(n: int, relations: Iterable[tuple[int, int]]) -> PartialO
             raise CycleError(f"element {u} would precede itself")
         succ[u] |= 1 << v
     for k in range(n):
+        if not succ[k]:
+            continue  # closing through a maximal element changes nothing
         bit = 1 << k
         for u in range(n):
             if succ[u] & bit:
@@ -221,24 +220,6 @@ def _transpose_masks(masks: list[int], n: int) -> list[int]:
     return out
 
 
-def _four_anticycle(p: PartialOrder, dashed: list[int]) -> Optional[Anticycle]:
-    """Least (a0, b0, a1, b1) with solid a0->b0, a1->b1 and dashed a1->b0, a0->b1."""
-    n, succ = p.n, p.succ
-    dashed_pred = _transpose_masks(dashed, n)
-    for a0 in range(n):
-        d0 = dashed[a0]
-        if not succ[a0] or not d0:
-            continue
-        for b0 in iter_bits(succ[a0]):
-            used = (1 << a0) | (1 << b0)
-            for a1 in iter_bits(dashed_pred[b0] & ~used):
-                cand_b1 = succ[a1] & d0 & ~(used | (1 << a1))
-                if cand_b1:
-                    b1 = lowest_bit(cand_b1)
-                    return Anticycle((a0, a1), (b0, b1))
-    return None
-
-
 def _k_anticycle(p: PartialOrder, dashed: list[int], k: int) -> Optional[Anticycle]:
     """First anticycle with exactly k solid pairs, scanning lexicographically."""
     n, succ = p.n, p.succ
@@ -276,8 +257,11 @@ def find_alternating_anticycle(
 ) -> Optional[Anticycle]:
     """Smallest-k alternating anticycle of the extension ``order``, if any.
 
-    Searches k = 2, 3, ... up to ``k_max`` (default n // 2).  A None result
-    with k_max >= 2 in particular means the extension fulfills the 2+2 rule.
+    Runs the one search :func:`_k_anticycle` for k = 2, 3, ... up to
+    ``k_max`` (default n // 2) and returns the first anticycle found: the
+    first of the least k in the lexicographic scan of (a0, b0, a1, b1, ...).
+    A None result with k_max >= 2 in particular means the extension fulfills
+    the 2+2 rule.
     Raises :class:`NotAnExtension` when ``order`` does not extend ``p``.
     """
     if not is_linear_extension(p, order):
@@ -285,11 +269,7 @@ def find_alternating_anticycle(
     if k_max is None:
         k_max = p.n // 2
     dashed = _dashed_masks(p, order)
-    if k_max >= 2:
-        found = _four_anticycle(p, dashed)
-        if found:
-            return found
-    for k in range(3, k_max + 1):
+    for k in range(2, k_max + 1):
         found = _k_anticycle(p, dashed, k)
         if found:
             return found

@@ -2,7 +2,8 @@
 
 Both recognizers, the rejection certificates and the linear-extension
 enumeration run on :func:`search_orderings`, with different patterns and
-precedence relations; one given ordering is checked by ``graphs.find_pattern``.
+precedence relations; ``graphs.find_pattern`` scans one given ordering for
+one pattern (``recognition.realize`` checks a given ordering by building).
 The search checks forward: it abandons a prefix as soon as its newest vertex
 is second to last in a pattern whose last vertex is still unplaced, since
 that vertex must come later and the pattern is then certain to appear

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .errors import NotApexOrdering
+from .errors import NotApexOrdering, NotComparabilityOrdering
 from .graphs import (
     Graph,
     complement,
@@ -76,7 +76,7 @@ def recognize(
     ordering = next((o for o, hit in search if hit is None), None)
     if ordering is None:
         raise RuntimeError(f"accepted graph has no apex ordering: {sorted(g.edges)}")
-    return ordering, _represent(g, ordering)
+    return ordering, realize(g, ordering)
 
 
 def rejection_certificates(
@@ -96,20 +96,22 @@ def rejection_certificates(
 def realize(g: Graph, ordering: Sequence[int]) -> TriangleRepresentation:
     """Triangle representation whose apex order coincides with ``ordering``.
 
-    Raises :class:`NotApexOrdering` with the offending certificate when the
-    ordering contains a forbidden pattern (or, defensively, stalls the
-    interval construction).
+    Checks the ordering by building: orient the complement Ḡ along it, build
+    interval bases for that order with ``ordering`` as the extension, and
+    read off the triangles.  Raises :class:`NotApexOrdering` exactly when the
+    ordering is not an apex ordering, since each pattern stops one step:
+
+    - a cpc on G is exactly a non-transitive triple of Ḡ oriented along the
+      ordering, so the orientation is not a partial order;
+    - a p1 or p2 instance is a 4-anticycle of that order and the ordering,
+      and an anticycle stalls the peeling, while an extension without a
+      4-anticycle never stalls (``recognize_linear_interval_order`` asserts
+      this).
     """
-    for name, pat in APEX_PATTERNS:
-        witness = find_pattern(g, ordering, pat)
-        if witness is not None:
-            raise NotApexOrdering(f"pattern {name} at vertices {witness}")
-    return _represent(g, ordering)
-
-
-def _represent(g: Graph, ordering: Sequence[int]) -> TriangleRepresentation:
-    """The construction of :func:`realize`, on an ordering already known clean."""
-    p = orient_complement_by_ordering(g, ordering)
+    try:
+        p = orient_complement_by_ordering(g, ordering)
+    except NotComparabilityOrdering as exc:
+        raise NotApexOrdering(f"pattern cpc: {exc}") from exc
     rep = build_interval_representation(p, tuple(ordering))
     if isinstance(rep, Anticycle):
         raise NotApexOrdering(f"anticycle {rep.elements()} in oriented complement")

@@ -1,11 +1,12 @@
 import json
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from simpletri.cli import main
 from simpletri.errors import CycleError, DuplicateEdge, ParseError, SelfLoop
-from simpletri.graphs import cycle_graph
+from simpletri.graphs import Graph, cycle_graph
 from simpletri.io import (
     MAX_VERTICES,
     emit_representation,
@@ -15,7 +16,7 @@ from simpletri.io import (
     parse_order,
     parse_representation,
 )
-from simpletri.orders import make_partial_order
+from simpletri.orders import PartialOrder, make_partial_order
 from simpletri.triangles import TriangleRepresentation
 
 from strategies import graphs, partial_orders
@@ -145,6 +146,77 @@ class TestRepresentationFormats:
     def test_malformed_entry(self, entries):
         with pytest.raises(ParseError):
             parse_representation(json.dumps({"version": 1, "triangles": entries}))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            '{"version":1,"triangles":[{"v":0,"apex":' + "1" * 5000 + ',"base":[1,2]}]}',
+            '{"version":true,"triangles":[]}',
+            '{"version":1.0,"triangles":[]}',
+        ],
+        ids=["deep-nesting", "long-integer", "version-true", "version-float"],
+    )
+    def test_malformed_document(self, text):
+        with pytest.raises(ParseError):
+            parse_representation(text)
+
+
+# Text over the characters the formats use gets past the count line often;
+# arbitrary text mostly exercises the first line.
+FORMAT_TEXT = st.text(alphabet="0123456789 <#-_\n", max_size=80) | st.text(max_size=80)
+SMALL_VALUES = st.integers(-2, 8) | st.booleans() | st.floats(-2, 8) | st.text(max_size=2)
+JSON_VALUES = st.recursive(
+    st.none() | SMALL_VALUES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+ENTRIES = st.fixed_dictionaries(
+    {},
+    optional={
+        "v": SMALL_VALUES,
+        "apex": SMALL_VALUES,
+        "base": st.lists(SMALL_VALUES, max_size=3) | JSON_VALUES,
+    },
+)
+DOCUMENTS = st.fixed_dictionaries(
+    {
+        "version": st.sampled_from([1, True, 1.0, 2, "1"]),
+        "triangles": st.lists(ENTRIES | JSON_VALUES, max_size=4) | JSON_VALUES,
+    }
+).map(json.dumps)
+
+
+class TestParserFuzz:
+    """Any input parses to a valid object or raises the documented error."""
+
+    @given(FORMAT_TEXT)
+    @settings(max_examples=200)
+    def test_parse_graph(self, text):
+        try:
+            g = parse_graph(text)
+        except ParseError:
+            return
+        assert isinstance(g, Graph)
+
+    @given(FORMAT_TEXT)
+    @settings(max_examples=200)
+    def test_parse_order(self, text):
+        try:
+            p = parse_order(text)
+        except (ParseError, CycleError):
+            return
+        assert isinstance(p, PartialOrder)
+
+    @given(FORMAT_TEXT | JSON_VALUES.map(json.dumps) | DOCUMENTS)
+    @settings(max_examples=300)
+    def test_parse_representation(self, text):
+        try:
+            t = parse_representation(text)
+        except ParseError:
+            return
+        assert isinstance(t, TriangleRepresentation)
 
 
 @pytest.fixture()

@@ -1,9 +1,14 @@
+import ast
+import importlib
+import importlib.util
+import inspect
 import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 
+import simpletri.oracles
 from simpletri.errors import LimitExceeded, NotSimpleTriangle
 from simpletri.exhaustive import all_graphs, all_partial_orders
 from simpletri.graphs import (
@@ -210,3 +215,25 @@ class TestExactGeometry:
                         assert (
                             not triangles_disjoint(t, 0, 1)
                         ) == exact_triangle_intersection(t, 0, 1)
+
+
+def test_oracles_import_nothing_from_the_engine():
+    """The oracles share no code path with the recognizer: nothing imported
+    into the module comes from the recognition or pattern-search modules."""
+    engine = {"simpletri.recognition", "simpletri.patterns"}
+    tree = ast.parse(inspect.getsource(simpletri.oracles))
+    origins = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            origins += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), "simpletri"
+            )
+            for alias in node.names:
+                obj = getattr(importlib.import_module(module), alias.name)
+                if inspect.ismodule(obj):
+                    origins.append(obj.__name__)
+                else:
+                    origins.append(getattr(obj, "__module__", module))
+    assert origins and not engine & set(origins), sorted(engine & set(origins))

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -201,3 +202,25 @@ class TestRealize:
     def test_bad_ordering_raises(self):
         with pytest.raises(NotApexOrdering):
             realize(C4, (0, 1, 2, 3))
+
+    def test_raises_exactly_on_non_apex_orderings(self, small_graphs):
+        """realize checks by building: it raises NotApexOrdering exactly when
+        check_apex_ordering rejects, and otherwise realizes with apex order σ."""
+        rng = random.Random(20)
+        corpus = [g for n in range(5) for g in small_graphs[n]]
+        for n in (5, 6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            corpus += [
+                Graph(n, frozenset(e for e in pairs if rng.random() < 0.5))
+                for _ in range(40)
+            ]
+        for g in corpus:
+            for sigma in permutations(range(g.n)):
+                try:
+                    t = realize(g, sigma)
+                except NotApexOrdering:
+                    assert not check_apex_ordering(g, sigma), (sorted(g.edges), sigma)
+                    continue
+                assert check_apex_ordering(g, sigma), (sorted(g.edges), sigma)
+                assert verify_representation(g, t)
+                assert tuple(sorted(range(g.n), key=t.apex.__getitem__)) == sigma
