@@ -6,9 +6,13 @@ endpoints as it goes.  When it succeeds, the produced intervals induce an
 interval order P_I with ``linear_order(L) ∩ P_I == P``.  When the peeling
 stalls, the ground set still contains an alternating anticycle, which is
 extracted and returned as a certificate that no such interval order exists
-for this extension.  Linear extensions are enumerated, and linear-interval
-orders recognized, by the pattern search engine of :mod:`simpletri.patterns`
-that also recognizes simple-triangle graphs.
+for this extension.  Linear extensions are enumerated by the pattern search
+engine of :mod:`simpletri.patterns` that also recognizes simple-triangle
+graphs.  Linear-interval orders are recognized by that engine while it needs
+no backtracking, and otherwise by the 2-SAT relaxation of
+:mod:`simpletri.twosat`, which rejects in polynomial time or constructs the
+lexicographically least extension without a 4-anticycle; the engine resumes
+only if that construction gets stuck.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 from ._bits import iter_bits, lowest_bit
 from .errors import CycleError, NotAnExtension, SizeMismatch
 from .patterns import PATTERN_P1, PATTERN_P2, search_orderings
+from .twosat import IntervalFormula
 
 __all__ = [
     "PartialOrder",
@@ -220,15 +225,21 @@ def _transpose_masks(masks: list[int], n: int) -> list[int]:
     return out
 
 
-def _k_anticycle(p: PartialOrder, dashed: list[int], k: int) -> Optional[Anticycle]:
-    """First anticycle with exactly k solid pairs, scanning lexicographically."""
-    n, succ = p.n, p.succ
-    dashed_pred = _transpose_masks(dashed, n)
+def _k_anticycle(
+    p: PartialOrder, dashed: list[int], dashed_pred: list[int], k: int
+) -> Optional[Anticycle]:
+    """First anticycle with exactly k solid pairs, scanning lexicographically.
+
+    ``dashed_pred`` is ``dashed`` transposed.  Only an element with both a
+    solid and a dashed arrow out can be a0.
+    """
+    succ = p.succ
+    starts = sum(1 << u for u in range(p.n) if succ[u] and dashed[u])
     a = [0] * k
     b = [0] * k
 
     def choose_a(i: int, used: int) -> Optional[Anticycle]:
-        cand = (1 << n) - 1 if i == 0 else dashed_pred[b[i - 1]]
+        cand = starts if i == 0 else dashed_pred[b[i - 1]]
         for ai in iter_bits(cand & ~used):
             a[i] = ai
             found = choose_b(i, used | (1 << ai))
@@ -269,8 +280,9 @@ def find_alternating_anticycle(
     if k_max is None:
         k_max = p.n // 2
     dashed = _dashed_masks(p, order)
+    dashed_pred = _transpose_masks(dashed, p.n)
     for k in range(2, k_max + 1):
-        found = _k_anticycle(p, dashed, k)
+        found = _k_anticycle(p, dashed, dashed_pred, k)
         if found:
             return found
     return None
@@ -399,11 +411,23 @@ def _first_interval_extension(p: PartialOrder) -> Optional[tuple[int, ...]]:
     """First linear extension (lexicographic) without a 4-anticycle, or None.
 
     An extension has no 4-anticycle exactly when it avoids the patterns p1
-    and p2 on the comparability graph of ``p``, so the pattern search prunes
-    extension prefixes instead of enumerating whole extensions.
+    and p2 on the comparability graph of ``p``.  The pattern search decides
+    when it finds the first extension without abandoning a branch; otherwise
+    the 2-SAT relaxation of :mod:`simpletri.twosat` rejects, or constructs
+    the extension, and the search resumes only if that construction gets
+    stuck, so the answer stays exact.
     """
     comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
     search = search_orderings(comparable, p.pred, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
+    first, hit = next(search)
+    if hit is None:
+        return first
+    formula = IntervalFormula(p)
+    if not formula.satisfiable():
+        return None
+    ext = formula.least_extension()
+    if ext is not None:
+        return ext
     return next((o for o, hit in search if hit is None), None)
 
 

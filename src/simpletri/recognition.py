@@ -8,13 +8,19 @@ patterns (cpc, p1, p2), and G is a simple-triangle graph iff it has one.
    polynomial), and reject when that fails.  This step is unconditional: an
    ordering without cpc on G has no cp on Ḡ, so it orients Ḡ transitively
    and is a linear extension of that orientation.
-2. Search the linear extensions of that one orientation T for one avoiding
-   p1 and p2 on Ḡ, the comparability graph of T, with the pattern engine of
-   :mod:`simpletri.patterns` (the search that recognizes linear-interval
-   orders), and reject when none does.  This step rests on the paper's
-   theorem, pinned by acceptance test 07: when G is simple-triangle, every
-   transitive orientation of Ḡ, T included, has an apex ordering of G among
-   its linear extensions, and an apex ordering avoids p1 and p2.
+2. Decide whether that one orientation T has a linear extension avoiding
+   p1 and p2 on Ḡ, the comparability graph of T (one without a
+   4-anticycle: T is then a linear-interval order), and reject when it has
+   none.  ``orders._first_interval_extension`` decides this as
+   ``recognize_linear_interval_order`` does: the pattern engine of
+   :mod:`simpletri.patterns` answers when its first extension needs no
+   backtracking, and otherwise the 2-SAT relaxation of
+   :mod:`simpletri.twosat` rejects in polynomial time or constructs the
+   extension, with the engine as the exact fallback.  This step rests on
+   the paper's theorem, pinned by acceptance test 07: when G is
+   simple-triangle, every transitive orientation of Ḡ, T included, has an
+   apex ordering of G among its linear extensions, and an apex ordering
+   avoids p1 and p2.
 
 Accepting is self-checking.  p1 and p2 are each other's complement, so an
 extension of T avoiding them on Ḡ avoids them on G, and it has no cpc on G

@@ -21,7 +21,7 @@ from simpletri.orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from simpletri.orders import _k_anticycle, _dashed_masks
+from simpletri.orders import _dashed_masks, _k_anticycle, _transpose_masks
 
 from strategies import orders_with_extension, partial_orders
 
@@ -111,7 +111,8 @@ class TestAnticycles:
         ac = find_alternating_anticycle(p, ext)
         assert ac.k == 2
         assert ac.a == (0, 1) and ac.b == (3, 5)
-        six = _k_anticycle(p, _dashed_masks(p, ext), 3)
+        dashed = _dashed_masks(p, ext)
+        six = _k_anticycle(p, dashed, _transpose_masks(dashed, p.n), 3)
         assert six is not None and six.k == 3
         assert is_valid_anticycle(p, ext, six)
 

@@ -1,0 +1,126 @@
+"""The 2-SAT decision of linear-interval orders against the plain search.
+
+``orders._first_interval_extension`` answers from the pattern search when it
+finds an extension without abandoning a branch, and from
+:class:`simpletri.twosat.IntervalFormula` otherwise.  These tests pin the
+formula's verdict and its greedy construction to the plain search, check
+that the construction never needs the search as a fallback on the
+exhaustive corpora, guard each piece of the formula with a small order
+that needs it, and pin the two families that were exponential before.
+"""
+import pytest
+
+from simpletri import orders
+from simpletri.exhaustive import naturally_ordered_relations
+from simpletri.graphs import Graph
+from simpletri.orders import (
+    build_interval_representation,
+    make_partial_order,
+    recognize_linear_interval_order,
+)
+from simpletri.patterns import PATTERN_P1, PATTERN_P2, search_orderings
+from simpletri.recognition import is_simple_triangle
+from simpletri.twosat import IntervalFormula
+
+CROWN = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
+
+
+def engine_extension(p):
+    """First extension without a 4-anticycle by the plain pattern search."""
+    comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
+    search = search_orderings(comparable, p.pred, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
+    return next((o for o, hit in search if hit is None), None)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts of greedy constructions run and of those that got stuck, which
+    are the runs that fall back to the search."""
+    counts = {"runs": 0, "stuck": 0}
+    construct = IntervalFormula.least_extension
+
+    def counted(self):
+        ext = construct(self)
+        counts["runs"] += 1
+        counts["stuck"] += ext is None
+        return ext
+
+    monkeypatch.setattr(IntervalFormula, "least_extension", counted)
+    return counts
+
+
+def test_verdict_matches_the_search_on_naturally_ordered_relations(constructions):
+    rejected = 0
+    for n in range(7):
+        for p in naturally_ordered_relations(n):
+            expected = engine_extension(p)
+            rejected += expected is None
+            assert IntervalFormula(p).satisfiable() == (expected is not None)
+            assert orders._first_interval_extension(p) == expected, sorted(p.pairs)
+    assert rejected == 8
+    assert constructions["runs"] > 0
+    assert constructions["stuck"] == 0
+
+
+def test_recognizer_matches_the_search_on_small_orders(small_orders, constructions):
+    for n in range(6):
+        for p in small_orders[n]:
+            expected = engine_extension(p)
+            got = recognize_linear_interval_order(p)
+            if expected is None:
+                assert got is None, sorted(p.pairs)
+            else:
+                assert got == (expected, build_interval_representation(p, expected))
+    assert constructions["runs"] > 0
+    assert constructions["stuck"] == 0
+
+
+# Each order below needs one piece of the formula; the test fails when that
+# piece is removed.
+
+
+def test_transitivity_clauses():
+    # the 2+2 clauses alone are met by an intransitive assignment; only
+    # transitivity with one relation makes the 3-crown's formula unsatisfiable
+    p = make_partial_order(6, CROWN)
+    assert not IntervalFormula(p).satisfiable()
+
+
+def test_two_plus_two_clauses():
+    # without the 2+2 clauses the greedy places 1 second, and 0 1 2 3 is a
+    # 4-anticycle of 0 < 2 and 1 < 3
+    p = make_partial_order(4, [(0, 2), (1, 3)])
+    assert IntervalFormula(p).least_extension() == (0, 2, 1, 3)
+
+
+def test_unit_clauses():
+    # once 0 is placed, only the unit clause "1 before 4" refutes 1 as the
+    # next element: with 0 < 4 and 1 < 2 it forces 2 before 0
+    p = make_partial_order(5, [(0, 4), (1, 2)])
+    assert IntervalFormula(p).least_extension() == (0, 3, 4, 1, 2)
+
+
+@pytest.fixture
+def one_abandoned_branch(monkeypatch):
+    """Fail as soon as the pattern search inside ``orders`` abandons a second
+    branch, that is, when the formula did not decide after the first."""
+
+    def counted(*args):
+        branches = 0
+        for item in search_orderings(*args):
+            branches += item[1] is not None
+            assert branches <= 1, "the search abandoned a second branch"
+            yield item
+
+    monkeypatch.setattr(orders, "search_orderings", counted)
+
+
+def test_crown_with_six_free_elements_is_rejected_at_once(one_abandoned_branch):
+    assert recognize_linear_interval_order(make_partial_order(12, CROWN)) is None
+
+
+def test_prism_with_six_universal_vertices_is_rejected_at_once(one_abandoned_branch):
+    n = 12
+    prism = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]
+    universal = [(u, v) for v in range(6, n) for u in range(v)]
+    assert not is_simple_triangle(Graph.from_edges(n, prism + universal))
