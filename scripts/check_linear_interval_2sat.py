@@ -7,8 +7,8 @@ For every naturally ordered relation on at most ``--max-n`` elements, and for
 4-anticycle?), and that ``IntervalFormula.least_extension`` returns the
 search's first such extension.  It prints the number of mismatches and of
 fallback runs (greedy constructions that got stuck) and exits 1 if either
-is nonzero.  The default run takes about two minutes (40 s for the n <= 7
-pass, 70 s for the random orders, on a 2-vCPU x86-64 VM, CPython 3.11).
+is nonzero.  The default run takes about 100 s (33 s for the n <= 7 pass,
+65 s for the random orders, on a 2-vCPU x86-64 VM, CPython 3.11).
 
     PYTHONPATH=src python scripts/check_linear_interval_2sat.py [--max-n 7] [--random 600] [--seed 1]
 """

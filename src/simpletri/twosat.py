@@ -23,11 +23,21 @@ out is that three pairwise incomparable elements must not form a cycle, the
 one that is not a 2-clause.
 
 Soundness.  Every linear extension without a 4-anticycle satisfies both
-families, so the formula is a relaxation: when it is unsatisfiable, which
-strongly connected components of the implication graph decide in linear
-time (Aspvall, Plass and Tarjan, "A linear-time algorithm for testing the
-truth of certain quantified Boolean formulas", IPL 8, 1979), P has no such
-extension and is not a linear-interval order.
+families, so the formula is a relaxation: when it is unsatisfiable, P has
+no such extension and is not a linear-interval order.
+:meth:`IntervalFormula.satisfiable` decides it by unit propagation alone
+(Even, Itai and Shamir, "On the complexity of timetable and multicommodity
+flow problems", SIAM J. Comput. 5, 1976).  It takes each literal still
+open and sets its closure under the implications, or the closure of its
+negation when the first one holds a literal and its negation; when both
+do, it stops.  Both closures conflict only when the formula, with what is
+already set, forces the literal and also its negation, so it is
+unsatisfiable.  A closure without a conflict satisfies every clause it
+touches, so setting it keeps a satisfiable formula satisfiable.  Each
+variable costs at most two propagations, so the decision takes
+O(literals × implications) time in the worst case, not linear time; the
+construction below needs the same propagation, and one procedure serves
+both.
 
 Construction.  :meth:`IntervalFormula.least_extension` places elements one
 at a time, each time the least minimal element x for which the formula
@@ -35,12 +45,11 @@ stays satisfiable under the unit clauses "x before every remaining element
 incomparable to x" (the placed prefix carries its own from earlier steps).
 For a satisfiable 2-SAT formula, added literals keep it satisfiable exactly
 when their closure under the implications holds no complementary pair
-(Even, Itai and Shamir, "On the complexity of timetable and multicommodity
-flow problems", SIAM J. Comput. 5, 1976), so each candidate costs one
-propagation, undone when it conflicts.  A skipped candidate starts no
-extension without a 4-anticycle, and a completed ordering satisfies every
-2+2 clause; so when the construction completes, it returns exactly the
-lexicographically least linear extension without a 4-anticycle.
+(Even, Itai and Shamir, above), so each candidate costs one propagation,
+undone when it conflicts.  A skipped candidate starts no extension without
+a 4-anticycle, and a completed ordering satisfies every 2+2 clause; so when
+the construction completes, it returns exactly the lexicographically least
+linear extension without a 4-anticycle.
 
 Completeness, that a satisfiable formula means P is linear-interval and
 the construction never gets stuck, is checked, not proved: on every
@@ -54,7 +63,7 @@ it.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 from ._bits import iter_bits
 
@@ -67,17 +76,15 @@ __all__ = ["IntervalFormula"]
 class IntervalFormula:
     """Implication graph of the 2-SAT relaxation for the order ``p``.
 
-    ``literals`` lists the literals of the incomparable pairs, and
-    ``implies[l]`` the literals that literal l forces (None for an index
-    that is no literal).
+    ``implies`` maps each literal of an incomparable pair to the literals
+    that it forces; its keys are the literals.
     """
 
     def __init__(self, p: PartialOrder):
         n, succ, pred = p.n, p.succ, p.pred
         full = (1 << n) - 1
         inc = [full & ~(succ[v] | pred[v] | 1 << v) for v in range(n)]
-        implies: list[Optional[list[int]]] = [None] * (n * n)
-        literals = []
+        implies: dict[int, list[int]] = {}
         for x in range(n):
             for y in iter_bits(inc[x]):
                 out = [q * n + y for q in iter_bits(pred[x] & inc[y])]
@@ -86,30 +93,32 @@ class IntervalFormula:
                 for s in iter_bits(succ[x]):
                     out += [s * n + q for q in iter_bits(below_y & inc[s])]
                 implies[x * n + y] = out
-                literals.append(x * n + y)
         self.n = n
         self.pred = pred
         self.inc = inc
-        self.literals = literals
         self.implies = implies
 
     def satisfiable(self) -> bool:
-        """True iff no literal shares a strongly connected component with its negation."""
-        n = self.n
-        comp = _strong_components(self.implies, self.literals)
-        return all(
-            comp[x * n + y] != comp[y * n + x]
-            for x in range(n)
-            for y in iter_bits(self.inc[x])
-        )
+        """True iff the formula is satisfiable, decided by propagation (module doc)."""
+        n, true = self.n, set()
+        for lit in self.implies:
+            x, y = divmod(lit, n)
+            negation = y * n + x
+            if lit in true or negation in true:
+                continue
+            if not (self._assume(true, [lit]) or self._assume(true, [negation])):
+                return False
+        return True
 
     def least_extension(self) -> Optional[tuple[int, ...]]:
         """The greedy construction of the module doc, or None if it gets stuck.
 
-        Assumes :meth:`satisfiable`; the construction relies on it.
+        A completed construction is a satisfying assignment: it is total,
+        closed under the implications and free of conflicts.  Satisfiability
+        (:meth:`satisfiable`) is needed only for it never to get stuck.
         """
         n, pred, inc = self.n, self.pred, self.inc
-        true = bytearray(n * n)
+        true: set[int] = set()
         remaining = (1 << n) - 1
         order = []
         while remaining:
@@ -125,69 +134,22 @@ class IntervalFormula:
             remaining &= ~(1 << x)
         return tuple(order)
 
-    def _assume(self, true: bytearray, units: list[int]) -> bool:
-        """Set the closure of ``units`` true in ``true``, or leave it as it was
-        and return False when the closure holds a literal and its negation."""
+    def _assume(self, true: set[int], units: list[int]) -> bool:
+        """Add the closure of ``units`` to the literals ``true``, or leave it
+        as it was and return False when the closure holds a literal and its
+        negation."""
         n, implies = self.n, self.implies
         added = []
         stack = units
         while stack:
             lit = stack.pop()
-            if true[lit]:
+            if lit in true:
                 continue
             x, y = divmod(lit, n)
-            if true[y * n + x]:
-                for lit in added:
-                    true[lit] = 0
+            if y * n + x in true:
+                true.difference_update(added)
                 return False
-            true[lit] = 1
+            true.add(lit)
             added.append(lit)
             stack += implies[lit]
         return True
-
-
-def _strong_components(
-    graph: Sequence[Optional[list[int]]], nodes: Sequence[int]
-) -> list[int]:
-    """Component number of each of ``nodes`` (Tarjan, iterative), -1 elsewhere.
-
-    ``graph[v]`` lists the successors of node v, each of them in ``nodes``.
-    """
-    size = len(graph)
-    index = [-1] * size
-    low = [0] * size
-    comp = [-1] * size
-    stack: list[int] = []
-    counter = count = 0
-    for root in nodes:
-        if index[root] != -1:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        work = [(root, iter(graph[root]))]
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    work.append((w, iter(graph[w])))
-                    break
-                if comp[w] == -1 and index[w] < low[v]:
-                    low[v] = index[w]  # w is still on the stack
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        comp[w] = count
-                        if w == v:
-                            break
-                    count += 1
-    return comp

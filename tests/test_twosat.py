@@ -5,8 +5,9 @@ finds an extension without abandoning a branch, and from
 :class:`simpletri.twosat.IntervalFormula` otherwise.  These tests pin the
 formula's verdict and its greedy construction to the plain search, check
 that the construction never needs the search as a fallback on the
-exhaustive corpora, guard each piece of the formula with a small order
-that needs it, and pin the two families that were exponential before.
+exhaustive corpora, guard each piece of the formula and of its decision
+with a small order that needs it, check that the formula is sized by the
+incomparable pairs, and pin the two families that were exponential before.
 """
 import pytest
 
@@ -23,6 +24,13 @@ from simpletri.recognition import is_simple_triangle
 from simpletri.twosat import IntervalFormula
 
 CROWN = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
+
+# No order with n <= 6 needs the negation branch of ``satisfiable``; this one does.
+FIRST_LITERAL_CONFLICTS = {
+    0: (4, 5, 7, 8, 9, 11, 12), 1: (5, 7, 9, 11, 12), 2: (5, 7, 9, 12), 3: (5, 7, 8),
+    4: (5, 7, 8, 11, 12), 5: (7,), 6: (1, 5, 7, 9, 11, 12), 8: (5, 7), 9: (7, 12),
+    10: (4, 5, 7, 8, 9, 11, 12), 11: (7, 12), 12: (7,),
+}
 
 
 def engine_extension(p):
@@ -98,6 +106,27 @@ def test_unit_clauses():
     # next element: with 0 < 4 and 1 < 2 it forces 2 before 0
     p = make_partial_order(5, [(0, 4), (1, 2)])
     assert IntervalFormula(p).least_extension() == (0, 3, 4, 1, 2)
+
+
+def test_negation_of_a_conflicting_literal():
+    # "0 before 1" is tried first and conflicts; only its negation shows that
+    # the formula is satisfiable
+    relations = [(u, v) for u, above in FIRST_LITERAL_CONFLICTS.items() for v in above]
+    formula = IntervalFormula(make_partial_order(13, relations))
+    first = next(iter(formula.implies))
+    assert first == 0 * 13 + 1
+    assert not formula._assume(set(), [first])
+    assert formula.satisfiable()
+
+
+def test_formula_is_sized_by_the_incomparable_pairs():
+    # the 3-crown below a 1,000-element chain: 18 literals among n = 1,006
+    n = 1006
+    chain = [(v, v + 1) for v in range(6, n - 1)]
+    p = make_partial_order(n, CROWN + [(u, 6) for u in range(6)] + chain)
+    formula = IntervalFormula(p)
+    assert len(formula.implies) == 18
+    assert not formula.satisfiable()
 
 
 @pytest.fixture
