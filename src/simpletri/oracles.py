@@ -4,7 +4,8 @@ Nothing here shares a code path with the recognizer: realizability is
 decided straight from the definition by trying every apex ordering and
 solving the base-interval constraints each one induces, orientation-level
 characterizations are checked by enumerating orientations, and triangle
-intersection is re-decided with exact integer geometry.
+intersection is re-decided with exact integer geometry: two triangles are
+disjoint exactly when the line along one side of one of them separates them.
 """
 from __future__ import annotations
 
@@ -276,105 +277,82 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
 Point = tuple[int, int]
 
 
-def _cross(a: Point, b: Point, c: Point) -> int:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    if _cross(a, b, p) != 0:
-        return False
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def _segments_intersect(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Closed segment intersection, collinear overlaps included."""
-    return (
-        _segments_cross_properly(a, b, c, d)
-        or _on_segment(c, d, a)
-        or _on_segment(c, d, b)
-        or _on_segment(a, b, c)
-        or _on_segment(a, b, d)
-    )
-
-
-def _segments_cross_properly(a: Point, b: Point, c: Point, d: Point) -> bool:
-    d1 = _cross(c, d, a)
-    d2 = _cross(c, d, b)
-    d3 = _cross(a, b, c)
-    d4 = _cross(a, b, d)
-    return (d1 > 0 and d2 < 0 or d1 < 0 and d2 > 0) and (
-        d3 > 0 and d4 < 0 or d3 < 0 and d4 > 0
-    )
-
-
-def _point_in_triangle(p: Point, tri: tuple[Point, Point, Point], strict: bool) -> bool:
-    d1 = _cross(tri[0], tri[1], p)
-    d2 = _cross(tri[1], tri[2], p)
-    d3 = _cross(tri[2], tri[0], p)
-    if strict:
-        return (d1 > 0 and d2 > 0 and d3 > 0) or (d1 < 0 and d2 < 0 and d3 < 0)
-    has_neg = d1 < 0 or d2 < 0 or d3 < 0
-    has_pos = d1 > 0 or d2 > 0 or d3 > 0
-    return not (has_neg and has_pos)
-
-
 def _corners(t: TriangleRepresentation, v: int) -> tuple[Point, Point, Point]:
     lo, hi = t.base[v]
     return ((t.apex[v], 1), (lo, 0), (hi, 0))
 
 
-def _sides(tri: tuple[Point, Point, Point]):
-    return ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0]))
+def _separated(
+    tri: tuple[Point, Point, Point], other: tuple[Point, Point, Point], touching: bool
+) -> bool:
+    """Some side of ``tri`` has every corner of ``other`` on its far side.
 
-
-def exact_triangle_intersection(t: TriangleRepresentation, u: int, v: int) -> bool:
-    """Closed filled triangles share at least one point; integer-exact."""
-    tu, tv = _corners(t, u), _corners(t, v)
-    for p in tu:
-        if _point_in_triangle(p, tv, strict=False):
+    The far side is the open half-plane beyond the side's line, away from
+    ``tri``; with ``touching`` the line itself counts as far.  Each side is
+    read through integer cross products, signed by the turn of ``tri``'s own
+    corners so that either orientation works.  ``tri`` must not be flat.
+    """
+    (ax, ay), (bx, by), (cx, cy) = tri
+    turn = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    near = 1 if touching else 0
+    for px, py, qx, qy in ((ax, ay, bx, by), (bx, by, cx, cy), (cx, cy, ax, ay)):
+        dx, dy = qx - px, qy - py
+        for ox, oy in other:
+            if (dx * (oy - py) - dy * (ox - px)) * turn >= near:
+                break
+        else:
             return True
-    for p in tv:
-        if _point_in_triangle(p, tu, strict=False):
-            return True
-    for a, b in _sides(tu):
-        for c, d in _sides(tv):
-            if _segments_intersect(a, b, c, d):
-                return True
     return False
 
 
-def triangle_interiors_intersect(t: TriangleRepresentation, u: int, v: int) -> bool:
-    """Open interiors overlap: proper boundary crossing, a strictly interior
-    corner, or base intervals overlapping on positive length."""
+def exact_triangle_intersection(t: TriangleRepresentation, u: int, v: int) -> bool:
+    """Closed filled triangles share at least one point; integer-exact.
+
+    By the separating axis theorem, two convex polygons are disjoint exactly
+    when a line along a side of one of them separates them, strictly for
+    closed triangles.  The test reads the corners only, never the two-line
+    layout that ``triangles_disjoint`` relies on, so it can check it.
+
+    >>> t = TriangleRepresentation((1, 2), ((1, 2), (2, 3)))
+    >>> exact_triangle_intersection(t, 0, 1), triangle_interiors_intersect(t, 0, 1)
+    (True, False)
+    """
     tu, tv = _corners(t, u), _corners(t, v)
-    for a, b in _sides(tu):
-        for c, d in _sides(tv):
-            if _segments_cross_properly(a, b, c, d):
-                return True
-    for p in tu:
-        if _point_in_triangle(p, tv, strict=True):
-            return True
-    for p in tv:
-        if _point_in_triangle(p, tu, strict=True):
-            return True
-    (ul, ur), (vl, vr) = t.base[u], t.base[v]
-    return min(ur, vr) > max(ul, vl)
+    return not (_separated(tu, tv, False) or _separated(tv, tu, False))
+
+
+def triangle_interiors_intersect(t: TriangleRepresentation, u: int, v: int) -> bool:
+    """Open interiors overlap: no line along a side separates the triangles,
+    even one that both of them touch."""
+    tu, tv = _corners(t, u), _corners(t, v)
+    return not (_separated(tu, tv, True) or _separated(tv, tu, True))
+
+
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform integer in 0..n-1, by rejection on ``n.bit_length()`` bits."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def random_triangle_pair(
     rng: random.Random, span: int = 40
 ) -> TriangleRepresentation:
-    """Two random triangles with distinct apexes and endpoints in 1..span."""
-    a1 = rng.randint(1, span)
-    a2 = rng.randint(1, span - 1)
+    """Two random triangles with distinct apexes and endpoints in 1..span.
+
+    Each coordinate is uniform over its range, which is all that correctness
+    needs.  ``_below`` skips ``randint``'s argument checks; on CPython it
+    consumes the same bits, so a seed gives the same pairs as ``randint``.
+    """
+    a1 = 1 + _below(rng, span)
+    a2 = 1 + _below(rng, span - 1)
     if a2 >= a1:
         a2 += 1
     bases = []
     for _ in range(2):
-        lo = rng.randint(1, span - 1)
-        hi = rng.randint(lo + 1, span)
+        lo = 1 + _below(rng, span - 1)
+        hi = lo + 1 + _below(rng, span - lo)
         bases.append((lo, hi))
     return TriangleRepresentation((a1, a2), tuple(bases))

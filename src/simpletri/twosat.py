@@ -84,13 +84,15 @@ class IntervalFormula:
         n, succ, pred = p.n, p.succ, p.pred
         full = (1 << n) - 1
         inc = [full & ~(succ[v] | pred[v] | 1 << v) for v in range(n)]
+        # the elements incomparable to some element; no other s has a 2+2 clause
+        loose = sum(1 << v for v in range(n) if inc[v])
         implies: dict[int, list[int]] = {}
         for x in range(n):
             for y in iter_bits(inc[x]):
                 out = [q * n + y for q in iter_bits(pred[x] & inc[y])]
                 out += [x * n + s for s in iter_bits(succ[y] & inc[x])]
                 below_y = pred[y]
-                for s in iter_bits(succ[x]):
+                for s in iter_bits(succ[x] & loose):
                     out += [s * n + q for q in iter_bits(below_y & inc[s])]
                 implies[x * n + y] = out
         self.n = n

@@ -200,8 +200,9 @@ class TestExactGeometry:
             )
 
     def test_exhaustive_tiny_grid(self):
-        # every triangle pair with endpoints in 1..4 and distinct apexes
-        span = 4
+        # every triangle pair with endpoints in 1..6 and distinct apexes
+        # (6,750 pairs); interiors miss each other only at a base abutment
+        span = 6
         bases = [
             (lo, hi) for lo in range(1, span) for hi in range(lo + 1, span + 1)
         ]
@@ -212,9 +213,30 @@ class TestExactGeometry:
                 for b1 in bases:
                     for b2 in bases:
                         t = TriangleRepresentation((a1, a2), (b1, b2))
-                        assert (
-                            not triangles_disjoint(t, 0, 1)
-                        ) == exact_triangle_intersection(t, 0, 1)
+                        closed = not triangles_disjoint(t, 0, 1)
+                        abut = a1 < a2 and b1[1] == b2[0] or a2 < a1 and b2[1] == b1[0]
+                        assert exact_triangle_intersection(t, 0, 1) == closed
+                        assert triangle_interiors_intersect(t, 0, 1) == (
+                            closed and not abut
+                        )
+
+    @pytest.mark.parametrize("span", [2, 3, 40, 1000])
+    def test_draws_match_randint(self, span):
+        # a seed checks the same pairs as when the draws went through randint
+        def reference(rng):
+            a1 = rng.randint(1, span)
+            a2 = rng.randint(1, span - 1)
+            if a2 >= a1:
+                a2 += 1
+            bases = []
+            for _ in range(2):
+                lo = rng.randint(1, span - 1)
+                bases.append((lo, rng.randint(lo + 1, span)))
+            return TriangleRepresentation((a1, a2), tuple(bases))
+
+        drawn, expected = random.Random(span), random.Random(span)
+        for _ in range(10_000):
+            assert random_triangle_pair(drawn, span) == reference(expected)
 
 
 def test_oracles_import_nothing_from_the_engine():
