@@ -5,10 +5,14 @@ For every naturally ordered relation on at most ``--max-n`` elements, and for
 ``IntervalFormula.satisfiable`` agrees with the pattern search of
 ``patterns.search_orderings`` (is there a linear extension without a
 4-anticycle?), and that ``IntervalFormula.least_extension`` returns the
-search's first such extension.  It prints the number of mismatches and of
-fallback runs (greedy constructions that got stuck) and exits 1 if either
-is nonzero.  The default run takes about 100 s (33 s for the n <= 7 pass,
-65 s for the random orders, on a 2-vCPU x86-64 VM, CPython 3.11).
+search's first such extension.  On the naturally ordered relations it also
+checks the 2+2 rule on the identity extension: the interval construction
+stalls exactly when ``find_alternating_anticycle(p, ext, k_max=2)`` finds
+a 4-anticycle, and then returns that one as its certificate.  It prints
+the number of mismatches and of fallback runs (greedy constructions that
+got stuck) and exits 1 if either is nonzero.  The default run takes about
+105 s (38 s for the n <= 7 pass, 65 s for the random orders, on a 2-vCPU
+x86-64 VM, CPython 3.11).
 
     PYTHONPATH=src python scripts/check_linear_interval_2sat.py [--max-n 7] [--random 600] [--seed 1]
 """
@@ -20,7 +24,13 @@ import sys
 import time
 
 from simpletri.exhaustive import naturally_ordered_relations, random_partial_order
-from simpletri.orders import PartialOrder, make_partial_order
+from simpletri.orders import (
+    IntervalRepresentation,
+    PartialOrder,
+    build_interval_representation,
+    find_alternating_anticycle,
+    make_partial_order,
+)
 from simpletri.patterns import PATTERN_P1, PATTERN_P2, search_orderings
 from simpletri.twosat import IntervalFormula
 
@@ -83,6 +93,19 @@ def compare(p: PartialOrder, tally: dict) -> None:
               f"satisfiable {sat}, greedy {greedy}")
 
 
+def check_identity_extension(p: PartialOrder, tally: dict) -> None:
+    """The 2+2 rule on (p, identity): intervals exactly when no 4-anticycle,
+    and a stall certificate equal to the first 4-anticycle."""
+    ext = tuple(range(p.n))
+    short = find_alternating_anticycle(p, ext, k_max=2)
+    out = build_interval_representation(p, ext)
+    tally["blocked"] += short is not None
+    if not (out == short if short else isinstance(out, IntervalRepresentation)):
+        tally["mismatches"] += 1
+        print(f"2+2 rule mismatch on n={p.n} pairs={sorted(p.pairs)}: "
+              f"construction {out}, 4-anticycle {short}")
+
+
 def report(label: str, tally: dict, seconds: float) -> None:
     print(f"{label}: {tally['orders']} orders, {tally['rejected']} rejected, "
           f"{tally['mismatches']} mismatches, {tally['fallbacks']} fallback runs, "
@@ -97,11 +120,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bad = 0
     t0 = time.perf_counter()
-    tally = dict.fromkeys(("orders", "rejected", "mismatches", "fallbacks"), 0)
+    tally = dict.fromkeys(("orders", "rejected", "mismatches", "fallbacks", "blocked"), 0)
     for n in range(args.max_n + 1):
         for p in naturally_ordered_relations(n):
             compare(p, tally)
+            check_identity_extension(p, tally)
     report(f"naturally ordered relations, n <= {args.max_n}", tally, time.perf_counter() - t0)
+    print(f"  identity extensions with a 4-anticycle: {tally['blocked']}")
     bad += tally["mismatches"] + tally["fallbacks"]
     t0 = time.perf_counter()
     rng = random.Random(args.seed)

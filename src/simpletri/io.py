@@ -103,7 +103,10 @@ def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 def load_graph(path: str) -> Graph:

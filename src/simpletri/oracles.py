@@ -330,6 +330,8 @@ def triangle_interiors_intersect(t: TriangleRepresentation, u: int, v: int) -> b
 
 def _below(rng: random.Random, n: int) -> int:
     """A uniform integer in 0..n-1, by rejection on ``n.bit_length()`` bits."""
+    if n < 1:
+        raise ValueError(f"empty range 0..{n - 1}")
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:
@@ -343,8 +345,9 @@ def random_triangle_pair(
     """Two random triangles with distinct apexes and endpoints in 1..span.
 
     Each coordinate is uniform over its range, which is all that correctness
-    needs.  ``_below`` skips ``randint``'s argument checks; on CPython it
-    consumes the same bits, so a seed gives the same pairs as ``randint``.
+    needs.  ``_below`` keeps only ``randint``'s empty-range check, so
+    ``span`` < 2 raises ValueError; on CPython it consumes the same bits, so
+    a seed gives the same pairs as ``randint``.
     """
     a1 = 1 + _below(rng, span)
     a2 = 1 + _below(rng, span - 1)

@@ -4,15 +4,15 @@ The central construction takes a partial order P together with a linear
 extension L and peels elements off in rounds, assigning integer interval
 endpoints as it goes.  When it succeeds, the produced intervals induce an
 interval order P_I with ``linear_order(L) ∩ P_I == P``.  When the peeling
-stalls, the ground set still contains an alternating anticycle, which is
-extracted and returned as a certificate that no such interval order exists
-for this extension.  Linear extensions are enumerated by the pattern search
-engine of :mod:`simpletri.patterns` that also recognizes simple-triangle
-graphs.  Linear-interval orders are recognized by that engine while it needs
-no backtracking, and otherwise by the 2-SAT relaxation of
-:mod:`simpletri.twosat`, which rejects in polynomial time or constructs the
-lexicographically least extension without a 4-anticycle; the engine resumes
-only if that construction gets stuck.
+stalls, the extension contains an alternating 4-anticycle (the 2+2 rule),
+and the first one is returned as a certificate that no such interval order
+exists for this extension.  Linear extensions are enumerated by the pattern
+search engine of :mod:`simpletri.patterns` that also recognizes
+simple-triangle graphs.  Linear-interval orders are recognized by that
+engine while it needs no backtracking, and otherwise by the 2-SAT
+relaxation of :mod:`simpletri.twosat`, which rejects in polynomial time or
+constructs the lexicographically least extension without a 4-anticycle;
+the engine resumes only if that construction gets stuck.
 """
 from __future__ import annotations
 
@@ -217,75 +217,48 @@ def _dashed_masks(p: PartialOrder, order: Sequence[int]) -> list[int]:
     return [after[u] & ~p.succ[u] for u in range(n)]
 
 
-def _transpose_masks(masks: list[int], n: int) -> list[int]:
-    out = [0] * n
-    for u in range(n):
-        for v in iter_bits(masks[u]):
-            out[v] |= 1 << u
-    return out
+def _four_anticycle(p: PartialOrder, dashed: list[int]) -> Optional[Anticycle]:
+    """First 4-anticycle in the lexicographic scan of (a0, b0, a1, b1), or None.
 
-
-def _k_anticycle(
-    p: PartialOrder, dashed: list[int], dashed_pred: list[int], k: int
-) -> Optional[Anticycle]:
-    """First anticycle with exactly k solid pairs, scanning lexicographically.
-
-    ``dashed_pred`` is ``dashed`` transposed.  Only an element with both a
-    solid and a dashed arrow out can be a0.
+    a0 and a1 lie below b0 and b1 in P, while b0 is dashed from a1 and b1
+    from a0, so a1 is drawn from the elements with a successor dashed from
+    a0.  The four elements are then distinct, since an element dashed from
+    u is neither u nor above u.
     """
     succ = p.succ
-    starts = sum(1 << u for u in range(p.n) if succ[u] and dashed[u])
-    a = [0] * k
-    b = [0] * k
-
-    def choose_a(i: int, used: int) -> Optional[Anticycle]:
-        cand = starts if i == 0 else dashed_pred[b[i - 1]]
-        for ai in iter_bits(cand & ~used):
-            a[i] = ai
-            found = choose_b(i, used | (1 << ai))
-            if found:
-                return found
-        return None
-
-    def choose_b(i: int, used: int) -> Optional[Anticycle]:
-        cand = succ[a[i]]
-        if i == k - 1:
-            cand &= dashed[a[0]]
-        for bi in iter_bits(cand & ~used):
-            b[i] = bi
-            if i == k - 1:
-                return Anticycle(tuple(a), tuple(b))
-            found = choose_a(i + 1, used | (1 << bi))
-            if found:
-                return found
-        return None
-
-    return choose_a(0, 0)
+    for a0 in range(p.n):
+        if not dashed[a0]:
+            continue
+        reach = [u for u in range(p.n) if succ[u] & dashed[a0]]
+        for b0 in iter_bits(succ[a0]):
+            for a1 in reach:
+                if dashed[a1] >> b0 & 1:
+                    return Anticycle((a0, a1), (b0, lowest_bit(succ[a1] & dashed[a0])))
+    return None
 
 
 def find_alternating_anticycle(
     p: PartialOrder, order: Sequence[int], k_max: Optional[int] = None
 ) -> Optional[Anticycle]:
-    """Smallest-k alternating anticycle of the extension ``order``, if any.
+    """Smallest alternating anticycle of the extension ``order``, if any.
 
-    Runs the one search :func:`_k_anticycle` for k = 2, 3, ... up to
-    ``k_max`` (default n // 2) and returns the first anticycle found: the
-    first of the least k in the lexicographic scan of (a0, b0, a1, b1, ...).
-    A None result with k_max >= 2 in particular means the extension fulfills
-    the 2+2 rule.
+    Returns None when ``k_max`` (default n // 2) is below 2, and otherwise
+    the first 4-anticycle in the lexicographic scan of (a0, b0, a1, b1).
+    No longer anticycle needs a search, by the 2+2 rule: an extension L
+    without a 4-anticycle has intervals whose interval order I satisfies
+    L ∩ I = P, and such intervals admit no anticycle of any length.  There
+    a[i] below b[i] in P gives r(a[i]) < l(b[i]), while a[i+1] before b[i]
+    in L but not below it in P gives r(a[i+1]) >= l(b[i]), so
+    r(a0) < r(a1) < ... < r(a0).
     Raises :class:`NotAnExtension` when ``order`` does not extend ``p``.
     """
     if not is_linear_extension(p, order):
         raise NotAnExtension(f"{tuple(order)!r} does not extend the order")
     if k_max is None:
         k_max = p.n // 2
-    dashed = _dashed_masks(p, order)
-    dashed_pred = _transpose_masks(dashed, p.n)
-    for k in range(2, k_max + 1):
-        found = _k_anticycle(p, dashed, dashed_pred, k)
-        if found:
-            return found
-    return None
+    if k_max < 2:
+        return None
+    return _four_anticycle(p, _dashed_masks(p, order))
 
 
 def is_valid_anticycle(p: PartialOrder, order: Sequence[int], ac: Anticycle) -> bool:
@@ -316,8 +289,9 @@ def build_interval_representation(
     extension without being above it in the order.
 
     Returns the interval representation on success.  If a round retires
-    nothing, the remaining elements contain an alternating anticycle, which
-    is extracted and returned instead.
+    nothing, the extension has a 4-anticycle, and the first one, the same as
+    :func:`find_alternating_anticycle` finds, is returned instead.  Raises
+    RuntimeError should the 2+2 rule fail and no 4-anticycle exist.
     """
     if not is_linear_extension(p, order):
         raise NotAnExtension(f"{tuple(order)!r} does not extend the order")
@@ -344,46 +318,13 @@ def build_interval_representation(
                 retired |= 1 << v
                 right[v] = tick
         if not retired:
-            return _stall_anticycle(p, dashed, remaining, in_s)
+            found = _four_anticycle(p, dashed)
+            if found is None:
+                raise RuntimeError("peeling stalled without a 4-anticycle")
+            return found
         remaining &= ~retired
         in_s &= ~retired
     return IntervalRepresentation(tuple(zip(left, right)))
-
-
-def _stall_anticycle(
-    p: PartialOrder, dashed: list[int], remaining: int, in_s: int
-) -> Anticycle:
-    """Extract an anticycle from a stalled peeling state.
-
-    At a stall every minimal element still present has a dashed arrow into
-    the non-minimal remainder, and every non-minimal element has a minimal
-    predecessor, so a walk alternating between the two sides must close into
-    a cycle; the closed stretch reads off as an anticycle.
-    """
-    outside = remaining & ~in_s
-    a_list = [lowest_bit(in_s)]
-    a_index = {a_list[0]: 0}
-    c_list: list[int] = []
-    c_index: dict[int, int] = {}
-    while True:
-        c = lowest_bit(dashed[a_list[-1]] & outside)
-        if c in c_index:
-            s, t = c_index[c], len(c_list)
-            a_t = a_list[t]
-            break
-        c_index[c] = len(c_list)
-        c_list.append(c)
-        a = lowest_bit(p.pred[c] & in_s)
-        if a in a_index:
-            s, t = a_index[a], len(a_list)
-            a_t = a
-            break
-        a_index[a] = len(a_list)
-        a_list.append(a)
-    k = t - s
-    anti_a = tuple(a_t if i == 0 else a_list[t - i] for i in range(k))
-    anti_b = tuple(c_list[t - 1 - i] for i in range(k))
-    return Anticycle(anti_a, anti_b)
 
 
 def intersect_orders(p1: PartialOrder, p2: PartialOrder) -> PartialOrder:

@@ -274,6 +274,13 @@ class TestCliRecognize:
         assert main([*command, str(path)]) == 2
         assert "size must be in" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["recognize"], ["order", "recognize"]])
+    def test_not_utf8(self, command, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe3\n0 1\n")
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestCliRepresent:
     def test_structured_stdout(self, c4_file, capsys):

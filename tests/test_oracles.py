@@ -238,6 +238,10 @@ class TestExactGeometry:
         for _ in range(10_000):
             assert random_triangle_pair(drawn, span) == reference(expected)
 
+    def test_span_without_two_endpoints_raises(self):
+        with pytest.raises(ValueError):
+            random_triangle_pair(random.Random(0), span=1)
+
 
 def test_oracles_import_nothing_from_the_engine():
     """The oracles share no code path with the recognizer: nothing imported

@@ -21,7 +21,6 @@ from simpletri.orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from simpletri.orders import _dashed_masks, _k_anticycle, _transpose_masks
 
 from strategies import orders_with_extension, partial_orders
 
@@ -111,10 +110,7 @@ class TestAnticycles:
         ac = find_alternating_anticycle(p, ext)
         assert ac.k == 2
         assert ac.a == (0, 1) and ac.b == (3, 5)
-        dashed = _dashed_masks(p, ext)
-        six = _k_anticycle(p, dashed, _transpose_masks(dashed, p.n), 3)
-        assert six is not None and six.k == 3
-        assert is_valid_anticycle(p, ext, six)
+        assert is_valid_anticycle(p, ext, Anticycle((0, 1, 2), (3, 4, 5)))
 
     def test_not_an_extension(self):
         with pytest.raises(NotAnExtension):
@@ -123,6 +119,14 @@ class TestAnticycles:
     def test_k_max_bounds_search(self):
         p = make_partial_order(6, [(0, 3), (1, 4), (2, 5), (0, 4), (1, 5), (2, 3)])
         assert find_alternating_anticycle(p, (0, 1, 2, 3, 4, 5), k_max=1) is None
+
+    def test_default_k_max_on_anticycle_free_extension(self):
+        # unit-interval order u < v iff v - u > 3: the identity extension has
+        # intervals, so no anticycle of any length; one scan answers at once
+        n = 24
+        p = make_partial_order(n, [(u, v) for u in range(n) for v in range(u + 4, n)])
+        assert find_alternating_anticycle(p, range(n)) is None
+        assert isinstance(build_interval_representation(p, range(n)), IntervalRepresentation)
 
     @given(orders_with_extension(max_n=7))
     def test_found_anticycles_are_valid(self, pair):
