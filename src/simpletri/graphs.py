@@ -299,20 +299,29 @@ def transitive_orientation(g: Graph) -> Optional[PartialOrder]:
 
 @dataclass(frozen=True)
 class Orientation:
-    """A direction per edge, stored as arcs (tail, head)."""
+    """A direction per edge, stored as arcs (tail, head).
+
+    ``out[v]`` masks the heads of v's arcs and ``adj[v]`` its neighbours, as
+    ``Graph.adj`` does; equality and hashing read ``n`` and ``arcs`` only.
+    """
 
     n: int
     arcs: frozenset[tuple[int, int]]
+    out: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        out, adj = [0] * self.n, [0] * self.n
         for u, v in self.arcs:
             if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
                 raise ValueError(f"arc ({u}, {v}) invalid for n={self.n}")
-            if (v, u) in self.arcs:
+            if out[v] >> u & 1:
                 raise ValueError(f"edge {{{u}, {v}}} oriented both ways")
-
-    def underlying_edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset((min(u, v), max(u, v)) for u, v in self.arcs)
+            out[u] |= 1 << v
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        object.__setattr__(self, "out", tuple(out))
+        object.__setattr__(self, "adj", tuple(adj))
 
 
 def orientation_from_ordering(g: Graph, ordering: Sequence[int]) -> Orientation:
@@ -328,21 +337,14 @@ def orientation_from_ordering(g: Graph, ordering: Sequence[int]) -> Orientation:
 def _check_orients(g: Graph, o: Orientation) -> None:
     if o.n != g.n:
         raise EdgeSetMismatch(f"orientation is on {o.n} vertices, graph on {g.n}")
-    if o.underlying_edges() != g.edges:
+    if o.adj != g.adj:
         raise EdgeSetMismatch("orientation does not cover exactly the graph's edges")
 
 
 def is_transitive_orientation(g: Graph, o: Orientation) -> bool:
     """True iff every directed path u -> v -> w is closed by the arc u -> w."""
     _check_orients(g, o)
-    heads: dict[int, list[int]] = {}
-    for u, v in o.arcs:
-        heads.setdefault(u, []).append(v)
-    for u, v in o.arcs:
-        for w in heads.get(v, ()):
-            if (u, w) not in o.arcs:
-                return False
-    return True
+    return not any(o.out[v] & ~o.out[u] for u, v in o.arcs)
 
 
 @_cached_on_graph
@@ -385,12 +387,12 @@ def is_alternating_orientation(g: Graph, o: Orientation) -> bool:
     is what transitivity can possibly mean on a chordless cycle.
     """
     _check_orients(g, o)
-    arcs = o.arcs
+    out = o.out
     for cycle in chordless_cycles(g):
         m = len(cycle)
         for i in range(m):
-            prev_in = (cycle[i - 1], cycle[i]) in arcs
-            next_in = (cycle[(i + 1) % m], cycle[i]) in arcs
+            prev_in = out[cycle[i - 1]] >> cycle[i] & 1
+            next_in = out[cycle[(i + 1) % m]] >> cycle[i] & 1
             if prev_in != next_in:
                 return False
     return True

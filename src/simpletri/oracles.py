@@ -13,6 +13,7 @@ import random
 from itertools import combinations, permutations
 from typing import Iterator, Optional, Sequence
 
+from ._bits import iter_bits
 from .errors import LimitExceeded, NotSimpleTriangle
 from .graphs import (
     Graph,
@@ -51,7 +52,14 @@ def _solve_base_intervals(
     source pinned at coordinate 1.  Any feasible system has a solution inside
     1..2n because a longest constraint chain visits each endpoint variable at
     most once.
+
+    "Lies completely left of" is transitive, so an ordering whose disjoint
+    pairs are not is dropped at once: with i, j and j, k disjoint but not
+    i, k, r(i) + 1 <= l(j), l(j) + 1 <= r(j), r(j) + 1 <= l(k) and
+    l(k) <= r(i) sum to 3 <= 0, a positive cycle the solver would find.
     """
+    if any(separate[j] & ~s for s in separate for j in iter_bits(s)):
+        return None
     n = len(sigma)
     # variables: 0..n-1 left endpoints, n..2n-1 right endpoints (by position)
     edges = [(i, n + i, 1) for i in range(n)]

@@ -193,12 +193,16 @@ def _positions(order: Sequence[int]) -> list[int]:
 
 
 def is_linear_extension(p: PartialOrder, order: Sequence[int]) -> bool:
-    """True iff every relation of ``p`` is respected by ``order``."""
+    """True iff every element of ``order`` comes after all its predecessors in ``p``."""
     if len(order) != p.n:
         raise SizeMismatch(f"ordering has {len(order)} elements, order has {p.n}")
     _check_permutation(order, p.n)
-    pos = _positions(order)
-    return all(pos[u] < pos[v] for u, v in p.pairs)
+    placed = 0
+    for v in order:
+        if p.pred[v] & ~placed:
+            return False
+        placed |= 1 << v
+    return True
 
 
 def enumerate_linear_extensions(p: PartialOrder) -> Iterator[tuple[int, ...]]:

@@ -33,6 +33,7 @@ from simpletri.graphs import (
     path_graph,
     union_is_acyclic,
 )
+from simpletri.oracles import enumerate_orientations
 from simpletri.orders import find_alternating_anticycle, is_linear_extension
 
 from strategies import graphs
@@ -237,6 +238,56 @@ class TestOrientations:
         o = Orientation(4, frozenset([(0, 1)]))
         with pytest.raises(EdgeSetMismatch):
             is_transitive_orientation(C4, o)
+
+    def test_edge_set_mismatch_with_equal_edge_count(self):
+        o = Orientation(4, frozenset([(0, 1), (1, 2), (2, 3), (0, 2)]))
+        with pytest.raises(EdgeSetMismatch):
+            is_transitive_orientation(C4, o)
+        with pytest.raises(EdgeSetMismatch):
+            is_alternating_orientation(C4, o)
+
+    @pytest.mark.parametrize(
+        "arcs", [[(0, 1), (1, 0)], [(1, 0), (0, 1)], [(0, 1), (1, 2), (2, 1)]]
+    )
+    def test_both_ways_rejected(self, arcs):
+        with pytest.raises(ValueError):
+            Orientation(3, frozenset(arcs))
+
+    @pytest.mark.parametrize("g", [C4, complete_graph(4)], ids=["C4", "K4"])
+    @pytest.mark.parametrize("mode", ["transitive", "alternating"])
+    def test_masks_match_arcs(self, g, mode):
+        for o in enumerate_orientations(g, mode):
+            out = [0] * g.n
+            adj = [0] * g.n
+            for u, v in o.arcs:
+                out[u] |= 1 << v
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            assert o.out == tuple(out)
+            assert o.adj == tuple(adj) == g.adj
+
+    def test_predicates_match_arc_references(self):
+        # every orientation of every graph with n <= 4, against the
+        # definitions read straight off the arc set
+        for n in range(5):
+            for g in all_graphs(n):
+                edges = sorted(g.edges)
+                for flips in range(1 << len(edges)):
+                    arcs = frozenset(
+                        (v, u) if flips >> i & 1 else (u, v)
+                        for i, (u, v) in enumerate(edges)
+                    )
+                    o = Orientation(n, arcs)
+                    transitive = all(
+                        (u, w) in arcs for u, v in arcs for x, w in arcs if x == v
+                    )
+                    alternating = all(
+                        ((c[i - 1], c[i]) in arcs) == ((c[(i + 1) % len(c)], c[i]) in arcs)
+                        for c in chordless_cycles(g)
+                        for i in range(len(c))
+                    )
+                    assert is_transitive_orientation(g, o) == transitive
+                    assert is_alternating_orientation(g, o) == alternating
 
 
 class TestUnionAcyclic:

@@ -374,6 +374,20 @@ class TestCliOracle:
         assert "geometric search: none" in out
         assert "agreement: ok" in out
 
+    def test_verify_prism_rejected_by_step_two(self, tmp_path, capsys):
+        # the prism's complement, C6, is a comparability graph, so the
+        # rejection comes from the apex-ordering step
+        path = tmp_path / "prism.graph"
+        path.write_text("6\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n0 3\n1 4\n2 5\n")
+        assert main(["oracle", "verify", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "recognize: reject",
+            "geometric search: none",
+            "alternating/transitive pair: no",
+            "geometry cross-check: 2000/2000 agree",
+            "agreement: ok",
+        ]
+
     def test_limit_enforced(self, tmp_path, capsys):
         path = tmp_path / "big.graph"
         path.write_text("7\n0 1\n")

@@ -20,6 +20,7 @@ from simpletri.graphs import (
     union_is_acyclic,
 )
 from simpletri.oracles import (
+    _solve_base_intervals,
     all_transitive_complements_extend,
     enumerate_orientations,
     exact_triangle_intersection,
@@ -38,6 +39,9 @@ from strategies import partial_orders
 
 C4 = cycle_graph(4)
 C5 = cycle_graph(5)
+PRISM = Graph.from_edges(
+    6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
+)
 
 
 class TestGeometricSearch:
@@ -69,14 +73,52 @@ class TestGeometricSearch:
     def test_agrees_with_recognizer_on_sampled_six_vertex_graphs(self):
         rng = random.Random(6)
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        prism_edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-        samples = [Graph.from_edges(6, prism_edges), cycle_graph(6), complete_graph(6)]
+        samples = [PRISM, cycle_graph(6), complete_graph(6)]
         for _ in range(120):
             samples.append(
                 Graph.from_edges(6, [e for e in pairs if rng.random() < rng.choice((0.3, 0.5, 0.7))])
             )
         for g in samples:
             assert (recognize(g) is None) == (geometric_search_realization(g) is None)
+
+
+def bellman_ford_base_intervals(separate):
+    """Plain Bellman-Ford reference for ``_solve_base_intervals``: 2n rounds
+    of relaxation over every constraint, then one pass looking for a
+    positive cycle."""
+    n = len(separate)
+    edges = [(i, n + i, 1) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if separate[i] >> j & 1:
+                edges.append((n + i, j, 1))
+            else:
+                edges.append((j, n + i, 0))
+    dist = [1] * (2 * n)
+    for _ in range(2 * n):
+        for x, y, w in edges:
+            dist[y] = max(dist[y], dist[x] + w)
+    if any(dist[x] + w > dist[y] for x, y, w in edges):
+        return None
+    return [(dist[i], dist[n + i]) for i in range(n)]
+
+
+def test_base_intervals_match_bellman_ford():
+    samples = [g for n in range(5) for g in all_graphs(n)]
+    c5_edges = sorted(C5.edges)
+    samples += [
+        PRISM,
+        cycle_graph(6),
+        Graph.from_edges(6, c5_edges),
+        Graph.from_edges(6, c5_edges + [(v, 5) for v in range(5)]),
+    ]
+    for g in samples:
+        for sigma in permutations(range(g.n)):
+            separate = [
+                sum(1 << j for j in range(i + 1, g.n) if not g.adjacent(sigma[i], sigma[j]))
+                for i in range(g.n)
+            ]
+            assert _solve_base_intervals(sigma, separate) == bellman_ford_base_intervals(separate)
 
 
 class TestOrderRealization:

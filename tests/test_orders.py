@@ -75,6 +75,14 @@ class TestLinearExtensions:
         with pytest.raises(SizeMismatch):
             is_linear_extension(CHAIN3, (0, 1))
 
+    def test_matches_pairwise_definition(self):
+        for n in range(5):
+            for p in all_partial_orders(n):
+                for perm in permutations(range(n)):
+                    pos = {v: i for i, v in enumerate(perm)}
+                    expect = all(pos[u] < pos[v] for u, v in p.pairs)
+                    assert is_linear_extension(p, perm) == expect
+
     def test_chain_has_single_extension(self):
         assert list(enumerate_linear_extensions(CHAIN3)) == [(0, 1, 2)]
 
