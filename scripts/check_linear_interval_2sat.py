@@ -11,7 +11,7 @@ stalls exactly when ``find_alternating_anticycle(p, ext, k_max=2)`` finds
 a 4-anticycle, and then returns that one as its certificate.  It prints
 the number of mismatches and of fallback runs (greedy constructions that
 got stuck) and exits 1 if either is nonzero.  The default run takes about
-105 s (38 s for the n <= 7 pass, 65 s for the random orders, on a 2-vCPU
+95 s (31 s for the n <= 7 pass, 65 s for the random orders, on a 2-vCPU
 x86-64 VM, CPython 3.11).
 
     PYTHONPATH=src python scripts/check_linear_interval_2sat.py [--max-n 7] [--random 600] [--seed 1]

@@ -1,12 +1,11 @@
 """Linear extensions without a 4-anticycle, decided by 2-SAT.
 
 A linear extension L of a strict order P is fixed by one Boolean variable
-per incomparable pair {u, v}: does u come before v in L?  Literal
-``u * n + v`` reads "u before v"; its negation is ``v * n + u``.  L is a
-linear order exactly when no three elements form a cycle in it, and it
-has no 4-anticycle (the 2+2 rule) exactly when no two relations of P
-interleave in it.  Two clause families encode this, each as implications
-between literals:
+per incomparable pair {u, v}: does u come before v in L?  Literal (u, v)
+reads "u before v"; its negation is (v, u).  L is a linear order exactly
+when no three elements form a cycle in it, and it has no 4-anticycle (the
+2+2 rule) exactly when no two relations of P interleave in it.  Two clause
+families encode this, each as implications between literals:
 
 - *Transitivity with one relation.*  For a <_P b and c incomparable to
   both, b, c, a must not appear in that order: "c before b, or a before c".
@@ -16,11 +15,18 @@ between literals:
   "a1 before b0 and a0 before b1" is a 4-anticycle.  So x before y puts
   every s >_P x before every q <_P y that is incomparable to s.
 
-Both families are enumerated from the ``succ``/``pred`` bitmasks of P and
-the masks of incomparable elements.  A triangle with two or three
-relations of P is never cyclic in an extension, so the only constraint left
-out is that three pairwise incomparable elements must not form a cycle, the
-one that is not a 2-clause.
+A triangle with two or three relations of P is never cyclic in an
+extension, so the only constraint left out is that three pairwise
+incomparable elements must not form a cycle, the one that is not a
+2-clause.
+
+No clause is stored: each family is a mask expression over the
+``succ``/``pred`` bitmasks of P.  An assignment is two mask lists,
+``bef[x]`` holding each y with x before y and ``aft[y]`` each such x.
+Propagation sets rows, x before each y of a mask, and a row implies rows:
+x before the s >_P y, each s >_P x before the q <_P y, and, as rows of the
+dual order read with ``aft`` and ``bef`` swapped, each q <_P x before y
+(reversing L and P maps each family onto a family).
 
 Soundness.  Every linear extension without a 4-anticycle satisfies both
 families, so the formula is a relaxation: when it is unsatisfiable, P has
@@ -33,11 +39,11 @@ negation when the first one holds a literal and its negation; when both
 do, it stops.  Both closures conflict only when the formula, with what is
 already set, forces the literal and also its negation, so it is
 unsatisfiable.  A closure without a conflict satisfies every clause it
-touches, so setting it keeps a satisfiable formula satisfiable.  Each
-variable costs at most two propagations, so the decision takes
-O(literals × implications) time in the worst case, not linear time; the
-construction below needs the same propagation, and one procedure serves
-both.
+touches, so setting it keeps a satisfiable formula satisfiable.  A
+propagation that sets k rows costs O(k·n) operations on n-bit masks, and
+each variable costs at most two, so with L literals the decision takes
+O(L²·n) of them in the worst case.  The construction below needs the same
+propagation, and one procedure serves both.
 
 Construction.  :meth:`IntervalFormula.least_extension` places elements one
 at a time, each time the least minimal element x for which the formula
@@ -74,42 +80,25 @@ __all__ = ["IntervalFormula"]
 
 
 class IntervalFormula:
-    """Implication graph of the 2-SAT relaxation for the order ``p``.
-
-    ``implies`` maps each literal of an incomparable pair to the literals
-    that it forces; its keys are the literals.
-    """
+    """The 2-SAT relaxation for the order ``p``, read from its bitmasks."""
 
     def __init__(self, p: PartialOrder):
         n, succ, pred = p.n, p.succ, p.pred
         full = (1 << n) - 1
         inc = [full & ~(succ[v] | pred[v] | 1 << v) for v in range(n)]
+        self.n, self.succ, self.pred, self.inc = n, succ, pred, inc
         # the elements incomparable to some element; no other s has a 2+2 clause
-        loose = sum(1 << v for v in range(n) if inc[v])
-        implies: dict[int, list[int]] = {}
-        for x in range(n):
-            for y in iter_bits(inc[x]):
-                out = [q * n + y for q in iter_bits(pred[x] & inc[y])]
-                out += [x * n + s for s in iter_bits(succ[y] & inc[x])]
-                below_y = pred[y]
-                for s in iter_bits(succ[x] & loose):
-                    out += [s * n + q for q in iter_bits(below_y & inc[s])]
-                implies[x * n + y] = out
-        self.n = n
-        self.pred = pred
-        self.inc = inc
-        self.implies = implies
+        self.loose = sum(1 << v for v in range(n) if inc[v])
 
     def satisfiable(self) -> bool:
         """True iff the formula is satisfiable, decided by propagation (module doc)."""
-        n, true = self.n, set()
-        for lit in self.implies:
-            x, y = divmod(lit, n)
-            negation = y * n + x
-            if lit in true or negation in true:
-                continue
-            if not (self._assume(true, [lit]) or self._assume(true, [negation])):
-                return False
+        n, inc = self.n, self.inc
+        bef, aft = [0] * n, [0] * n
+        for x in range(n):
+            for y in iter_bits(inc[x]):
+                if not ((bef[x] | aft[x]) >> y & 1 or self._assume(bef, aft, x, 1 << y)
+                        or self._assume(bef, aft, y, 1 << x)):
+                    return False
         return True
 
     def least_extension(self) -> Optional[tuple[int, ...]]:
@@ -120,15 +109,12 @@ class IntervalFormula:
         (:meth:`satisfiable`) is needed only for it never to get stuck.
         """
         n, pred, inc = self.n, self.pred, self.inc
-        true: set[int] = set()
+        bef, aft = [0] * n, [0] * n
         remaining = (1 << n) - 1
         order = []
         while remaining:
             for x in iter_bits(remaining):
-                if pred[x] & remaining:
-                    continue
-                units = [x * n + r for r in iter_bits(inc[x] & remaining)]
-                if self._assume(true, units):
+                if not pred[x] & remaining and self._assume(bef, aft, x, inc[x] & remaining):
                     break
             else:
                 return None
@@ -136,22 +122,35 @@ class IntervalFormula:
             remaining &= ~(1 << x)
         return tuple(order)
 
-    def _assume(self, true: set[int], units: list[int]) -> bool:
-        """Add the closure of ``units`` to the literals ``true``, or leave it
-        as it was and return False when the closure holds a literal and its
-        negation."""
-        n, implies = self.n, self.implies
+    def _assume(self, bef: list[int], aft: list[int], x: int, row: int) -> bool:
+        """Set "x before y" for each y in the mask ``row``, and the closure, in
+        ``bef``/``aft``, or leave them as they were and return False when the
+        closure sets a literal and its negation (rows of the dual: module doc)."""
+        inc, loose = self.inc, self.loose
+        sides = ((self.succ, self.pred, bef, aft), (self.pred, self.succ, aft, bef))
         added = []
-        stack = units
-        while stack:
-            lit = stack.pop()
-            if lit in true:
+        tasks = [(False, x, row)]
+        while tasks:
+            dual, x, row = tasks.pop()
+            up, down, first, second = sides[dual]
+            row &= ~first[x]
+            if not row:
                 continue
-            x, y = divmod(lit, n)
-            if y * n + x in true:
-                true.difference_update(added)
+            if row & second[x]:
+                for first, second, x, row in added:
+                    first[x] ^= row
+                    for y in iter_bits(row):
+                        second[y] ^= 1 << x
                 return False
-            true.add(lit)
-            added.append(lit)
-            stack += implies[lit]
+            first[x] |= row
+            added.append((first, second, x, row))
+            later = below = 0
+            for y in iter_bits(row):
+                second[y] |= 1 << x
+                later |= up[y]
+                below |= down[y]
+                tasks.append((not dual, y, down[x] & inc[y]))
+            tasks.append((dual, x, later & inc[x]))
+            for s in iter_bits(up[x] & loose):
+                tasks.append((dual, s, below & inc[s]))
         return True

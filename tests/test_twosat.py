@@ -7,20 +7,25 @@ formula's verdict and its greedy construction to the plain search, check
 that the construction never needs the search as a fallback on the
 exhaustive corpora, guard each piece of the formula and of its decision
 with a small order that needs it, check that the formula is sized by the
-incomparable pairs, and pin the two families that were exponential before.
+elements, run the construction on triangle graphs with n = 40, and pin the
+two families that were exponential before.
 """
+import random
+from itertools import combinations
+
 import pytest
 
 from simpletri import orders
 from simpletri.exhaustive import naturally_ordered_relations
-from simpletri.graphs import Graph
+from simpletri.graphs import Graph, complement, transitive_orientation
 from simpletri.orders import (
     build_interval_representation,
     make_partial_order,
     recognize_linear_interval_order,
 )
 from simpletri.patterns import PATTERN_P1, PATTERN_P2, search_orderings
-from simpletri.recognition import is_simple_triangle
+from simpletri.recognition import is_simple_triangle, realize
+from simpletri.triangles import verify_representation
 from simpletri.twosat import IntervalFormula
 
 CROWN = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
@@ -94,6 +99,14 @@ def test_transitivity_clauses():
     assert not IntervalFormula(p).satisfiable()
 
 
+def test_transitivity_clauses_after_the_pair():
+    # a fence of seven elements: propagation must also put x before each
+    # s >_P y incomparable to x, else the literals it sets are not closed
+    # and a later one conflicts with them
+    p = make_partial_order(7, [(0, 3), (0, 5), (1, 5), (1, 6), (2, 3), (2, 4)])
+    assert IntervalFormula(p).satisfiable()
+
+
 def test_two_plus_two_clauses():
     # without the 2+2 clauses the greedy places 1 second, and 0 1 2 3 is a
     # 4-anticycle of 0 < 2 and 1 < 3
@@ -111,22 +124,50 @@ def test_unit_clauses():
 def test_negation_of_a_conflicting_literal():
     # "0 before 1" is tried first and conflicts; only its negation shows that
     # the formula is satisfiable
+    n = 13
     relations = [(u, v) for u, above in FIRST_LITERAL_CONFLICTS.items() for v in above]
-    formula = IntervalFormula(make_partial_order(13, relations))
-    first = next(iter(formula.implies))
-    assert first == 0 * 13 + 1
-    assert not formula._assume(set(), [first])
+    formula = IntervalFormula(make_partial_order(n, relations))
+    assert formula.inc[0] & -formula.inc[0] == 1 << 1
+    assert not formula._assume([0] * n, [0] * n, 0, 1 << 1)
     assert formula.satisfiable()
 
 
 def test_formula_is_sized_by_the_incomparable_pairs():
-    # the 3-crown below a 1,000-element chain: 18 literals among n = 1,006
+    # the 3-crown below a 1,000-element chain: 18 literals among n = 1,006;
+    # the formula keeps a few masks per element and no list of clauses
     n = 1006
     chain = [(v, v + 1) for v in range(6, n - 1)]
     p = make_partial_order(n, CROWN + [(u, 6) for u in range(6)] + chain)
     formula = IntervalFormula(p)
-    assert len(formula.implies) == 18
+    state = [v for v in vars(formula).values() if not isinstance(v, int)]
+    assert state and all(len(v) == n for v in state)
+    assert sum(bin(m).count("1") for m in formula.inc) == 18
     assert not formula.satisfiable()
+
+
+def triangle_graph(rng, n):
+    """Intersection graph of n triangles: apexes a random permutation of the
+    top line, bases a random pairing of 2n bottom points."""
+    apex = rng.sample(range(n), n)
+    points = rng.sample(range(2 * n), 2 * n)
+    base = [sorted(points[2 * v: 2 * v + 2]) for v in range(n)]
+    edges = []
+    for u, v in combinations(range(n), 2):
+        left, right = (u, v) if apex[u] < apex[v] else (v, u)
+        if not base[left][1] < base[right][0]:
+            edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_construction_realizes_triangle_graphs_with_40_vertices(seed, constructions):
+    # the extension of step 2 is an apex ordering (recognition module doc)
+    g = triangle_graph(random.Random(seed), 40)
+    assert is_simple_triangle(g)
+    ext = orders._first_interval_extension(transitive_orientation(complement(g)))
+    assert constructions["runs"] == 2
+    assert constructions["stuck"] == 0
+    assert verify_representation(g, realize(g, ext))
 
 
 @pytest.fixture
