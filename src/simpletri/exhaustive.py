@@ -11,7 +11,7 @@ from typing import Iterator
 
 from ._bits import iter_bits
 from .graphs import Graph
-from .orders import PartialOrder, make_partial_order
+from .orders import PartialOrder, _positions, make_partial_order
 
 __all__ = [
     "all_graphs",
@@ -46,13 +46,14 @@ def naturally_ordered_relations(n: int) -> Iterator[PartialOrder]:
             u, v = pair_list[i]
             succ[u] |= 1 << v
         if all(not succ[v] & ~succ[u] for u in range(n) for v in iter_bits(succ[u])):
-            pairs = frozenset((u, v) for u in range(n) for v in iter_bits(succ[u]))
-            yield PartialOrder(n, pairs)
+            yield PartialOrder(n, tuple(succ))
 
 
 def relabel_order(p: PartialOrder, perm: tuple[int, ...]) -> PartialOrder:
     """Image of p under the element relabeling v -> perm[v]."""
-    return PartialOrder(p.n, frozenset((perm[u], perm[v]) for u, v in p.pairs))
+    inverse = _positions(perm)  # inverse[perm[u]] == u
+    succ = (sum(1 << perm[v] for v in iter_bits(p.succ[u])) for u in inverse)
+    return PartialOrder(p.n, tuple(succ))
 
 
 def all_partial_orders(n: int) -> list[PartialOrder]:
@@ -62,11 +63,11 @@ def all_partial_orders(n: int) -> list[PartialOrder]:
     duplicates; each labeled order arises from at least one of its linear
     extensions this way.
     """
-    seen: dict[frozenset[tuple[int, int]], PartialOrder] = {}
+    seen: dict[tuple[int, ...], PartialOrder] = {}
     for base in naturally_ordered_relations(n):
         for perm in permutations(range(n)):
             q = relabel_order(base, perm)
-            seen.setdefault(q.pairs, q)
+            seen.setdefault(q.succ, q)
     return list(seen.values())
 
 

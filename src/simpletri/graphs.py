@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 from ._bits import iter_bits
 from .errors import EdgeSetMismatch, NotComparabilityOrdering, SizeMismatch
-from .orders import PartialOrder, _check_permutation, _positions
+from .orders import PartialOrder, _check_permutation, _later_masks, _positions
 from .patterns import APEX_PATTERNS, OrderedPattern
 from .patterns import PATTERN_CP, PATTERN_CPC, PATTERN_P1, PATTERN_P2
 
@@ -241,14 +241,9 @@ def orient_complement_by_ordering(g: Graph, ordering: Sequence[int]) -> PartialO
     non-edges are not transitive.
     """
     _check_ordering(g, ordering)
-    pairs = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            u, v = ordering[i], ordering[j]
-            if not g.adjacent(u, v):
-                pairs.append((u, v))
+    succ = tuple(later & ~adj for later, adj in zip(_later_masks(ordering), g.adj))
     try:
-        return PartialOrder(g.n, frozenset(pairs))
+        return PartialOrder(g.n, succ)
     except ValueError as exc:
         raise NotComparabilityOrdering(
             "ordering does not transitively orient the complement"
@@ -265,6 +260,9 @@ def transitive_orientation(g: Graph) -> Optional[PartialOrder]:
     is a comparability graph iff no class holds an arc and its reverse; the
     classes, each removed before the next is taken, then together orient g
     transitively, which the :class:`PartialOrder` constructor re-checks.
+    A class is closed on bitmasks: a popped arc ab forces all its heads
+    ``rem[a] & ~rem[b]`` and tails ``rem[b] & ~rem[a]`` at once, and one
+    mask test against the class's arcs into a and out of b finds a reverse.
 
     >>> transitive_orientation(cycle_graph(5)) is None
     True
@@ -272,29 +270,35 @@ def transitive_orientation(g: Graph) -> Optional[PartialOrder]:
     [(0, 1), (2, 1)]
     """
     rem = list(g.adj)
-    pairs = []
+    succ = [0] * g.n
     for u, v in sorted(g.edges):
         if not rem[u] >> v & 1:
             continue
-        out = [0] * g.n
-        out[u] = 1 << v
+        out, into = [0] * g.n, [0] * g.n
+        out[u], into[v] = 1 << v, 1 << u
+        members = 1 << u | 1 << v
         stack = [(u, v)]
         while stack:
             a, b = stack.pop()
-            forced = [(a, c) for c in iter_bits(rem[a] & ~rem[b] & ~(1 << b))]
-            forced += [(c, b) for c in iter_bits(rem[b] & ~rem[a] & ~(1 << a))]
-            for x, y in forced:
-                if out[y] >> x & 1:
-                    return None
-                if not out[x] >> y & 1:
-                    out[x] |= 1 << y
-                    stack.append((x, y))
-        for x in range(g.n):
-            for y in iter_bits(out[x]):
-                rem[x] &= ~(1 << y)
-                rem[y] &= ~(1 << x)
-                pairs.append((x, y))
-    return PartialOrder(g.n, frozenset(pairs))
+            heads = rem[a] & ~rem[b] & ~(1 << b)
+            tails = rem[b] & ~rem[a] & ~(1 << a)
+            if heads & into[a] or tails & out[b]:
+                return None
+            heads &= ~out[a]
+            tails &= ~into[b]
+            out[a] |= heads
+            into[b] |= tails
+            members |= heads | tails
+            for c in iter_bits(heads):
+                into[c] |= 1 << a
+                stack.append((a, c))
+            for c in iter_bits(tails):
+                out[c] |= 1 << b
+                stack.append((c, b))
+        for x in iter_bits(members):
+            rem[x] &= ~(out[x] | into[x])
+            succ[x] |= out[x]
+    return PartialOrder(g.n, tuple(succ))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 """Finite strict partial orders, linear extensions, and interval representations.
 
+An order is held as one successor bitmask per element, the form that the
+pattern search, the 2-SAT relaxation and the peeling below all read; its
+predecessor masks and its related pairs are derived from them.
+
 The central construction takes a partial order P together with a linear
 extension L and peels elements off in rounds, assigning integer interval
 endpoints as it goes.  When it succeeds, the produced intervals induce an
@@ -45,35 +49,39 @@ __all__ = [
 class PartialOrder:
     """Strict partial order on elements ``0..n-1``.
 
-    ``pairs`` holds every related pair ``(u, v)`` with u preceding v and must
-    already be transitively closed; use :func:`make_partial_order` to build
-    one from arbitrary generating relations.
+    ``succ[u]`` masks the elements that u precedes and must already be
+    transitively closed; use :func:`make_partial_order` to build one from
+    arbitrary generating relations.  ``pred[v]`` masks the elements that
+    precede v, and ``pairs`` lists every related pair ``(u, v)``; both are
+    derived from ``succ``, which alone is compared and hashed.
     """
 
     n: int
-    pairs: frozenset[tuple[int, int]]
-    succ: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    succ: tuple[int, ...]
     pred: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n
-        succ = [0] * n
-        pred = [0] * n
-        for u, v in self.pairs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"pair ({u}, {v}) out of range for n={n}")
-            if u == v:
+        n, succ = self.n, tuple(self.succ)
+        if len(succ) != n:
+            raise ValueError(f"{len(succ)} successor masks for n={n}")
+        for u, s in enumerate(succ):
+            if s < 0 or s >> n:
+                raise ValueError(f"successor mask of {u} out of range for n={n}")
+            if s >> u & 1:
                 raise ValueError(f"irreflexivity violated at element {u}")
-            succ[u] |= 1 << v
-            pred[v] |= 1 << u
-        for u in range(n):
-            for v in iter_bits(succ[u]):
-                if succ[v] & ~succ[u]:
-                    raise ValueError(
-                        f"relation is not transitively closed at ({u}, {v})"
-                    )
-        object.__setattr__(self, "succ", tuple(succ))
+        pred = [0] * n
+        for u, s in enumerate(succ):
+            for v in iter_bits(s):
+                if succ[v] & ~s:
+                    raise ValueError(f"relation is not transitively closed at ({u}, {v})")
+                pred[v] |= 1 << u
+        object.__setattr__(self, "succ", succ)
         object.__setattr__(self, "pred", tuple(pred))
+
+    @property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """Every related pair ``(u, v)``, u preceding v."""
+        return frozenset((u, v) for u, s in enumerate(self.succ) for v in iter_bits(s))
 
     def less(self, u: int, v: int) -> bool:
         """True iff u strictly precedes v."""
@@ -101,13 +109,8 @@ class IntervalRepresentation:
     def induced_order(self) -> PartialOrder:
         """Interval order with u before v iff u's interval ends before v's starts."""
         iv = self.intervals
-        pairs = frozenset(
-            (u, v)
-            for u in range(len(iv))
-            for v in range(len(iv))
-            if u != v and iv[u][1] < iv[v][0]
-        )
-        return PartialOrder(len(iv), pairs)
+        succ = tuple(sum(1 << v for v, (lo, _) in enumerate(iv) if hi < lo) for _, hi in iv)
+        return PartialOrder(len(iv), succ)
 
 
 @dataclass(frozen=True)
@@ -166,23 +169,29 @@ def make_partial_order(n: int, relations: Iterable[tuple[int, int]]) -> PartialO
     for v in range(n):
         if succ[v] >> v & 1:
             raise CycleError(f"closure relates element {v} to itself")
-    pairs = frozenset((u, v) for u in range(n) for v in iter_bits(succ[u]))
-    return PartialOrder(n, pairs)
+    return PartialOrder(n, tuple(succ))
 
 
 def linear_order(order: Sequence[int]) -> PartialOrder:
     """The permutation ``order`` viewed as a linear order on its elements."""
     seq = tuple(order)
     _check_permutation(seq, len(seq))
-    pairs = frozenset(
-        (seq[i], seq[j]) for i in range(len(seq)) for j in range(i + 1, len(seq))
-    )
-    return PartialOrder(len(seq), pairs)
+    return PartialOrder(len(seq), tuple(_later_masks(seq)))
 
 
 def _check_permutation(order: Sequence[int], n: int) -> None:
     if sorted(order) != list(range(n)):
         raise ValueError(f"{order!r} is not a permutation of 0..{n - 1}")
+
+
+def _later_masks(order: Sequence[int]) -> list[int]:
+    """later[v] = elements after v in the permutation ``order``."""
+    later = [0] * len(order)
+    seen = 0
+    for v in reversed(order):
+        later[v] = seen
+        seen |= 1 << v
+    return later
 
 
 def _positions(order: Sequence[int]) -> list[int]:
@@ -212,13 +221,7 @@ def enumerate_linear_extensions(p: PartialOrder) -> Iterator[tuple[int, ...]]:
 
 def _dashed_masks(p: PartialOrder, order: Sequence[int]) -> list[int]:
     """dashed[u] = elements after u in the extension that u does not precede in P."""
-    n = p.n
-    after = [0] * n
-    seen = 0
-    for v in reversed(order):
-        after[v] = seen
-        seen |= 1 << v
-    return [after[u] & ~p.succ[u] for u in range(n)]
+    return [later & ~s for later, s in zip(_later_masks(order), p.succ)]
 
 
 def _four_anticycle(p: PartialOrder, dashed: list[int]) -> Optional[Anticycle]:
@@ -335,21 +338,19 @@ def intersect_orders(p1: PartialOrder, p2: PartialOrder) -> PartialOrder:
     """Order with exactly the relations common to ``p1`` and ``p2``."""
     if p1.n != p2.n:
         raise SizeMismatch(f"ground sets differ: {p1.n} vs {p2.n}")
-    return PartialOrder(p1.n, p1.pairs & p2.pairs)
+    return PartialOrder(p1.n, tuple(a & b for a, b in zip(p1.succ, p2.succ)))
 
 
 def is_interval_order(p: PartialOrder) -> bool:
-    """True iff ``p`` has no two comparable pairs that are mutually unordered.
+    """True iff the predecessor sets of ``p`` form a chain under inclusion.
 
-    Two relations a < b and c < d with neither a < d nor c < b force an
-    induced 2+2 on {a, b, c, d}, the one obstruction to interval orders.
+    Two relations a < b and c < d with neither a < d nor c < b, an induced
+    2+2 on {a, b, c, d} and the one obstruction to interval orders, are
+    exactly a in pred(b) but not pred(d) and c in pred(d) but not pred(b).
+    Sorted by size, the sets form a chain iff each lies in the next.
     """
-    rel = sorted(p.pairs)
-    for a, b in rel:
-        for c, d in rel:
-            if not p.less(a, d) and not p.less(c, b):
-                return False
-    return True
+    pred = sorted(p.pred, key=int.bit_count)
+    return all(not a & ~b for a, b in zip(pred, pred[1:]))
 
 
 def _first_interval_extension(p: PartialOrder) -> Optional[tuple[int, ...]]:

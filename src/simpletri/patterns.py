@@ -145,6 +145,8 @@ def search_orderings(
     placed, its last vertex is still unplaced and the others are placed, so
     the check at that node finds an instance.  The complete orderings yielded
     are therefore exactly the pattern-avoiding ones, in lexicographic order.
+    The walk keeps the next vertex to try at each depth on an explicit stack,
+    so the depth of the search is not bounded by Python's recursion limit.
     """
     n = len(pred)
     by_code = ((-1,) * n, adj, [~mask for mask in adj])
@@ -155,23 +157,30 @@ def search_orderings(
     full = (1 << n) - 1
     upto = [0] * n
     prefix: list[int] = []
-
-    def extend(used: int):
+    tries = [0]  # per depth, the least vertex not yet tried there
+    used = 0
+    while tries:
+        v = tries[-1]
         if used == full:
             yield tuple(prefix), None
-            return
-        for v in range(n):
-            if used >> v & 1 or pred[v] & ~used:
-                continue
-            upto[v] = placed = used | 1 << v
-            prefix.append(v)
-            for name, closes, tables in compiled:
-                witness = closes(tables, upto, used, v, full & ~placed)
-                if witness is not None:
-                    yield (*prefix, witness[-1]), (name, witness)
-                    break
-            else:
-                yield from extend(placed)
-            prefix.pop()
-
-    return extend(0)
+            v = n
+        while v < n and (used >> v & 1 or pred[v] & ~used):
+            v += 1
+        if v == n:
+            tries.pop()
+            if prefix:
+                used ^= 1 << prefix.pop()
+            continue
+        tries[-1] = v + 1
+        upto[v] = placed = used | 1 << v
+        prefix.append(v)
+        for name, closes, tables in compiled:
+            witness = closes(tables, upto, used, v, full & ~placed)
+            if witness is not None:
+                yield (*prefix, witness[-1]), (name, witness)
+                break
+        else:
+            used = placed
+            tries.append(0)
+            continue
+        prefix.pop()

@@ -42,14 +42,12 @@ class TriangleRepresentation:
 
     def induced_order(self) -> PartialOrder:
         """Order with u below v iff u's triangle lies completely left of v's."""
-        n = self.n
-        pairs = frozenset(
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and self.apex[u] < self.apex[v] and self.base[u][1] < self.base[v][0]
+        apex, base = self.apex, self.base
+        succ = tuple(
+            sum(1 << v for v in range(self.n) if a < apex[v] and hi < base[v][0])
+            for a, (_, hi) in zip(apex, base)
         )
-        return PartialOrder(n, pairs)
+        return PartialOrder(self.n, succ)
 
 
 def triangles_disjoint(t: TriangleRepresentation, u: int, v: int) -> bool:

@@ -358,6 +358,20 @@ class TestCliOrder:
         path.write_text("2\n0 < 1\n1 < 0\n")
         assert main(["order", "recognize", str(path)]) == 2
 
+    @pytest.mark.parametrize("crown, code", [(False, 0), (True, 1)], ids=["chain", "crown"])
+    def test_recognize_deeper_than_the_recursion_limit(self, crown, code, tmp_path, capsys):
+        # 1,200 elements in a chain, or a 1,194-element chain above the
+        # 3-crown: the search places more elements than Python's default
+        # recursion limit of 1,000 would allow nested calls
+        n, bottom = 1200, 6 if crown else 0
+        lines = CROWN_TEXT.splitlines()[1:] if crown else []
+        lines += [f"{u} < {bottom}" for u in range(bottom)]
+        lines += [f"{v} < {v + 1}" for v in range(bottom, n - 1)]
+        path = tmp_path / "deep.order"
+        path.write_text(f"{n}\n" + "\n".join(lines) + "\n")
+        assert main(["order", "recognize", str(path)]) == code
+        assert capsys.readouterr().err == ""
+
 
 class TestCliOracle:
     def test_verify_accepted(self, c4_file, capsys):

@@ -57,8 +57,32 @@ class TestMakePartialOrder:
             make_partial_order(2, [(0, 5)])
 
     def test_direct_construction_requires_closure(self):
-        with pytest.raises(ValueError):
-            PartialOrder(3, frozenset([(0, 1), (1, 2)]))
+        with pytest.raises(ValueError, match="not transitively closed"):
+            PartialOrder(3, (0b010, 0b100, 0))
+
+    @pytest.mark.parametrize(
+        "succ, message",
+        [
+            ((0b010, 0), "2 successor masks"),
+            ((0b1000, 0, 0), "out of range"),
+            ((0, -0b100, 0), "out of range"),
+            ((0, 0b010, 0), "irreflexivity"),
+        ],
+        ids=["mask-count", "bit-beyond-n", "negative-mask", "reflexive-bit"],
+    )
+    def test_direct_construction_rejects_malformed_masks(self, succ, message):
+        with pytest.raises(ValueError, match=message):
+            PartialOrder(3, succ)
+
+    def test_direct_construction_derives_pred_and_pairs(self):
+        p = PartialOrder(3, [0b110, 0b100, 0])
+        assert p.succ == (0b110, 0b100, 0) and p.pred == (0, 0b001, 0b011)
+        assert p.pairs == frozenset([(0, 1), (0, 2), (1, 2)])
+        assert p == CHAIN3 and hash(p) == hash(CHAIN3)
+
+    @given(partial_orders(max_n=7))
+    def test_rebuilt_from_its_pairs(self, p):
+        assert make_partial_order(p.n, p.pairs) == p
 
 
 class TestLinearExtensions:
@@ -156,14 +180,15 @@ class TestAnticycles:
         assert before == after
 
 
-class TestTwoPlusTwoRuleLink:
-    def induced_two_plus_twos(self, p):
-        rel = sorted(p.pairs)
-        for i, (a, b) in enumerate(rel):
-            for c, d in rel[i + 1 :]:
-                if not p.less(a, d) and not p.less(c, b):
-                    yield (a, b), (c, d)
+def induced_two_plus_twos(p):
+    rel = sorted(p.pairs)
+    for i, (a, b) in enumerate(rel):
+        for c, d in rel[i + 1 :]:
+            if not p.less(a, d) and not p.less(c, b):
+                yield (a, b), (c, d)
 
+
+class TestTwoPlusTwoRuleLink:
     def test_four_anticycle_iff_some_two_plus_two_undischarged(self):
         # exhaustive over all orders and extensions with n <= 4
         for n in range(5):
@@ -172,7 +197,7 @@ class TestTwoPlusTwoRuleLink:
                     pos = {v: i for i, v in enumerate(ext)}
                     violated = any(
                         not (pos[b0] < pos[a1] or pos[b1] < pos[a0])
-                        for (a0, b0), (a1, b1) in self.induced_two_plus_twos(p)
+                        for (a0, b0), (a1, b1) in induced_two_plus_twos(p)
                     )
                     found = find_alternating_anticycle(p, ext, k_max=2) is not None
                     assert found == violated
@@ -183,7 +208,7 @@ class TestTwoPlusTwoRuleLink:
         pos = {v: i for i, v in enumerate(ext)}
         violated = any(
             not (pos[b0] < pos[a1] or pos[b1] < pos[a0])
-            for (a0, b0), (a1, b1) in self.induced_two_plus_twos(p)
+            for (a0, b0), (a1, b1) in induced_two_plus_twos(p)
         )
         assert violated == (find_alternating_anticycle(p, ext, k_max=2) is not None)
 
@@ -266,6 +291,13 @@ class TestIsIntervalOrder:
     def test_antichain(self):
         assert is_interval_order(make_partial_order(3, []))
 
+    def test_matches_induced_two_plus_twos(self):
+        # exhaustive over all 4,474 labeled orders with n <= 5
+        for n in range(6):
+            for p in all_partial_orders(n):
+                has_two_plus_two = next(induced_two_plus_twos(p), None) is not None
+                assert is_interval_order(p) == (not has_two_plus_two), sorted(p.pairs)
+
     @given(partial_orders(max_n=6))
     def test_matches_representation_existence(self, p):
         # an interval order is realizable with EVERY extension, a non-interval
@@ -279,12 +311,7 @@ class TestIsIntervalOrder:
             != p
             for ext in enumerate_linear_extensions(p)
         )
-        if is_interval_order(p):
-            rep_free = all(
-                not isinstance(build_interval_representation(p, ext), Anticycle)
-                for ext in enumerate_linear_extensions(p)
-            )
-            assert rep_free
+        assert failing == (not is_interval_order(p))
 
 
 class TestRecognizeLinearIntervalOrder:
