@@ -6,6 +6,7 @@ disagreement), 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from typing import Optional, Sequence
@@ -31,6 +32,7 @@ from .recognition import recognize, rejection_certificates
 from .triangles import triangles_disjoint
 
 REJECT_MESSAGE = "not a simple-triangle graph"
+GEOMETRY_PAIRS = 2000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,6 +175,23 @@ def cmd_order_intervals(args, say) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
+def _geometry_mismatches(seed: int) -> int:
+    """How many of the ``GEOMETRY_PAIRS`` random triangle pairs drawn from
+    ``seed`` make ``triangles_disjoint`` disagree with the exact test.
+
+    The check does not depend on the graph, so a process runs it once per
+    seed; the cache keeps only the last seed's count.
+    """
+    rng = random.Random(seed)
+    mismatches = 0
+    for _ in range(GEOMETRY_PAIRS):
+        t = random_triangle_pair(rng)
+        if (not triangles_disjoint(t, 0, 1)) != exact_triangle_intersection(t, 0, 1):
+            mismatches += 1
+    return mismatches
+
+
 def cmd_oracle_verify(args, say) -> int:
     g = load_graph(args.graph)
     rec = recognize(g)
@@ -187,14 +206,8 @@ def cmd_oracle_verify(args, say) -> int:
         extend = all_transitive_complements_extend(g, limit=args.limit)
         say(f"complement orientations extend: {'yes' if extend else 'no'}")
         agree = agree and extend
-    rng = random.Random(args.seed)
-    pairs = 2000
-    mismatches = 0
-    for _ in range(pairs):
-        t = random_triangle_pair(rng)
-        if (not triangles_disjoint(t, 0, 1)) != exact_triangle_intersection(t, 0, 1):
-            mismatches += 1
-    say(f"geometry cross-check: {pairs - mismatches}/{pairs} agree")
+    mismatches = _geometry_mismatches(args.seed)
+    say(f"geometry cross-check: {GEOMETRY_PAIRS - mismatches}/{GEOMETRY_PAIRS} agree")
     agree = agree and mismatches == 0
     say("agreement: " + ("ok" if agree else "MISMATCH"))
     return 0 if agree else 1

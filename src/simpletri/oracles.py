@@ -18,12 +18,13 @@ from .errors import LimitExceeded, NotSimpleTriangle
 from .graphs import (
     Graph,
     Orientation,
+    _alternating_out,
+    _transitive_out,
     complement,
     is_alternating_orientation,
     is_transitive_orientation,
-    orientation_from_ordering,
 )
-from .orders import PartialOrder
+from .orders import PartialOrder, _later_masks
 from .triangles import TriangleRepresentation, verify_representation
 
 __all__ = [
@@ -235,17 +236,18 @@ def has_alternating_transitive_pair(g: Graph, limit: int = DEFAULT_LIMIT) -> boo
 
     An acyclic union admits a topological vertex ordering, and that ordering
     induces both orientations back; conversely any single ordering induces an
-    acyclic union.  So it suffices to scan vertex orderings.
+    acyclic union.  So it suffices to scan vertex orderings.  The ordering
+    sigma directs the edges of a graph out of v towards ``later[v]``, so
+    each orientation is read as heads masks, with no arc set built.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
     gc = complement(g)
     for sigma in permutations(range(g.n)):
-        o_gc = orientation_from_ordering(gc, sigma)
-        if not is_transitive_orientation(gc, o_gc):
+        later = _later_masks(sigma)
+        if not _transitive_out([m & a for m, a in zip(later, gc.adj)]):
             continue
-        o_g = orientation_from_ordering(g, sigma)
-        if is_alternating_orientation(g, o_g):
+        if _alternating_out(g, [m & a for m, a in zip(later, g.adj)]):
             return True
     return False
 
@@ -260,21 +262,19 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
     complement is induced by each of its topological orderings, so one scan
     of all vertex orderings visits them all; a particular orientation
     succeeds when at least one of its orderings induces an alternating
-    orientation of g.
+    orientation of g.  An orientation is keyed by its tuple of heads masks,
+    which identifies it as its arc set does.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
     gc = complement(g)
-    outcome: dict[frozenset[tuple[int, int]], bool] = {}
+    outcome: dict[tuple[int, ...], bool] = {}
     for sigma in permutations(range(g.n)):
-        o_gc = orientation_from_ordering(gc, sigma)
-        if not is_transitive_orientation(gc, o_gc):
+        later = _later_masks(sigma)
+        key = tuple(m & a for m, a in zip(later, gc.adj))
+        if outcome.get(key) or not _transitive_out(key):
             continue
-        key = o_gc.arcs
-        if outcome.get(key):
-            continue
-        o_g = orientation_from_ordering(g, sigma)
-        outcome[key] = is_alternating_orientation(g, o_g)
+        outcome[key] = _alternating_out(g, [m & a for m, a in zip(later, g.adj)])
     if not any(outcome.values()):
         raise NotSimpleTriangle("graph is not a simple-triangle graph")
     return all(outcome.values())

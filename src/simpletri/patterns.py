@@ -104,8 +104,8 @@ def _closes3(tables, upto, used, v, later):
 def _closes4(tables, upto, used, v, later):
     t03, t13, t23, t01, t02, t12 = tables
     last = later & t23[v]
-    if last:
-        middle = used & t12[v]
+    middle = used & t12[v]
+    if last and middle:
         for x0 in iter_bits(used & t02[v]):
             last0 = last & t03[x0]
             if last0:

@@ -4,6 +4,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from simpletri import cli
 from simpletri.cli import main
 from simpletri.errors import CycleError, DuplicateEdge, ParseError, SelfLoop
 from simpletri.graphs import Graph, cycle_graph
@@ -373,6 +374,15 @@ class TestCliOrder:
         assert capsys.readouterr().err == ""
 
 
+@pytest.fixture
+def fresh_geometry_cache():
+    """Clear the per-seed geometry check before and after a test, so a seed
+    counted by an earlier test cannot hide a patched name."""
+    cli._geometry_mismatches.cache_clear()
+    yield cli._geometry_mismatches
+    cli._geometry_mismatches.cache_clear()
+
+
 class TestCliOracle:
     def test_verify_accepted(self, c4_file, capsys):
         assert main(["oracle", "verify", c4_file]) == 0
@@ -411,3 +421,22 @@ class TestCliOracle:
         path = tmp_path / "p2.graph"
         path.write_text("2\n0 1\n")
         assert main(["--limit", "2", "--seed", "7", "oracle", "verify", str(path)]) == 0
+
+    def test_geometry_mismatch_fails_the_verdict(
+        self, c4_file, capsys, monkeypatch, fresh_geometry_cache
+    ):
+        exact = cli.exact_triangle_intersection
+        monkeypatch.setattr(
+            cli, "exact_triangle_intersection", lambda t, u, v: not exact(t, u, v)
+        )
+        assert main(["oracle", "verify", c4_file]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "geometry cross-check: 0/2000 agree" in out
+        assert out[-1] == "agreement: MISMATCH"
+
+    def test_geometry_check_cached_per_seed(self, c4_file, capsys, fresh_geometry_cache):
+        for seed in ("3", "4"):
+            assert main(["--seed", seed, "oracle", "verify", c4_file]) == 0
+            assert "geometry cross-check: 2000/2000 agree" in capsys.readouterr().out
+            assert fresh_geometry_cache.cache_info().currsize <= 1
+        assert fresh_geometry_cache.cache_info().misses == 2

@@ -3,7 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import random
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,9 @@ from simpletri.graphs import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    is_alternating_orientation,
+    is_transitive_orientation,
+    orientation_from_ordering,
     union_is_acyclic,
 )
 from simpletri.oracles import (
@@ -185,6 +188,32 @@ def brute_all_extend(g):
     return True
 
 
+def reference_pair_exists(g):
+    """The ordering scan with arc-set orientations and the public predicates."""
+    gc = complement(g)
+    return any(
+        is_transitive_orientation(gc, orientation_from_ordering(gc, sigma))
+        and is_alternating_orientation(g, orientation_from_ordering(g, sigma))
+        for sigma in permutations(range(g.n))
+    )
+
+
+def reference_all_extend(g):
+    """Same scan as ``reference_pair_exists``, keyed by arc sets; raises
+    NotSimpleTriangle where the oracle must."""
+    gc = complement(g)
+    outcome = {}
+    for sigma in permutations(range(g.n)):
+        o_gc = orientation_from_ordering(gc, sigma)
+        if is_transitive_orientation(gc, o_gc):
+            o_g = orientation_from_ordering(g, sigma)
+            alternating = is_alternating_orientation(g, o_g)
+            outcome[o_gc.arcs] = outcome.get(o_gc.arcs, False) or alternating
+    if not any(outcome.values()):
+        raise NotSimpleTriangle("reference: no alternating/transitive pair")
+    return all(outcome.values())
+
+
 class TestOrientationPairChecks:
     def test_examples(self):
         assert has_alternating_transitive_pair(C4)
@@ -207,6 +236,24 @@ class TestOrientationPairChecks:
                 assert has_alternating_transitive_pair(g) == brute_pair_exists(g)
                 if recognize(g) is not None:
                     assert all_transitive_complements_extend(g) == brute_all_extend(g)
+
+    def test_mask_scan_matches_arc_set_reference(self):
+        # the prism is the one n = 6 graph (up to isomorphism) whose
+        # complement is transitive but which is rejected, so the alternating
+        # half of each scan decides it
+        prism = Graph.from_edges(
+            6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]
+        )
+        small = (g for n in range(6) for g in all_graphs(n))
+        for g in chain(small, [prism, complement(prism)]):
+            assert has_alternating_transitive_pair(g) == reference_pair_exists(g)
+            try:
+                expected = reference_all_extend(g)
+            except NotSimpleTriangle:
+                with pytest.raises(NotSimpleTriangle):
+                    all_transitive_complements_extend(g)
+            else:
+                assert all_transitive_complements_extend(g) == expected
 
 
 class TestExactGeometry:
