@@ -11,8 +11,9 @@ stalls exactly when ``find_alternating_anticycle(p, ext, k_max=2)`` finds
 a 4-anticycle, and then returns that one as its certificate.  It prints
 the number of mismatches and of fallback runs (greedy constructions that
 got stuck) and exits 1 if either is nonzero.  The default run takes about
-95 s (31 s for the n <= 7 pass, 65 s for the random orders, on a 2-vCPU
-x86-64 VM, CPython 3.11).
+65 s (19 s for the n <= 7 pass, 44 s for the random orders, on a 2-vCPU
+x86-64 VM, CPython 3.11).  Generating the 2,800,472 relations with n = 8
+alone takes about 32 s there.
 
     PYTHONPATH=src python scripts/check_linear_interval_2sat.py [--max-n 7] [--random 600] [--seed 1]
 """

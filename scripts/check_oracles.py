@@ -3,10 +3,12 @@ with six vertices.
 
 On all 32,768 labeled graphs with n = 6, ``recognize``,
 ``geometric_search_realization`` and ``has_alternating_transitive_pair``
-must agree on acceptance, and ``all_transitive_complements_extend`` must
-hold on every accepted graph.  It prints the counts and the wall time and
-exits 1 on any mismatch.  A run takes about 2.5 minutes (142 s on a 2-vCPU
-x86-64 VM, CPython 3.11), too slow for the test suite.
+must agree on acceptance, and on every accepted graph
+``all_transitive_complements_extend`` must hold and ``apex_ordering`` must
+give an ordering whose ``realize`` passes ``verify_representation``.  It
+prints the counts and the wall time and exits 1 on any mismatch.  A run
+takes about 2.5 minutes (146 s on a 2-vCPU x86-64 VM, CPython 3.11), too
+slow for the test suite.
 
     PYTHONPATH=src python scripts/check_oracles.py
 """
@@ -21,7 +23,8 @@ from simpletri.oracles import (
     geometric_search_realization,
     has_alternating_transitive_pair,
 )
-from simpletri.recognition import recognize
+from simpletri.recognition import apex_ordering, realize, recognize
+from simpletri.triangles import verify_representation
 
 N = 6
 
@@ -41,7 +44,9 @@ def main() -> int:
         ok = len(set(answers)) == 1
         if ok and verdict:
             # called only once the pair oracle accepts, else it raises
-            ok = all_transitive_complements_extend(g)
+            ok = all_transitive_complements_extend(g) and verify_representation(
+                g, realize(g, apex_ordering(g))
+            )
         if not ok:
             mismatches += 1
             print(f"mismatch: edges={sorted(g.edges)} answers={answers}")

@@ -57,7 +57,13 @@ from .orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from .recognition import check_apex_ordering, is_simple_triangle, realize, recognize
+from .recognition import (
+    apex_ordering,
+    check_apex_ordering,
+    is_simple_triangle,
+    realize,
+    recognize,
+)
 from .triangles import (
     TriangleRepresentation,
     order_to_triangles,

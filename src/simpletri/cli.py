@@ -28,7 +28,7 @@ from .orders import (
     find_alternating_anticycle,
     recognize_linear_interval_order,
 )
-from .recognition import recognize, rejection_certificates
+from .recognition import apex_ordering, realize, recognize, rejection_certificates
 from .triangles import triangles_disjoint
 
 REJECT_MESSAGE = "not a simple-triangle graph"
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
     try:
-        ordering = tuple(int(part) for part in text.split(","))
+        ordering = tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
         raise ParseError(f"ordering {text!r} is not a comma-separated int list") from None
     if sorted(ordering) != list(range(n)):
@@ -120,12 +120,11 @@ def cmd_recognize(args, say) -> int:
 
 def cmd_represent(args, say) -> int:
     g = load_graph(args.graph)
-    result = recognize(g)
-    if result is None:
+    ordering = apex_ordering(g)
+    if ordering is None:
         say(REJECT_MESSAGE)
         return 1
-    _, rep = result
-    document = emit_representation(rep, args.format)
+    document = emit_representation(realize(g, ordering), args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(document)
@@ -194,8 +193,9 @@ def _geometry_mismatches(seed: int) -> int:
 
 def cmd_oracle_verify(args, say) -> int:
     g = load_graph(args.graph)
-    rec = recognize(g)
-    say(f"recognize: {'accept' if rec else 'reject'}")
+    ordering = apex_ordering(g)
+    rec = None if ordering is None else realize(g, ordering)
+    say(f"recognize: {'accept' if rec is not None else 'reject'}")
     oracle_rep = geometric_search_realization(g, limit=args.limit)
     say(f"geometric search: {'realizable' if oracle_rep else 'none'}")
     agree = (rec is None) == (oracle_rep is None)

@@ -36,17 +36,32 @@ def all_graphs(n: int) -> Iterator[Graph]:
 def naturally_ordered_relations(n: int) -> Iterator[PartialOrder]:
     """Every partial order on 0..n-1 having the identity as linear extension.
 
-    Enumerates subsets of the upper-triangular pairs and keeps the
-    transitively closed ones.
+    Builds each one from such an order on 0..n-2 by putting n-1 above one of
+    its down-sets (sets closed under predecessors): the predecessors of n-1
+    form a down-set, and any down-set below n-1 keeps the relation
+    transitive, so each order arises exactly once.
     """
-    pair_list = list(combinations(range(n), 2))
-    for mask in range(1 << len(pair_list)):
-        succ = [0] * n
-        for i in iter_bits(mask):
-            u, v = pair_list[i]
-            succ[u] |= 1 << v
-        if all(not succ[v] & ~succ[u] for u in range(n) for v in iter_bits(succ[u])):
-            yield PartialOrder(n, tuple(succ))
+    for succ in _natural_successors(n):
+        yield PartialOrder(n, succ)
+
+
+def _natural_successors(n: int) -> Iterator[tuple[int, ...]]:
+    """Successor masks of :func:`naturally_ordered_relations`, built up."""
+    if n == 0:
+        yield ()
+        return
+    top = 1 << (n - 1)
+    for succ in _natural_successors(n - 1):
+        pred = [0] * (n - 1)
+        for u, s in enumerate(succ):
+            for v in iter_bits(s):
+                pred[v] |= 1 << u
+        downs = [0]
+        for v, below in enumerate(pred):
+            # pred[v] lies in 0..v-1, where every set in downs is closed already
+            downs += [d | 1 << v for d in downs if not below & ~d]
+        for d in downs:
+            yield tuple(s | top if d >> u & 1 else s for u, s in enumerate(succ)) + (0,)
 
 
 def relabel_order(p: PartialOrder, perm: tuple[int, ...]) -> PartialOrder:

@@ -24,13 +24,14 @@ patterns (cpc, p1, p2), and G is a simple-triangle graph iff it has one.
 
 Accepting is self-checking.  p1 and p2 are each other's complement, so an
 extension of T avoiding them on Ḡ avoids them on G, and it has no cpc on G
-because T is transitive: it is an apex ordering of G.  :func:`recognize`
-decides first and only then runs the search over all orderings for the
-lexicographically least apex ordering, which must find one; if it does not,
-it raises instead of returning None.  :func:`rejection_certificates` runs
-that search ungated.  An accepted ordering is turned into a triangle
-representation by orienting the complement along it and building interval
-bases for the resulting order.
+because T is transitive: it is an apex ordering of G.  :func:`apex_ordering`
+returns that extension, and :func:`is_simple_triangle` is its verdict.
+:func:`recognize` decides first and only then runs the search over all
+orderings for the lexicographically least apex ordering, which must find
+one; if it does not, it raises instead of returning None.
+:func:`rejection_certificates` runs that search ungated.  An accepted
+ordering is turned into a triangle representation by orienting the
+complement along it and building interval bases for the resulting order.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ from .patterns import APEX_PATTERNS, search_orderings
 from .triangles import TriangleRepresentation, order_to_triangles
 
 __all__ = [
+    "apex_ordering",
     "check_apex_ordering",
     "is_simple_triangle",
     "recognize",
@@ -62,10 +64,22 @@ def check_apex_ordering(g: Graph, ordering: Sequence[int]) -> bool:
     return all(find_pattern(g, ordering, pat) is None for _, pat in APEX_PATTERNS)
 
 
+def apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
+    """An apex ordering of g found by the two steps of the module doc, or None.
+
+    It is the first linear extension of the transitive orientation of the
+    complement without a 4-anticycle.  It is deterministic, but in general
+    not the lexicographically least apex ordering that :func:`recognize`
+    returns.  None means g is not a simple-triangle graph; the 0-vertex
+    graph's ordering is ``()``, so test the result with ``is not None``.
+    """
+    t = transitive_orientation(complement(g))
+    return None if t is None else _first_interval_extension(t)
+
+
 def is_simple_triangle(g: Graph) -> bool:
     """True iff g is a simple-triangle graph, by the two steps of the module doc."""
-    t = transitive_orientation(complement(g))
-    return t is not None and _first_interval_extension(t) is not None
+    return apex_ordering(g) is not None
 
 
 def recognize(

@@ -4,7 +4,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from simpletri import cli
+from simpletri import cli, recognition
 from simpletri.cli import main
 from simpletri.errors import CycleError, DuplicateEdge, ParseError, SelfLoop
 from simpletri.graphs import Graph, cycle_graph
@@ -18,7 +18,7 @@ from simpletri.io import (
     parse_representation,
 )
 from simpletri.orders import PartialOrder, make_partial_order
-from simpletri.triangles import TriangleRepresentation
+from simpletri.triangles import TriangleRepresentation, verify_representation
 
 from strategies import graphs, partial_orders
 
@@ -234,6 +234,13 @@ def c5_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def empty_file(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("0\n")
+    return str(path)
+
+
 class TestCliRecognize:
     def test_accept(self, c4_file, capsys):
         assert main(["recognize", c4_file]) == 0
@@ -297,6 +304,50 @@ class TestCliRepresent:
 
     def test_reject(self, c5_file, capsys):
         assert main(["represent", c5_file]) == 1
+
+    def test_document_realizes_c4(self, c4_file, capsys):
+        assert main(["represent", c4_file]) == 0
+        rep = parse_representation(capsys.readouterr().out)
+        assert verify_representation(cycle_graph(4), rep)
+
+    def test_empty_graph(self, empty_file, capsys):
+        # the empty graph's apex ordering is (), which is falsy
+        assert main(["represent", empty_file]) == 0
+        assert capsys.readouterr().out == '{"version":1,"triangles":[]}\n'
+
+
+@pytest.fixture()
+def no_search(monkeypatch):
+    """Make the ordering search of ``recognition`` fail if anything runs it."""
+
+    def refuse(*args):
+        raise AssertionError("search_orderings called")
+
+    monkeypatch.setattr(recognition, "search_orderings", refuse)
+
+
+@pytest.mark.parametrize("command", [["represent"], ["oracle", "verify"]])
+def test_realizing_commands_do_not_search_orderings(command, c4_file, no_search, capsys):
+    assert main([*command, c4_file]) == 0
+
+
+class TestEmptyOrdering:
+    """``''`` is the one ordering of zero elements, and no other."""
+
+    def test_check_ordering(self, empty_file, capsys):
+        assert main(["check-ordering", empty_file, ""]) == 0
+        assert "apex ordering: yes" in capsys.readouterr().out
+
+    def test_order_intervals(self, empty_file, capsys):
+        assert main(["order", "intervals", empty_file, ""]) == 0
+        assert capsys.readouterr().out == "intervals: \n"
+
+    @pytest.mark.parametrize("command", [["check-ordering"], ["order", "intervals"]])
+    def test_one_element_needs_its_element(self, command, tmp_path, capsys):
+        path = tmp_path / "one.txt"
+        path.write_text("1\n")
+        assert main([*command, str(path), ""]) == 2
+        assert "not a permutation" in capsys.readouterr().err
 
 
 class TestCliCheckOrdering:
@@ -390,6 +441,12 @@ class TestCliOracle:
         assert "recognize: accept" in out
         assert "geometric search: realizable" in out
         assert "agreement: ok" in out
+
+    def test_verify_empty_graph(self, empty_file, capsys):
+        assert main(["oracle", "verify", empty_file]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "recognize: accept"
+        assert out[-1] == "agreement: ok"
 
     def test_verify_rejected_still_agrees(self, c5_file, capsys):
         assert main(["oracle", "verify", c5_file]) == 0

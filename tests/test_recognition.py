@@ -15,7 +15,9 @@ from simpletri.graphs import (
 )
 from simpletri.orders import make_partial_order
 from simpletri.recognition import (
+    apex_ordering,
     check_apex_ordering,
+    is_simple_triangle,
     realize,
     recognize,
     rejection_certificates,
@@ -153,6 +155,18 @@ class TestRecognize:
             ordering, rep = got
             assert verify_representation(g, rep)
             assert is_cocomparability_ordering(g, ordering)
+
+
+class TestApexOrdering:
+    def test_decides_and_realizes_every_small_graph(self, small_graphs):
+        """None exactly on rejection, else an apex ordering that realizes g."""
+        for n in range(6):
+            for g in small_graphs[n]:
+                ordering = apex_ordering(g)
+                assert (ordering is not None) == is_simple_triangle(g), sorted(g.edges)
+                if ordering is not None:
+                    assert check_apex_ordering(g, ordering), (sorted(g.edges), ordering)
+                    assert verify_representation(g, realize(g, ordering))
 
 
 class TestRejectionCertificates:

@@ -17,14 +17,14 @@ import pytest
 
 from simpletri import orders
 from simpletri.exhaustive import naturally_ordered_relations
-from simpletri.graphs import Graph, complement, transitive_orientation
+from simpletri.graphs import Graph
 from simpletri.orders import (
     build_interval_representation,
     make_partial_order,
     recognize_linear_interval_order,
 )
 from simpletri.patterns import PATTERN_P1, PATTERN_P2, search_orderings
-from simpletri.recognition import is_simple_triangle, realize
+from simpletri.recognition import apex_ordering, is_simple_triangle, realize
 from simpletri.triangles import verify_representation
 from simpletri.twosat import IntervalFormula
 
@@ -164,7 +164,7 @@ def test_construction_realizes_triangle_graphs_with_40_vertices(seed, constructi
     # the extension of step 2 is an apex ordering (recognition module doc)
     g = triangle_graph(random.Random(seed), 40)
     assert is_simple_triangle(g)
-    ext = orders._first_interval_extension(transitive_orientation(complement(g)))
+    ext = apex_ordering(g)
     assert constructions["runs"] == 2
     assert constructions["stuck"] == 0
     assert verify_representation(g, realize(g, ext))
