@@ -10,8 +10,8 @@ disjoint exactly when the line along one side of one of them separates them.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
-from typing import Iterator, Optional, Sequence
+from itertools import permutations
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._bits import iter_bits
 from .errors import LimitExceeded, NotSimpleTriangle
@@ -24,7 +24,7 @@ from .graphs import (
     is_alternating_orientation,
     is_transitive_orientation,
 )
-from .orders import PartialOrder, _later_masks
+from .orders import PartialOrder, _later_masks, _positions
 from .triangles import TriangleRepresentation, verify_representation
 
 __all__ = [
@@ -52,15 +52,11 @@ def _solve_base_intervals(
     are pure difference constraints, solved as longest paths from an implicit
     source pinned at coordinate 1.  Any feasible system has a solution inside
     1..2n because a longest constraint chain visits each endpoint variable at
-    most once.
-
-    "Lies completely left of" is transitive, so an ordering whose disjoint
-    pairs are not is dropped at once: with i, j and j, k disjoint but not
-    i, k, r(i) + 1 <= l(j), l(j) + 1 <= r(j), r(j) + 1 <= l(k) and
-    l(k) <= r(i) sum to 3 <= 0, a positive cycle the solver would find.
+    most once.  A system whose disjoint pairs are not transitive has a
+    positive cycle and is found infeasible, but the searches send none:
+    :func:`geometric_search_realization` drops such orderings first, and an
+    order's extensions give the order's own pairs, which are transitive.
     """
-    if any(separate[j] & ~s for s in separate for j in iter_bits(s)):
-        return None
     n = len(sigma)
     # variables: 0..n-1 left endpoints, n..2n-1 right endpoints (by position)
     edges = [(i, n + i, 1) for i in range(n)]
@@ -82,6 +78,31 @@ def _solve_base_intervals(
     return None
 
 
+def _first_realization(
+    orderings: Iterable[tuple[tuple[int, ...], Sequence[int]]]
+) -> Optional[TriangleRepresentation]:
+    """Triangles on the first ordering whose base intervals can be solved.
+
+    ``orderings`` yields each candidate apex ordering sigma with
+    ``right[v]``, the vertices after v that v's base must lie completely
+    left of.  The system is read in position space, where two orderings can
+    give the same one; one found infeasible is not solved again.
+    """
+    infeasible: set[tuple[int, ...]] = set()
+    for sigma, right in orderings:
+        pos = _positions(sigma)
+        separate = tuple(
+            sum(1 << pos[u] for u in iter_bits(right[v])) for v in sigma
+        )
+        if separate in infeasible:
+            continue
+        base_by_pos = _solve_base_intervals(sigma, separate)
+        if base_by_pos is not None:
+            return _assemble(sigma, base_by_pos)
+        infeasible.add(separate)
+    return None
+
+
 def geometric_search_realization(
     g: Graph, limit: int = DEFAULT_LIMIT
 ) -> Optional[TriangleRepresentation]:
@@ -89,25 +110,30 @@ def geometric_search_realization(
 
     Tries every apex ordering and solves the induced base constraints; the
     first hit is verified against the adjacency predicate before being
-    returned.  Shares no code with :func:`simpletri.recognition.recognize`.
+    returned.  "Lies completely left of" is transitive, so an ordering is
+    dropped before any system is built when the complement orientation it
+    induces, each vertex towards its later non-neighbours, is not: with u, v
+    and v, w disjoint but not u, w, r(u) + 1 <= l(v), l(v) + 1 <= r(v),
+    r(v) + 1 <= l(w) and l(w) <= r(u) sum to 3 <= 0.  Each orientation is
+    judged once, in vertex space.  Shares no code with
+    :func:`simpletri.recognition.recognize`.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    n = g.n
-    adj = g.adj
-    for sigma in permutations(range(n)):
-        separate = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not adj[sigma[i]] >> sigma[j] & 1:
-                    separate[i] |= 1 << j
-        base_by_pos = _solve_base_intervals(sigma, separate)
-        if base_by_pos is None:
-            continue
-        t = _assemble(sigma, base_by_pos)
-        assert verify_representation(g, t)
-        return t
-    return None
+    gc_adj = complement(g).adj
+
+    def transitive_orderings():
+        transitive: dict[tuple[int, ...], bool] = {}
+        for sigma in permutations(range(g.n)):
+            right = tuple([m & a for m, a in zip(_later_masks(sigma), gc_adj)])
+            if right not in transitive:
+                transitive[right] = _transitive_out(right)
+            if transitive[right]:
+                yield sigma, right
+
+    t = _first_realization(transitive_orderings())
+    assert t is None or verify_representation(g, t)
+    return t
 
 
 def geometric_search_order_realization(
@@ -116,33 +142,20 @@ def geometric_search_order_realization(
     """Triangle representation realizing exactly the precedences of ``p``.
 
     A triangle lies completely left of another only if its apex does, so an
-    apex ordering can realize ``p`` only when it extends it; every extension
-    is tried with disjointness required exactly on the related pairs.
+    apex ordering can realize ``p`` only when it extends it, that is when no
+    element comes after one of its predecessors; every extension is tried
+    with disjointness required exactly on the related pairs.
     """
     if p.n > limit:
         raise LimitExceeded(f"n={p.n} exceeds oracle limit {limit}")
-    n = p.n
-    for sigma in permutations(range(n)):
-        separate = [0] * n
-        feasible = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if p.less(sigma[j], sigma[i]):
-                    feasible = False
-                    break
-                if p.less(sigma[i], sigma[j]):
-                    separate[i] |= 1 << j
-            if not feasible:
-                break
-        if not feasible:
-            continue
-        base_by_pos = _solve_base_intervals(sigma, separate)
-        if base_by_pos is None:
-            continue
-        t = _assemble(sigma, base_by_pos)
-        assert t.induced_order() == p
-        return t
-    return None
+    extensions = (
+        (sigma, p.succ)
+        for sigma in permutations(range(p.n))
+        if not any(m & b for m, b in zip(_later_masks(sigma), p.pred))
+    )
+    t = _first_realization(extensions)
+    assert t is None or t.induced_order() == p
+    return t
 
 
 def _assemble(
@@ -238,16 +251,20 @@ def has_alternating_transitive_pair(g: Graph, limit: int = DEFAULT_LIMIT) -> boo
     induces both orientations back; conversely any single ordering induces an
     acyclic union.  So it suffices to scan vertex orderings.  The ordering
     sigma directs the edges of a graph out of v towards ``later[v]``, so
-    each orientation is read as heads masks, with no arc set built.
+    each orientation is read as heads masks, with no arc set built.  Many
+    orderings induce the same complement orientation, which is judged
+    transitive or not once.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
     gc = complement(g)
+    transitive: dict[tuple[int, ...], bool] = {}
     for sigma in permutations(range(g.n)):
         later = _later_masks(sigma)
-        if not _transitive_out([m & a for m, a in zip(later, gc.adj)]):
-            continue
-        if _alternating_out(g, [m & a for m, a in zip(later, g.adj)]):
+        key = tuple([m & a for m, a in zip(later, gc.adj)])
+        if key not in transitive:
+            transitive[key] = _transitive_out(key)
+        if transitive[key] and _alternating_out(g, [m & a for m, a in zip(later, g.adj)]):
             return True
     return False
 
@@ -263,21 +280,27 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
     of all vertex orderings visits them all; a particular orientation
     succeeds when at least one of its orderings induces an alternating
     orientation of g.  An orientation is keyed by its tuple of heads masks,
-    which identifies it as its arc set does.
+    which identifies it as its arc set does, and is judged transitive or not
+    once: ``outcome`` holds None for an intransitive one.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
     gc = complement(g)
-    outcome: dict[tuple[int, ...], bool] = {}
+    outcome: dict[tuple[int, ...], Optional[bool]] = {}
     for sigma in permutations(range(g.n)):
         later = _later_masks(sigma)
-        key = tuple(m & a for m, a in zip(later, gc.adj))
-        if outcome.get(key) or not _transitive_out(key):
+        key = tuple([m & a for m, a in zip(later, gc.adj)])
+        if key not in outcome:
+            if not _transitive_out(key):
+                outcome[key] = None
+                continue
+        elif outcome[key] is not False:
             continue
         outcome[key] = _alternating_out(g, [m & a for m, a in zip(later, g.adj)])
-    if not any(outcome.values()):
+    judged = [ok for ok in outcome.values() if ok is not None]
+    if not any(judged):
         raise NotSimpleTriangle("graph is not a simple-triangle graph")
-    return all(outcome.values())
+    return all(judged)
 
 
 # --- exact integer geometry -------------------------------------------------

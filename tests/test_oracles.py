@@ -13,6 +13,7 @@ from simpletri.errors import LimitExceeded, NotSimpleTriangle
 from simpletri.exhaustive import all_graphs, all_partial_orders
 from simpletri.graphs import (
     Graph,
+    _transitive_out,
     complement,
     complete_graph,
     cycle_graph,
@@ -23,6 +24,7 @@ from simpletri.graphs import (
     union_is_acyclic,
 )
 from simpletri.oracles import (
+    _assemble,
     _solve_base_intervals,
     all_transitive_complements_extend,
     enumerate_orientations,
@@ -45,6 +47,52 @@ C5 = cycle_graph(5)
 PRISM = Graph.from_edges(
     6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
 )
+C5_PLUS_ISOLATED = Graph.from_edges(6, sorted(C5.edges))
+C5_PLUS_UNIVERSAL = Graph.from_edges(6, sorted(C5.edges) + [(v, 5) for v in range(5)])
+CROWN = make_partial_order(6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)])
+
+
+def sampled_six_vertex_graphs():
+    rng = random.Random(6)
+    pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    samples = [PRISM, cycle_graph(6), complete_graph(6)]
+    for _ in range(120):
+        samples.append(
+            Graph.from_edges(6, [e for e in pairs if rng.random() < rng.choice((0.3, 0.5, 0.7))])
+        )
+    return samples
+
+
+def reference_geometric_search(g):
+    """Every apex ordering, its position masks built pair by pair, sent to
+    the solver, which finds the intransitive systems infeasible too."""
+    n = g.n
+    for sigma in permutations(range(n)):
+        separate = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if not g.adjacent(sigma[i], sigma[j]):
+                    separate[i] |= 1 << j
+        base_by_pos = _solve_base_intervals(sigma, separate)
+        if base_by_pos is not None:
+            return _assemble(sigma, base_by_pos)
+    return None
+
+
+def reference_order_search(p):
+    """Every extension of p, found and masked pair by pair, sent to the solver."""
+    n = p.n
+    for sigma in permutations(range(n)):
+        if any(p.less(sigma[j], sigma[i]) for i in range(n) for j in range(i + 1, n)):
+            continue
+        separate = [
+            sum(1 << j for j in range(i + 1, n) if p.less(sigma[i], sigma[j]))
+            for i in range(n)
+        ]
+        base_by_pos = _solve_base_intervals(sigma, separate)
+        if base_by_pos is not None:
+            return _assemble(sigma, base_by_pos)
+    return None
 
 
 class TestGeometricSearch:
@@ -74,15 +122,28 @@ class TestGeometricSearch:
                     assert verify_representation(g, slow)
 
     def test_agrees_with_recognizer_on_sampled_six_vertex_graphs(self):
-        rng = random.Random(6)
-        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-        samples = [PRISM, cycle_graph(6), complete_graph(6)]
-        for _ in range(120):
-            samples.append(
-                Graph.from_edges(6, [e for e in pairs if rng.random() < rng.choice((0.3, 0.5, 0.7))])
-            )
-        for g in samples:
+        for g in sampled_six_vertex_graphs():
             assert (recognize(g) is None) == (geometric_search_realization(g) is None)
+
+    def test_same_representation_as_reference_search(self):
+        # filtering and memoizing must not change which ordering is found first
+        small = (g for n in range(6) for g in all_graphs(n))
+        extra = [PRISM, complement(PRISM), cycle_graph(6)]
+        for g in chain(small, extra, sampled_six_vertex_graphs()):
+            assert geometric_search_realization(g) == reference_geometric_search(g)
+
+    def test_prism_solves_each_distinct_system_once(self, monkeypatch):
+        # every one of the 720 orderings reached the solver before the
+        # transitivity filter and the infeasible-system memo
+        calls = []
+
+        def counted(sigma, separate):
+            calls.append(tuple(separate))
+            return _solve_base_intervals(sigma, separate)
+
+        monkeypatch.setattr(simpletri.oracles, "_solve_base_intervals", counted)
+        assert geometric_search_realization(PRISM) is None
+        assert len(calls) == len(set(calls)) == 8
 
 
 def bellman_ford_base_intervals(separate):
@@ -108,13 +169,7 @@ def bellman_ford_base_intervals(separate):
 
 def test_base_intervals_match_bellman_ford():
     samples = [g for n in range(5) for g in all_graphs(n)]
-    c5_edges = sorted(C5.edges)
-    samples += [
-        PRISM,
-        cycle_graph(6),
-        Graph.from_edges(6, c5_edges),
-        Graph.from_edges(6, c5_edges + [(v, 5) for v in range(5)]),
-    ]
+    samples += [PRISM, cycle_graph(6), C5_PLUS_ISOLATED, C5_PLUS_UNIVERSAL]
     for g in samples:
         for sigma in permutations(range(g.n)):
             separate = [
@@ -136,10 +191,12 @@ class TestOrderRealization:
         assert t is not None and t.induced_order() == p
 
     def test_crown_rejected(self):
-        crown = make_partial_order(
-            6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
-        )
-        assert geometric_search_order_realization(crown) is None
+        assert geometric_search_order_realization(CROWN) is None
+
+    def test_same_representation_as_reference_search(self):
+        small = (p for n in range(6) for p in all_partial_orders(n))
+        for p in chain(small, [CROWN]):
+            assert geometric_search_order_realization(p) == reference_order_search(p)
 
     @given(partial_orders(max_n=5))
     @settings(max_examples=120)
@@ -245,7 +302,9 @@ class TestOrientationPairChecks:
             6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]
         )
         small = (g for n in range(6) for g in all_graphs(n))
-        for g in chain(small, [prism, complement(prism)]):
+        # the rejected n = 6 graphs of the crosscheck stream scan all 720 orderings
+        tail = [C5_PLUS_ISOLATED, C5_PLUS_UNIVERSAL, cycle_graph(6)]
+        for g in chain(small, [prism, complement(prism)], tail):
             assert has_alternating_transitive_pair(g) == reference_pair_exists(g)
             try:
                 expected = reference_all_extend(g)
@@ -254,6 +313,21 @@ class TestOrientationPairChecks:
                     all_transitive_complements_extend(g)
             else:
                 assert all_transitive_complements_extend(g) == expected
+
+    def test_pair_scan_judges_each_complement_orientation_once(self, monkeypatch):
+        gc = complement(PRISM)
+        distinct = {
+            orientation_from_ordering(gc, sigma).arcs for sigma in permutations(range(6))
+        }
+        calls = []
+
+        def counted(out):
+            calls.append(out)
+            return _transitive_out(out)
+
+        monkeypatch.setattr(simpletri.oracles, "_transitive_out", counted)
+        assert not has_alternating_transitive_pair(PRISM)
+        assert len(calls) == len(distinct)
 
 
 class TestExactGeometry:
