@@ -39,7 +39,6 @@ __all__ = [
     "is_transitive_orientation",
     "is_alternating_orientation",
     "union_is_acyclic",
-    "chordless_cycles",
     "induced_four_cycles",
     "induced_2k2s",
     "cycle_graph",
@@ -358,43 +357,41 @@ def is_transitive_orientation(g: Graph, o: Orientation) -> bool:
 
 
 @_cached_on_graph
-def chordless_cycles(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """All chordless cycles of g with at least four vertices.
+def _cycle_p3s(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """Induced paths (a, b, c), a < c, that lie on a chordless cycle of
+    length >= 4, sorted.
 
-    Depth-first extension of induced paths anchored at each cycle's smallest
-    vertex; exponential in the worst case, intended for small instances.
+    a and c are non-adjacent neighbours of b with a neighbour each in one
+    component of G - N[b]; a shortest path through that component closes the
+    cycle.  The components are flood-filled on bitmasks, one b at a time.
     """
-    found: list[tuple[int, ...]] = []
     adj = g.adj
-
-    def extend(start: int, path: list[int], blocked: int) -> None:
-        last = path[-1]
-        for w in iter_bits(adj[last] & ~blocked):
-            chord_free = not any(adj[w] >> p & 1 for p in path[1:-1])
-            if adj[w] >> start & 1:
-                # closing the cycle; a chord from w into the path interior,
-                # like the edge back to start from anywhere deeper, kills it
-                if chord_free and path[1] < w and len(path) + 1 >= 4:
-                    found.append(tuple(path) + (w,))
-                continue
-            if not chord_free:
-                continue
-            path.append(w)
-            extend(start, path, blocked | (1 << w))
-            path.pop()
-
-    for s in range(g.n):
-        low_mask = (1 << (s + 1)) - 1
-        for v in iter_bits(adj[s] & ~low_mask):
-            extend(s, [s, v], low_mask | (1 << v))
-    return tuple(found)
+    found: set[tuple[int, int, int]] = set()
+    for b in range(g.n):
+        left = (1 << g.n) - 1 & ~adj[b] & ~(1 << b)
+        while left:
+            comp = frontier = left & -left
+            while frontier:
+                reach = 0
+                for x in iter_bits(frontier):
+                    reach |= adj[x]
+                frontier = reach & left & ~comp
+                comp |= frontier
+            left &= ~comp
+            touching = [a for a in iter_bits(adj[b]) if adj[a] & comp]
+            for a, c in combinations(touching, 2):
+                if not adj[a] >> c & 1:
+                    found.add((a, b, c))
+    return tuple(sorted(found))
 
 
 def is_alternating_orientation(g: Graph, o: Orientation) -> bool:
-    """Directions alternate around every chordless cycle of length >= 4.
+    """At every induced path a-b-c on a chordless cycle of length >= 4,
+    both arcs enter b or both leave b.
 
-    Equivalently, no two consecutive cycle edges form a directed path, which
-    is what transitivity can possibly mean on a chordless cycle.
+    Equivalently, directions alternate around every such cycle: no two
+    consecutive cycle edges form a directed path, which is what transitivity
+    can possibly mean on a chordless cycle.
     """
     _check_orients(g, o)
     return _alternating_out(g, o.out)
@@ -403,14 +400,7 @@ def is_alternating_orientation(g: Graph, o: Orientation) -> bool:
 def _alternating_out(g: Graph, out: Sequence[int]) -> bool:
     """:func:`is_alternating_orientation` on heads masks ``out`` that orient
     exactly the edges of g."""
-    for cycle in chordless_cycles(g):
-        m = len(cycle)
-        for i in range(m):
-            prev_in = out[cycle[i - 1]] >> cycle[i] & 1
-            next_in = out[cycle[(i + 1) % m]] >> cycle[i] & 1
-            if prev_in != next_in:
-                return False
-    return True
+    return all(out[a] >> b & 1 == out[c] >> b & 1 for a, b, c in _cycle_p3s(g))
 
 
 def union_is_acyclic(g: Graph, o_g: Orientation, o_gc: Orientation) -> bool:

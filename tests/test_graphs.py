@@ -1,4 +1,5 @@
 from itertools import combinations, permutations
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from simpletri.graphs import (
     PATTERN_CPC,
     PATTERN_P1,
     PATTERN_P2,
-    chordless_cycles,
+    _cycle_p3s,
     complement,
     complete_graph,
     cycle_graph,
@@ -282,12 +283,31 @@ class TestOrientations:
                         (u, w) in arcs for u, v in arcs for x, w in arcs if x == v
                     )
                     alternating = all(
-                        ((c[i - 1], c[i]) in arcs) == ((c[(i + 1) % len(c)], c[i]) in arcs)
-                        for c in chordless_cycles(g)
-                        for i in range(len(c))
+                        ((a, b) in arcs) == ((c, b) in arcs)
+                        for a, b, c in brute_cycle_p3s(g)
                     )
                     assert is_transitive_orientation(g, o) == transitive
                     assert is_alternating_orientation(g, o) == alternating
+
+    def test_alternation_on_8x8_grid_is_fast(self):
+        # the 7x7 grid already has 65,772 chordless cycles; this one has
+        # 292 cycle P3s
+        k = 8
+        grid = Graph.from_edges(
+            k * k,
+            [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+            + [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)],
+        )
+        start = time.perf_counter()
+        # every arc from the even colour class to the odd one
+        bipartition = Orientation(
+            k * k,
+            frozenset((u, v) if (u // k + u % k) % 2 == 0 else (v, u) for u, v in grid.edges),
+        )
+        assert is_alternating_orientation(grid, bipartition)
+        row_major = orientation_from_ordering(grid, tuple(range(k * k)))
+        assert not is_alternating_orientation(grid, row_major)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestUnionAcyclic:
@@ -309,8 +329,11 @@ class TestUnionAcyclic:
             union_is_acyclic(C4, o_g, o_g)
 
 
-def brute_chordless_cycle_count(g):
-    count = 0
+def brute_cycle_p3s(g):
+    """(a, b, c), a < c, for every vertex b of every induced connected
+    2-regular subset with at least four vertices, a and c its two neighbours
+    there."""
+    found = set()
     for size in range(4, g.n + 1):
         for sub in combinations(range(g.n), size):
             inside = 0
@@ -326,33 +349,53 @@ def brute_chordless_cycle_count(g):
                     seen |= 1 << y
                     stack.append(y)
             if seen == inside:
-                count += 1
-    return count
+                for b in sub:
+                    a, c = iter_bits(g.adj[b] & inside)
+                    found.add((a, b, c))
+    return tuple(sorted(found))
 
 
 class TestChordlessCycles:
+    """The cycle P3s: induced paths a-b-c on a chordless cycle of length >= 4."""
+
     def test_c5_single_cycle(self):
-        assert chordless_cycles(cycle_graph(5)) == ((0, 1, 2, 3, 4),)
+        assert _cycle_p3s(cycle_graph(5)) == (
+            (0, 1, 2),
+            (0, 4, 3),
+            (1, 0, 4),
+            (1, 2, 3),
+            (2, 3, 4),
+        )
 
     def test_k4_has_none(self):
-        assert chordless_cycles(complete_graph(4)) == ()
+        assert _cycle_p3s(complete_graph(4)) == ()
 
     def test_prism_has_three_squares(self):
+        # squares 0-1-4-3, 0-2-5-3 and 1-2-5-4, four triples each
         prism = Graph.from_edges(
             6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
         )
-        assert chordless_cycles(prism) == (
-            (0, 1, 4, 3),
-            (0, 2, 5, 3),
-            (1, 2, 5, 4),
+        assert _cycle_p3s(prism) == (
+            (0, 1, 4),
+            (0, 2, 5),
+            (0, 3, 4),
+            (0, 3, 5),
+            (1, 0, 3),
+            (1, 2, 5),
+            (1, 4, 3),
+            (1, 4, 5),
+            (2, 0, 3),
+            (2, 1, 4),
+            (2, 5, 3),
+            (2, 5, 4),
         )
 
     def test_matches_subset_oracle_exhaustively(self):
         for n in range(6):
             for g in all_graphs(n):
-                assert len(chordless_cycles(g)) == brute_chordless_cycle_count(g)
+                assert _cycle_p3s(g) == brute_cycle_p3s(g)
 
     @given(graphs(max_n=7))
     @settings(max_examples=150)
     def test_matches_subset_oracle_random(self, g):
-        assert len(chordless_cycles(g)) == brute_chordless_cycle_count(g)
+        assert _cycle_p3s(g) == brute_cycle_p3s(g)
