@@ -2,18 +2,21 @@
 
 For every naturally ordered relation on at most ``--max-n`` elements, and for
 ``--random`` seeded orders with n = 7-16, this checks that
-``IntervalFormula.satisfiable`` agrees with the pattern search of
-``patterns.search_orderings`` (is there a linear extension without a
-4-anticycle?), and that ``IntervalFormula.least_extension`` returns the
-search's first such extension.  On the naturally ordered relations it also
-checks the 2+2 rule on the identity extension: the interval construction
-stalls exactly when ``find_alternating_anticycle(p, ext, k_max=2)`` finds
-a 4-anticycle, and then returns that one as its certificate.  It prints
-the number of mismatches and of fallback runs (greedy constructions that
-got stuck) and exits 1 if either is nonzero.  The default run takes about
-65 s (19 s for the n <= 7 pass, 44 s for the random orders, on a 2-vCPU
-x86-64 VM, CPython 3.11).  Generating the 2,800,472 relations with n = 8
-alone takes about 32 s there.
+``orders._first_interval_extension``, the search with the 2-SAT relaxation
+as its rule, returns the first linear extension without a 4-anticycle that
+the plain pattern search of ``patterns.search_orderings`` finds (or None
+with it), that ``IntervalFormula.satisfiable`` agrees on whether one
+exists, and counts the rule search's backtracks: refused branches off the
+path to its answer, or off the root when it has none.  On the naturally
+ordered relations it also checks the 2+2 rule on the identity extension:
+the interval construction stalls exactly when
+``find_alternating_anticycle(p, ext, k_max=2)`` finds a 4-anticycle, and
+then returns that one as its certificate.  It prints the number of
+mismatches and of backtracks and exits 1 if either is nonzero.  The default
+run takes about 67 s (23 s for the n <= 7 pass, 44 s for the random orders,
+on a 2-vCPU x86-64 VM, CPython 3.11).  With ``--max-n 8`` the pass over the
+2,902,132 relations with n <= 8 takes about 890 s there, of which about
+32 s generates the 2,800,472 with n = 8.
 
     PYTHONPATH=src python scripts/check_linear_interval_2sat.py [--max-n 7] [--random 600] [--seed 1]
 """
@@ -24,6 +27,7 @@ import random
 import sys
 import time
 
+from simpletri import orders
 from simpletri.exhaustive import naturally_ordered_relations, random_partial_order
 from simpletri.orders import (
     IntervalRepresentation,
@@ -79,19 +83,39 @@ def random_linear_interval_order(rng: random.Random, n: int) -> PartialOrder:
     return make_partial_order(n, relations + [(u, v)])
 
 
+def off_path(refused: list, path: tuple) -> int:
+    """How many of the ``refused`` branches leave ``path``: backtracks."""
+    return sum(b[:-1] != path[:len(b) - 1] for b in refused)
+
+
+def counting_search(tally: dict):
+    """``patterns.search_orderings``, adding to ``tally`` the backtracks made
+    before each complete ordering it yields, or before it ends."""
+
+    def search(*args):
+        refused = []
+        for ordering, hit in search_orderings(*args):
+            if hit is None:
+                tally["backtracks"] += off_path(refused, ordering)
+                refused = []
+            else:
+                refused.append(ordering)
+            yield ordering, hit
+        tally["backtracks"] += off_path(refused, ())
+
+    return search
+
+
 def compare(p: PartialOrder, tally: dict) -> None:
     expected = engine_extension(p)
-    formula = IntervalFormula(p)
-    sat = formula.satisfiable()
-    greedy = formula.least_extension() if sat else None
+    got = orders._first_interval_extension(p)
+    sat = IntervalFormula(p).satisfiable()
     tally["orders"] += 1
     tally["rejected"] += expected is None
-    if sat and greedy is None:
-        tally["fallbacks"] += 1
-    if sat != (expected is not None) or (sat and greedy is not None and greedy != expected):
+    if got != expected or sat != (expected is not None):
         tally["mismatches"] += 1
         print(f"mismatch on n={p.n} pairs={sorted(p.pairs)}: search {expected}, "
-              f"satisfiable {sat}, greedy {greedy}")
+              f"rule search {got}, satisfiable {sat}")
 
 
 def check_identity_extension(p: PartialOrder, tally: dict) -> None:
@@ -109,7 +133,7 @@ def check_identity_extension(p: PartialOrder, tally: dict) -> None:
 
 def report(label: str, tally: dict, seconds: float) -> None:
     print(f"{label}: {tally['orders']} orders, {tally['rejected']} rejected, "
-          f"{tally['mismatches']} mismatches, {tally['fallbacks']} fallback runs, "
+          f"{tally['mismatches']} mismatches, {tally['backtracks']} backtracks, "
           f"{seconds:.1f} s")
 
 
@@ -121,22 +145,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bad = 0
     t0 = time.perf_counter()
-    tally = dict.fromkeys(("orders", "rejected", "mismatches", "fallbacks", "blocked"), 0)
+    tally = dict.fromkeys(("orders", "rejected", "mismatches", "backtracks", "blocked"), 0)
+    orders.search_orderings = counting_search(tally)
     for n in range(args.max_n + 1):
         for p in naturally_ordered_relations(n):
             compare(p, tally)
             check_identity_extension(p, tally)
     report(f"naturally ordered relations, n <= {args.max_n}", tally, time.perf_counter() - t0)
     print(f"  identity extensions with a 4-anticycle: {tally['blocked']}")
-    bad += tally["mismatches"] + tally["fallbacks"]
+    bad += tally["mismatches"] + tally["backtracks"]
     t0 = time.perf_counter()
     rng = random.Random(args.seed)
     makers = (random_partial_order, crown_in_random_order, random_linear_interval_order)
-    tally = dict.fromkeys(tally, 0)
+    tally.update(dict.fromkeys(tally, 0))
     for i in range(args.random):
         compare(makers[i % 3](rng, rng.randint(7, 16)), tally)
     report(f"seeded random orders, n = 7-16, seed {args.seed}", tally, time.perf_counter() - t0)
-    bad += tally["mismatches"] + tally["fallbacks"]
+    bad += tally["mismatches"] + tally["backtracks"]
     return 1 if bad else 0
 
 

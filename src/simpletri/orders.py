@@ -13,10 +13,8 @@ and the first one is returned as a certificate that no such interval order
 exists for this extension.  Linear extensions are enumerated by the pattern
 search engine of :mod:`simpletri.patterns` that also recognizes
 simple-triangle graphs.  Linear-interval orders are recognized by that
-engine while it needs no backtracking, and otherwise by the 2-SAT
-relaxation of :mod:`simpletri.twosat`, which rejects in polynomial time or
-constructs the lexicographically least extension without a 4-anticycle;
-the engine resumes only if that construction gets stuck.
+engine too, pruned by the 2-SAT relaxation of :mod:`simpletri.twosat`,
+which rejects in polynomial time when unsatisfiable.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._bits import iter_bits, lowest_bit
 from .errors import CycleError, NotAnExtension, SizeMismatch
-from .patterns import PATTERN_P1, PATTERN_P2, search_orderings
+from .patterns import search_orderings
 from .twosat import IntervalFormula
 
 __all__ = [
@@ -308,22 +306,29 @@ def build_interval_representation(
     dashed = _dashed_masks(p, order)
     left = [0] * n
     right = [0] * n
-    remaining = (1 << n) - 1
+    pos = _positions(order)
+    waiting = [0] * n  # waiting[u]: elements to check again for minimality once u retires
+    remaining = fresh = (1 << n) - 1
     in_s = 0
     tick = 0
     while remaining:
         tick += 1
-        for v in iter_bits(remaining & ~in_s):
-            if p.pred[v] & remaining == 0:
+        for v in iter_bits(fresh):
+            below = p.pred[v] & remaining
+            if below:  # wait on the later in the extension of two, likely to retire later
+                lo, hi = lowest_bit(below), below.bit_length() - 1
+                waiting[lo if pos[lo] > pos[hi] else hi] |= 1 << v
+            else:
                 in_s |= 1 << v
                 left[v] = tick
         tick += 1
         outside = remaining & ~in_s
-        retired = 0
+        retired = fresh = 0
         for v in iter_bits(in_s):
             if dashed[v] & outside == 0:
                 retired |= 1 << v
                 right[v] = tick
+                fresh |= waiting[v]
         if not retired:
             found = _four_anticycle(p, dashed)
             if found is None:
@@ -356,24 +361,17 @@ def is_interval_order(p: PartialOrder) -> bool:
 def _first_interval_extension(p: PartialOrder) -> Optional[tuple[int, ...]]:
     """First linear extension (lexicographic) without a 4-anticycle, or None.
 
-    An extension has no 4-anticycle exactly when it avoids the patterns p1
-    and p2 on the comparability graph of ``p``.  The pattern search decides
-    when it finds the first extension without abandoning a branch; otherwise
-    the 2-SAT relaxation of :mod:`simpletri.twosat` rejects, or constructs
-    the extension, and the search resumes only if that construction gets
-    stuck, so the answer stays exact.
+    The search runs with the 2-SAT relaxation of :mod:`simpletri.twosat` as
+    its rule (module doc there) and returns its first complete ordering; at
+    the first refused branch an unsatisfiable relaxation rejects.
     """
-    comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
-    search = search_orderings(comparable, p.pred, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
+    formula = IntervalFormula(p)
+    search = search_orderings((), p.pred, (), formula)
     first, hit = next(search)
     if hit is None:
         return first
-    formula = IntervalFormula(p)
     if not formula.satisfiable():
         return None
-    ext = formula.least_extension()
-    if ext is not None:
-        return ext
     return next((o for o, hit in search if hit is None), None)
 
 

@@ -1,8 +1,8 @@
 """Ordered forbidden patterns and the one search over orderings that avoids them.
 
 Both recognizers, the rejection certificates and the linear-extension
-enumeration run on :func:`search_orderings`, with different patterns and
-precedence relations; ``graphs.find_pattern`` scans one given ordering for
+enumeration run on :func:`search_orderings`, with different patterns,
+precedence relations and rules; ``graphs.find_pattern`` scans one ordering for
 one pattern (``recognition.realize`` checks a given ordering by building).
 The search checks forward: it abandons a prefix as soon as its newest vertex
 is second to last in a pattern whose last vertex is still unplaced, since
@@ -123,6 +123,7 @@ def search_orderings(
     adj: Sequence[int],
     pred: Sequence[int],
     patterns: Sequence[tuple[str, OrderedPattern]],
+    rule=None,
 ) -> Iterator[tuple[tuple[int, ...], Optional[tuple[str, tuple[int, ...]]]]]:
     """Depth-first search over orderings of ``0..len(pred)-1`` in lexicographic order.
 
@@ -147,6 +148,12 @@ def search_orderings(
     are therefore exactly the pattern-avoiding ones, in lexicographic order.
     The walk keeps the next vertex to try at each depth on an explicit stack,
     so the depth of the search is not bounded by Python's recursion limit.
+
+    Once v passes the pattern check, an optional ``rule`` is asked
+    ``rule.place(v, unplaced)``, with the mask of the vertices not yet placed.
+    None refuses v and yields ``(branch, ("rule", (v,)))``; any other value
+    is a token for ``rule.undo`` when the search leaves the branch.  The
+    complete orderings are the pattern-avoiding ones the rule refuses nowhere.
     """
     n = len(pred)
     by_code = ((-1,) * n, adj, [~mask for mask in adj])
@@ -157,6 +164,7 @@ def search_orderings(
     full = (1 << n) - 1
     upto = [0] * n
     prefix: list[int] = []
+    tokens = []  # per placed vertex, what ``rule.place`` returned
     tries = [0]  # per depth, the least vertex not yet tried there
     used = 0
     while tries:
@@ -170,6 +178,8 @@ def search_orderings(
             tries.pop()
             if prefix:
                 used ^= 1 << prefix.pop()
+                if rule is not None:
+                    rule.undo(tokens.pop())
             continue
         tries[-1] = v + 1
         upto[v] = placed = used | 1 << v
@@ -180,6 +190,13 @@ def search_orderings(
                 yield (*prefix, witness[-1]), (name, witness)
                 break
         else:
+            if rule is not None:
+                token = rule.place(v, full & ~placed)
+                if token is None:
+                    yield tuple(prefix), ("rule", (v,))
+                    prefix.pop()
+                    continue
+                tokens.append(token)
             used = placed
             tries.append(0)
             continue

@@ -12,11 +12,10 @@ patterns (cpc, p1, p2), and G is a simple-triangle graph iff it has one.
    p1 and p2 on Ḡ, the comparability graph of T (one without a
    4-anticycle: T is then a linear-interval order), and reject when it has
    none.  ``orders._first_interval_extension`` decides this as
-   ``recognize_linear_interval_order`` does: the pattern engine of
-   :mod:`simpletri.patterns` answers when its first extension needs no
-   backtracking, and otherwise the 2-SAT relaxation of
-   :mod:`simpletri.twosat` rejects in polynomial time or constructs the
-   extension, with the engine as the exact fallback.  This step rests on
+   ``recognize_linear_interval_order`` does: one run of the search engine
+   of :mod:`simpletri.patterns` with the 2-SAT relaxation of
+   :mod:`simpletri.twosat` as its rule, which rejects in polynomial time
+   when unsatisfiable.  This step rests on
    the paper's theorem, pinned by acceptance test 07: when G is
    simple-triangle, every transitive orientation of Ḡ, T included, has an
    apex ordering of G among its linear extensions, and an apex ordering

@@ -42,30 +42,26 @@ unsatisfiable.  A closure without a conflict satisfies every clause it
 touches, so setting it keeps a satisfiable formula satisfiable.  A
 propagation that sets k rows costs O(k·n) operations on n-bit masks, and
 each variable costs at most two, so with L literals the decision takes
-O(L²·n) of them in the worst case.  The construction below needs the same
-propagation, and one procedure serves both.
+O(L²·n) of them in the worst case.
 
-Construction.  :meth:`IntervalFormula.least_extension` places elements one
-at a time, each time the least minimal element x for which the formula
-stays satisfiable under the unit clauses "x before every remaining element
-incomparable to x" (the placed prefix carries its own from earlier steps).
-For a satisfiable 2-SAT formula, added literals keep it satisfiable exactly
-when their closure under the implications holds no complementary pair
-(Even, Itai and Shamir, above), so each candidate costs one propagation,
-undone when it conflicts.  A skipped candidate starts no extension without
-a 4-anticycle, and a completed ordering satisfies every 2+2 clause; so when
-the construction completes, it returns exactly the lexicographically least
-linear extension without a 4-anticycle.
+Search.  ``orders._first_interval_extension`` runs the engine of
+:mod:`simpletri.patterns` with the same propagation as its rule: placing x
+sets "x before every unplaced element incomparable to x" and the closure
+(:meth:`IntervalFormula.place`), refusing x on a conflict, and leaving the
+branch clears those rows (:meth:`IntervalFormula.undo`).  A refused branch
+is dead, since an extension without a 4-anticycle starting with it would
+satisfy those literals, and a complete ordering has set every literal,
+closed and without conflict, so it satisfies every clause.  The first one
+is thus the lexicographically least extension without a 4-anticycle, even
+if the search backtracks.
 
 Completeness, that a satisfiable formula means P is linear-interval and
-the construction never gets stuck, is checked, not proved: on every
-naturally ordered relation with n ≤ 7 and on seeded random orders with
-n = 7–16 (``scripts/check_linear_interval_2sat.py``).  When the
-construction does get stuck it returns None, and the caller falls back to
-the exact search.  Mertzios, "The recognition of simple-triangle graphs and
-of linear-interval orders is polynomial" (SIAM J. Discrete Math., 2015) is
-cited from memory for a polynomial algorithm; this module does not follow
-it.
+the search never leaves a branch it accepted, is checked, not proved: on
+every naturally ordered relation with n ≤ 8 and on seeded random orders
+with n = 7–16 (``scripts/check_linear_interval_2sat.py``).  Mertzios, "The
+recognition of simple-triangle graphs and of linear-interval orders is
+polynomial" (SIAM J. Discrete Math., 2015) is cited from memory for a
+polynomial algorithm; this module does not follow it.
 """
 from __future__ import annotations
 
@@ -80,7 +76,8 @@ __all__ = ["IntervalFormula"]
 
 
 class IntervalFormula:
-    """The 2-SAT relaxation for the order ``p``, read from its bitmasks."""
+    """The 2-SAT relaxation for the order ``p``, read from its bitmasks; as a
+    rule it keeps the search prefix's assignment in ``bef``/``aft``."""
 
     def __init__(self, p: PartialOrder):
         n, succ, pred = p.n, p.succ, p.pred
@@ -89,6 +86,7 @@ class IntervalFormula:
         self.n, self.succ, self.pred, self.inc = n, succ, pred, inc
         # the elements incomparable to some element; no other s has a 2+2 clause
         self.loose = sum(1 << v for v in range(n) if inc[v])
+        self.bef, self.aft = [0] * n, [0] * n
 
     def satisfiable(self) -> bool:
         """True iff the formula is satisfiable, decided by propagation (module doc)."""
@@ -96,36 +94,26 @@ class IntervalFormula:
         bef, aft = [0] * n, [0] * n
         for x in range(n):
             for y in iter_bits(inc[x]):
-                if not ((bef[x] | aft[x]) >> y & 1 or self._assume(bef, aft, x, 1 << y)
-                        or self._assume(bef, aft, y, 1 << x)):
-                    return False
+                if not (bef[x] | aft[x]) >> y & 1 and self._assume(bef, aft, x, 1 << y) is None:
+                    if self._assume(bef, aft, y, 1 << x) is None:
+                        return False
         return True
 
-    def least_extension(self) -> Optional[tuple[int, ...]]:
-        """The greedy construction of the module doc, or None if it gets stuck.
+    def place(self, x: int, unplaced: int) -> Optional[list]:
+        """The search rule (module doc): the rows set, or None on a conflict."""
+        return self._assume(self.bef, self.aft, x, self.inc[x] & unplaced)
 
-        A completed construction is a satisfying assignment: it is total,
-        closed under the implications and free of conflicts.  Satisfiability
-        (:meth:`satisfiable`) is needed only for it never to get stuck.
-        """
-        n, pred, inc = self.n, self.pred, self.inc
-        bef, aft = [0] * n, [0] * n
-        remaining = (1 << n) - 1
-        order = []
-        while remaining:
-            for x in iter_bits(remaining):
-                if not pred[x] & remaining and self._assume(bef, aft, x, inc[x] & remaining):
-                    break
-            else:
-                return None
-            order.append(x)
-            remaining &= ~(1 << x)
-        return tuple(order)
+    def undo(self, added: list) -> None:
+        """Clear the rows that :meth:`place` or :meth:`_assume` set."""
+        for first, second, x, row in added:
+            first[x] ^= row
+            for y in iter_bits(row):
+                second[y] ^= 1 << x
 
-    def _assume(self, bef: list[int], aft: list[int], x: int, row: int) -> bool:
-        """Set "x before y" for each y in the mask ``row``, and the closure, in
-        ``bef``/``aft``, or leave them as they were and return False when the
-        closure sets a literal and its negation (rows of the dual: module doc)."""
+    def _assume(self, bef: list[int], aft: list[int], x: int, row: int) -> Optional[list]:
+        """Set "x before y" for each y in ``row`` and the closure (rows of the
+        dual: module doc) in ``bef``/``aft``; return the rows set, or None and
+        leave them unchanged when the closure sets a literal and its negation."""
         inc, loose = self.inc, self.loose
         sides = ((self.succ, self.pred, bef, aft), (self.pred, self.succ, aft, bef))
         added = []
@@ -137,11 +125,8 @@ class IntervalFormula:
             if not row:
                 continue
             if row & second[x]:
-                for first, second, x, row in added:
-                    first[x] ^= row
-                    for y in iter_bits(row):
-                        second[y] ^= 1 << x
-                return False
+                self.undo(added)
+                return None
             first[x] |= row
             added.append((first, second, x, row))
             later = below = 0
@@ -153,4 +138,4 @@ class IntervalFormula:
             tasks.append((dual, x, later & inc[x]))
             for s in iter_bits(up[x] & loose):
                 tasks.append((dual, s, below & inc[s]))
-        return True
+        return added

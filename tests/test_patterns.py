@@ -7,6 +7,7 @@ enumerate-then-filter by the anticycle search for orders.  The whole yield
 stream is pinned, not only its first ordering: the complete orderings are
 exactly the clean ones in lexicographic order, and every pruned prefix
 carries a real pattern and abandons a branch no clean ordering lies in.
+A synthetic rule pins the contract of the search's ``rule`` argument.
 """
 import random
 from itertools import combinations, permutations
@@ -197,6 +198,65 @@ def test_order_search_yields_exactly_the_clean_extensions():
         assert_certificates(comparability, INTERVAL_PATTERNS, pruned, clean)
         outcomes.add((not clean, bool(pruned)))
     assert outcomes == {(False, False), (False, True), (True, True)}
+
+
+class NoAdjacentPair:
+    """A synthetic rule: no vertex right after one it is paired with in
+    ``forbidden``, read from the rule's own stack of placed vertices, which
+    only ``undo`` pops.  It records each branch it is shown and each one it
+    accepts, and checks that every token comes back once, latest first."""
+
+    def __init__(self, n, forbidden):
+        self.n, self.forbidden = n, forbidden
+        self.stack, self.tokens = [], []
+        self.shown, self.accepted = [], []
+
+    def accepts(self, ordering):
+        return all(pair not in self.forbidden for pair in zip(ordering, ordering[1:]))
+
+    def place(self, v, unplaced):
+        branch = (*self.stack, v)
+        assert unplaced == (1 << self.n) - 1 & ~sum(1 << u for u in branch)
+        self.shown.append(branch)
+        if not self.accepts(branch[-2:]):
+            return None
+        self.stack.append(v)
+        self.tokens.append(len(self.accepted))
+        self.accepted.append(branch)
+        return self.tokens[-1]
+
+    def undo(self, token):
+        assert token == self.tokens.pop()
+        self.stack.pop()
+
+
+def test_rule_prunes_as_a_filter_and_each_placement_is_undone_once():
+    """Seeded graphs and orders with n = 5-7 under the synthetic rule: the
+    complete orderings are the plain search's that the rule accepts, in
+    order; the rule is never shown a branch that a pattern abandoned; the
+    search leaves branches the rule accepted (real backtracks); and every
+    accepted placement is undone exactly once."""
+    rng = random.Random(SEED)
+    backtracked = 0
+    for i in range(40):
+        n = rng.randint(5, 7)
+        if i % 2:
+            args = (random_graph(rng, n).adj, (0,) * n, APEX_PATTERNS)
+        else:
+            p = crown_or_random_order(rng, i, n)
+            args = (tuple(s | q for s, q in zip(p.succ, p.pred)), p.pred, INTERVAL_PATTERNS)
+        forbidden = {(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3}
+        rule = NoAdjacentPair(n, forbidden)
+        complete, pruned = split_stream(search_orderings(*args, rule))
+        plain, abandoned = split_stream(search_orderings(*args))
+        assert complete == [o for o in plain if rule.accepts(o)], (args, sorted(forbidden))
+        assert rule.stack == rule.tokens == []
+        assert not {prefix[:-1] for prefix, *_ in abandoned} & set(rule.shown)
+        for prefix, name, witness in pruned:
+            assert name != "rule" or witness == prefix[-1:]
+        starts = {o[:k] for o in complete for k in range(n + 1)}
+        backtracked += sum(branch not in starts for branch in rule.accepted)
+    assert backtracked > 0
 
 
 def test_rejection_certificates_are_real_on_rejected_graphs():

@@ -1,14 +1,15 @@
 """The 2-SAT decision of linear-interval orders against the plain search.
 
-``orders._first_interval_extension`` answers from the pattern search when it
-finds an extension without abandoning a branch, and from
-:class:`simpletri.twosat.IntervalFormula` otherwise.  These tests pin the
-formula's verdict and its greedy construction to the plain search, check
-that the construction never needs the search as a fallback on the
-exhaustive corpora, guard each piece of the formula and of its decision
-with a small order that needs it, check that the formula is sized by the
-elements, run the construction on triangle graphs with n = 40, and pin the
-two families that were exponential before.
+``orders._first_interval_extension`` runs the search of
+:mod:`simpletri.patterns` with no pattern and
+:class:`simpletri.twosat.IntervalFormula` as its rule, and decides the
+formula at the first branch the rule refuses.  These tests pin the
+formula's verdict and the rule search's answer to the plain search, check
+that the rule search never backtracks on the exhaustive corpora, guard each
+piece of the formula and of its decision with a small order that needs it,
+check that the formula is sized by the elements, run the rule search on
+triangle graphs with n = 40, and pin the two families that were exponential
+before.
 """
 import random
 from itertools import combinations
@@ -46,23 +47,34 @@ def engine_extension(p):
 
 
 @pytest.fixture
-def constructions(monkeypatch):
-    """Counts of greedy constructions run and of those that got stuck, which
-    are the runs that fall back to the search."""
-    counts = {"runs": 0, "stuck": 0}
-    construct = IntervalFormula.least_extension
+def backtracks(monkeypatch):
+    """Counts of the searches inside ``orders``, of the branches they refuse
+    and of their backtracks, read from the yield stream.  A backtrack is a
+    refused branch that leaves the path to the first complete ordering, or
+    to the root when the search ends without one."""
+    counts = {"searches": 0, "refused": 0, "backtracks": 0}
 
-    def counted(self):
-        ext = construct(self)
-        counts["runs"] += 1
-        counts["stuck"] += ext is None
-        return ext
+    def tally(refused, path):
+        counts["refused"] += len(refused)
+        counts["backtracks"] += sum(b[:-1] != path[:len(b) - 1] for b in refused)
 
-    monkeypatch.setattr(IntervalFormula, "least_extension", counted)
+    def counted(*args):
+        counts["searches"] += 1
+        refused = []
+        for ordering, hit in search_orderings(*args):
+            if hit is None:
+                tally(refused, ordering)
+                refused = []
+            else:
+                refused.append(ordering)
+            yield ordering, hit
+        tally(refused, ())
+
+    monkeypatch.setattr(orders, "search_orderings", counted)
     return counts
 
 
-def test_verdict_matches_the_search_on_naturally_ordered_relations(constructions):
+def test_verdict_matches_the_search_on_naturally_ordered_relations(backtracks):
     rejected = 0
     for n in range(7):
         for p in naturally_ordered_relations(n):
@@ -71,11 +83,11 @@ def test_verdict_matches_the_search_on_naturally_ordered_relations(constructions
             assert IntervalFormula(p).satisfiable() == (expected is not None)
             assert orders._first_interval_extension(p) == expected, sorted(p.pairs)
     assert rejected == 8
-    assert constructions["runs"] > 0
-    assert constructions["stuck"] == 0
+    assert backtracks["refused"] > 0
+    assert backtracks["backtracks"] == 0
 
 
-def test_recognizer_matches_the_search_on_small_orders(small_orders, constructions):
+def test_recognizer_matches_the_search_on_small_orders(small_orders, backtracks):
     for n in range(6):
         for p in small_orders[n]:
             expected = engine_extension(p)
@@ -84,8 +96,8 @@ def test_recognizer_matches_the_search_on_small_orders(small_orders, constructio
                 assert got is None, sorted(p.pairs)
             else:
                 assert got == (expected, build_interval_representation(p, expected))
-    assert constructions["runs"] > 0
-    assert constructions["stuck"] == 0
+    assert backtracks["refused"] > 0
+    assert backtracks["backtracks"] == 0
 
 
 # Each order below needs one piece of the formula; the test fails when that
@@ -108,17 +120,17 @@ def test_transitivity_clauses_after_the_pair():
 
 
 def test_two_plus_two_clauses():
-    # without the 2+2 clauses the greedy places 1 second, and 0 1 2 3 is a
+    # without the 2+2 clauses the rule lets 1 come second, and 0 1 2 3 is a
     # 4-anticycle of 0 < 2 and 1 < 3
     p = make_partial_order(4, [(0, 2), (1, 3)])
-    assert IntervalFormula(p).least_extension() == (0, 2, 1, 3)
+    assert orders._first_interval_extension(p) == (0, 2, 1, 3)
 
 
 def test_unit_clauses():
     # once 0 is placed, only the unit clause "1 before 4" refutes 1 as the
     # next element: with 0 < 4 and 1 < 2 it forces 2 before 0
     p = make_partial_order(5, [(0, 4), (1, 2)])
-    assert IntervalFormula(p).least_extension() == (0, 3, 4, 1, 2)
+    assert orders._first_interval_extension(p) == (0, 3, 4, 1, 2)
 
 
 def test_negation_of_a_conflicting_literal():
@@ -128,7 +140,7 @@ def test_negation_of_a_conflicting_literal():
     relations = [(u, v) for u, above in FIRST_LITERAL_CONFLICTS.items() for v in above]
     formula = IntervalFormula(make_partial_order(n, relations))
     assert formula.inc[0] & -formula.inc[0] == 1 << 1
-    assert not formula._assume([0] * n, [0] * n, 0, 1 << 1)
+    assert formula._assume([0] * n, [0] * n, 0, 1 << 1) is None
     assert formula.satisfiable()
 
 
@@ -160,20 +172,21 @@ def triangle_graph(rng, n):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_construction_realizes_triangle_graphs_with_40_vertices(seed, constructions):
+def test_construction_realizes_triangle_graphs_with_40_vertices(seed, backtracks):
     # the extension of step 2 is an apex ordering (recognition module doc)
     g = triangle_graph(random.Random(seed), 40)
     assert is_simple_triangle(g)
     ext = apex_ordering(g)
-    assert constructions["runs"] == 2
-    assert constructions["stuck"] == 0
+    assert backtracks["searches"] == 2
+    assert backtracks["refused"] > 0
+    assert backtracks["backtracks"] == 0
     assert verify_representation(g, realize(g, ext))
 
 
 @pytest.fixture
 def one_abandoned_branch(monkeypatch):
-    """Fail as soon as the pattern search inside ``orders`` abandons a second
-    branch, that is, when the formula did not decide after the first."""
+    """Fail as soon as the search inside ``orders`` abandons a second branch,
+    that is, when the formula did not decide after the first."""
 
     def counted(*args):
         branches = 0
