@@ -7,8 +7,8 @@ must agree on acceptance, and on every accepted graph
 ``all_transitive_complements_extend`` must hold and ``apex_ordering`` must
 give an ordering whose ``realize`` passes ``verify_representation``.  It
 prints the counts and the wall time and exits 1 on any mismatch.  A run
-takes about 2 minutes (109 s on a 2-vCPU x86-64 VM, CPython 3.11), too
-slow for the test suite.
+takes about 35 s (34 s on a 2-vCPU x86-64 VM, CPython 3.11), too slow for
+the test suite.
 
     PYTHONPATH=src python scripts/check_oracles.py
 """

@@ -6,9 +6,20 @@ solving the base-interval constraints each one induces, orientation-level
 characterizations are checked by enumerating orientations, and triangle
 intersection is re-decided with exact integer geometry: two triangles are
 disjoint exactly when the line along one side of one of them separates them.
+
+The two geometric searches and the two orientation oracles read each vertex
+ordering as one n²-bit before-matrix from a table of all n! orderings
+(:func:`_orderings`), so an ordering costs one AND: with a graph's adjacency
+matrix it gives the orientation the ordering induces, and with an order's
+predecessor matrix it tests for an extension.  An orientation is decoded
+into heads masks only when it must be judged.  The table is built on the
+first scan of each size and only the last size is kept: at n = 6, 7 and 8 it
+takes about 1 ms, 10 ms and 0.1 s and holds 0.12, 0.9 and 8 MB (2-vCPU
+x86-64 VM, CPython 3.11).
 """
 from __future__ import annotations
 
+import functools
 import random
 from itertools import permutations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -24,7 +35,7 @@ from .graphs import (
     is_alternating_orientation,
     is_transitive_orientation,
 )
-from .orders import PartialOrder, _later_masks, _positions
+from .orders import PartialOrder, _positions
 from .triangles import TriangleRepresentation, verify_representation
 
 __all__ = [
@@ -78,22 +89,53 @@ def _solve_base_intervals(
     return None
 
 
+@functools.lru_cache(maxsize=1)
+def _orderings(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every ordering of 0..n-1, in lexicographic order, with its before-matrix.
+
+    Bit ``v * n + w`` of the before-matrix is set iff v comes before w, so
+    ``before & m`` keeps, of an n x n adjacency matrix ``m`` laid out the same
+    way (:func:`_matrix`), exactly the arcs the ordering directs forward.
+    Built on the first call for each n; the cache keeps only the last n.
+    """
+    table = []
+    for sigma in permutations(range(n)):
+        before = seen = 0
+        for v in reversed(sigma):
+            before |= seen << v * n
+            seen |= 1 << v
+        table.append((sigma, before))
+    return tuple(table)
+
+
+def _matrix(rows: Sequence[int]) -> int:
+    """Row masks as one n²-bit int, row v at bits v·n .. v·n + n - 1."""
+    n = len(rows)
+    return sum(row << v * n for v, row in enumerate(rows))
+
+
+def _rows(m: int, n: int) -> list[int]:
+    """The row masks of the n²-bit matrix ``m``; inverse of :func:`_matrix`."""
+    full = (1 << n) - 1
+    return [m >> v * n & full for v in range(n)]
+
+
 def _first_realization(
-    orderings: Iterable[tuple[tuple[int, ...], Sequence[int]]]
+    orderings: Iterable[tuple[tuple[int, ...], int]]
 ) -> Optional[TriangleRepresentation]:
     """Triangles on the first ordering whose base intervals can be solved.
 
-    ``orderings`` yields each candidate apex ordering sigma with
-    ``right[v]``, the vertices after v that v's base must lie completely
-    left of.  The system is read in position space, where two orderings can
-    give the same one; one found infeasible is not solved again.
+    ``orderings`` yields each candidate apex ordering sigma with the matrix
+    (:func:`_matrix`) whose row v holds the vertices after v that v's base
+    must lie completely left of.  The system is read in position space,
+    where two orderings can give the same one; one found infeasible is not
+    solved again.
     """
     infeasible: set[tuple[int, ...]] = set()
     for sigma, right in orderings:
         pos = _positions(sigma)
-        separate = tuple(
-            sum(1 << pos[u] for u in iter_bits(right[v])) for v in sigma
-        )
+        rows = _rows(right, len(sigma))
+        separate = tuple(sum(1 << pos[u] for u in iter_bits(rows[v])) for v in sigma)
         if separate in infeasible:
             continue
         base_by_pos = _solve_base_intervals(sigma, separate)
@@ -120,14 +162,14 @@ def geometric_search_realization(
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    gc_adj = complement(g).adj
+    gcm = _matrix(complement(g).adj)
 
     def transitive_orderings():
-        transitive: dict[tuple[int, ...], bool] = {}
-        for sigma in permutations(range(g.n)):
-            right = tuple([m & a for m, a in zip(_later_masks(sigma), gc_adj)])
+        transitive: dict[int, bool] = {}
+        for sigma, before in _orderings(g.n):
+            right = before & gcm
             if right not in transitive:
-                transitive[right] = _transitive_out(right)
+                transitive[right] = _transitive_out(_rows(right, g.n))
             if transitive[right]:
                 yield sigma, right
 
@@ -148,10 +190,9 @@ def geometric_search_order_realization(
     """
     if p.n > limit:
         raise LimitExceeded(f"n={p.n} exceeds oracle limit {limit}")
+    predm, succm = _matrix(p.pred), _matrix(p.succ)
     extensions = (
-        (sigma, p.succ)
-        for sigma in permutations(range(p.n))
-        if not any(m & b for m, b in zip(_later_masks(sigma), p.pred))
+        (sigma, succm) for sigma, before in _orderings(p.n) if not before & predm
     )
     t = _first_realization(extensions)
     assert t is None or t.induced_order() == p
@@ -249,22 +290,21 @@ def has_alternating_transitive_pair(g: Graph, limit: int = DEFAULT_LIMIT) -> boo
 
     An acyclic union admits a topological vertex ordering, and that ordering
     induces both orientations back; conversely any single ordering induces an
-    acyclic union.  So it suffices to scan vertex orderings.  The ordering
-    sigma directs the edges of a graph out of v towards ``later[v]``, so
-    each orientation is read as heads masks, with no arc set built.  Many
-    orderings induce the same complement orientation, which is judged
-    transitive or not once.
+    acyclic union.  So it suffices to scan vertex orderings.  An ordering's
+    before-matrix ANDed with a graph's adjacency matrix is the orientation
+    it induces, so each orientation costs one int operation, with no arc set
+    built.  Many orderings induce the same complement orientation, which is
+    judged transitive or not once.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    gc = complement(g)
-    transitive: dict[tuple[int, ...], bool] = {}
-    for sigma in permutations(range(g.n)):
-        later = _later_masks(sigma)
-        key = tuple([m & a for m, a in zip(later, gc.adj)])
+    gm, gcm = _matrix(g.adj), _matrix(complement(g).adj)
+    transitive: dict[int, bool] = {}
+    for _, before in _orderings(g.n):
+        key = before & gcm
         if key not in transitive:
-            transitive[key] = _transitive_out(key)
-        if transitive[key] and _alternating_out(g, [m & a for m, a in zip(later, g.adj)]):
+            transitive[key] = _transitive_out(_rows(key, g.n))
+        if transitive[key] and _alternating_out(g, _rows(before & gm, g.n)):
             return True
     return False
 
@@ -279,24 +319,24 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
     complement is induced by each of its topological orderings, so one scan
     of all vertex orderings visits them all; a particular orientation
     succeeds when at least one of its orderings induces an alternating
-    orientation of g.  An orientation is keyed by its tuple of heads masks,
-    which identifies it as its arc set does, and is judged transitive or not
+    orientation of g.  An orientation is keyed by its arc matrix (the
+    before-matrix ANDed with the complement's adjacency matrix), which
+    identifies it as its arc set does, and is judged transitive or not
     once: ``outcome`` holds None for an intransitive one.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    gc = complement(g)
-    outcome: dict[tuple[int, ...], Optional[bool]] = {}
-    for sigma in permutations(range(g.n)):
-        later = _later_masks(sigma)
-        key = tuple([m & a for m, a in zip(later, gc.adj)])
+    gm, gcm = _matrix(g.adj), _matrix(complement(g).adj)
+    outcome: dict[int, Optional[bool]] = {}
+    for _, before in _orderings(g.n):
+        key = before & gcm
         if key not in outcome:
-            if not _transitive_out(key):
+            if not _transitive_out(_rows(key, g.n)):
                 outcome[key] = None
                 continue
         elif outcome[key] is not False:
             continue
-        outcome[key] = _alternating_out(g, [m & a for m, a in zip(later, g.adj)])
+        outcome[key] = _alternating_out(g, _rows(before & gm, g.n))
     judged = [ok for ok in outcome.values() if ok is not None]
     if not any(judged):
         raise NotSimpleTriangle("graph is not a simple-triangle graph")

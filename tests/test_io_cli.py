@@ -4,7 +4,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from simpletri import cli, recognition
+from simpletri import cli, oracles, recognition
 from simpletri.cli import main
 from simpletri.errors import CycleError, DuplicateEdge, ParseError, SelfLoop
 from simpletri.graphs import Graph, cycle_graph
@@ -478,6 +478,25 @@ class TestCliOracle:
         path = tmp_path / "p2.graph"
         path.write_text("2\n0 1\n")
         assert main(["--limit", "2", "--seed", "7", "oracle", "verify", str(path)]) == 0
+
+    def test_limit_seven_rebuilds_the_ordering_table(self, tmp_path, capsys):
+        # the oracles keep one ordering table, so 6, 7, 6 vertices build it three times
+        six, seven = tmp_path / "c4k2.graph", tmp_path / "c4tail.graph"
+        six.write_text("6\n0 1\n1 2\n2 3\n3 0\n4 5\n")
+        seven.write_text("7\n0 1\n1 2\n2 3\n3 0\n3 4\n4 5\n5 6\n")
+        accepted = [
+            "recognize: accept",
+            "geometric search: realizable",
+            "alternating/transitive pair: yes",
+            "complement orientations extend: yes",
+            "geometry cross-check: 2000/2000 agree",
+            "agreement: ok",
+        ]
+        oracles._orderings.cache_clear()
+        for path in (six, seven, six):
+            assert main(["--limit", "7", "oracle", "verify", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines() == accepted
+        assert oracles._orderings.cache_info().misses == 3
 
     def test_geometry_mismatch_fails_the_verdict(
         self, c4_file, capsys, monkeypatch, fresh_geometry_cache

@@ -25,6 +25,8 @@ from simpletri.graphs import (
 )
 from simpletri.oracles import (
     _assemble,
+    _orderings,
+    _rows,
     _solve_base_intervals,
     all_transitive_complements_extend,
     enumerate_orientations,
@@ -36,7 +38,7 @@ from simpletri.oracles import (
     random_triangle_pair,
     triangle_interiors_intersect,
 )
-from simpletri.orders import make_partial_order, recognize_linear_interval_order
+from simpletri.orders import _later_masks, make_partial_order, recognize_linear_interval_order
 from simpletri.recognition import recognize
 from simpletri.triangles import TriangleRepresentation, triangles_disjoint, verify_representation
 
@@ -93,6 +95,15 @@ def reference_order_search(p):
         if base_by_pos is not None:
             return _assemble(sigma, base_by_pos)
     return None
+
+
+def test_ordering_table_lists_every_permutation_once_in_order():
+    for n in range(7):
+        table = _orderings(n)
+        assert [sigma for sigma, _ in table] == list(permutations(range(n)))
+        for sigma, before in table:
+            assert _rows(before, n) == _later_masks(sigma)
+    assert _orderings(0) == (((), 0),)
 
 
 class TestGeometricSearch:
@@ -269,6 +280,17 @@ def reference_all_extend(g):
     if not any(outcome.values()):
         raise NotSimpleTriangle("reference: no alternating/transitive pair")
     return all(outcome.values())
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_oracles_on_zero_and_one_vertex(n):
+    g, p = empty_graph(n), make_partial_order(n, [])
+    t = geometric_search_realization(g)
+    assert t is not None and t == reference_geometric_search(g)
+    assert has_alternating_transitive_pair(g) and reference_pair_exists(g)
+    assert all_transitive_complements_extend(g) and reference_all_extend(g)
+    t = geometric_search_order_realization(p)
+    assert t is not None and t == reference_order_search(p)
 
 
 class TestOrientationPairChecks:
