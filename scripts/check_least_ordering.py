@@ -1,0 +1,154 @@
+"""Compare recognize's least apex ordering with the unpruned search, and count its backtracks.
+
+``recognize`` searches for the lexicographically least apex ordering with a
+rule that prunes by Γ-forcing on the complement and then by the 2-SAT
+relaxation (``recognition`` module doc).  This script checks that its
+answer is the first complete ordering of the unpruned search
+``search_orderings(g.adj, (0,) * n, APEX_PATTERNS)``, or None with it:
+
+- on every labeled graph with at most ``--max-n`` vertices (33,868 with
+  n <= 6);
+- on ``--random`` seeded graphs with n = 7-10, alternately the intersection
+  graph of random triangles (``bench/corpora.triangle_graph``) and the
+  incomparability graph of ``exhaustive.random_partial_order``.
+
+The unpruned side stops after ``--cap`` seconds per graph; such a graph is
+counted as capped, not compared, and the cap is printed.  It also counts
+the backtracks of ``recognize``'s search: refused branches off the path to
+its answer.  A branch is the refused prefix for a rule refusal, and the
+prefix without the closing witness vertex for a pattern refusal.  The count
+is printed per graph for the draws ``triangle_graph(random.Random(1000·n +
+s), n)`` with n = 12, 16, 20 and s = 0-2, and over the graphs above as the
+number of graphs with one or more and the maximum.  It exits 1 on any
+mismatch.  The default run takes about 11 s on a 2-vCPU x86-64 VM
+(CPython 3.11).
+
+    PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1]
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import sys
+import time
+
+from simpletri import recognition
+from simpletri.exhaustive import all_graphs, random_partial_order
+from simpletri.graphs import Graph
+from simpletri.patterns import APEX_PATTERNS, search_orderings
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+from corpora import triangle_graph  # noqa: E402
+
+CAPPED = "capped"
+
+
+def unpruned(g: Graph, cap: float):
+    """First ordering of the unpruned search, None, or CAPPED after ``cap`` s."""
+    deadline = time.perf_counter() + cap
+    for i, (ordering, hit) in enumerate(search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)):
+        if hit is None:
+            return ordering
+        if not i % 1024 and time.perf_counter() > deadline:
+            return CAPPED
+    return None
+
+
+def counting_search(tally: dict):
+    """``patterns.search_orderings``, setting ``tally["last"]`` to the
+    backtracks made before the first complete ordering, or before it ends."""
+
+    def search(*args):
+        refused, found = [], None
+        for ordering, hit in search_orderings(*args):
+            if hit is None:
+                found = ordering
+                break
+            refused.append(ordering if hit[0] == "rule" else ordering[:-1])
+        path = () if found is None else found
+        tally["last"] = sum(b[:-1] != path[:len(b) - 1] for b in refused)
+        if found is not None:
+            yield found, None
+
+    return search
+
+
+def compare(g: Graph, cap: float, tally: dict) -> None:
+    tally["graphs"] += 1
+    tally["last"] = 0
+    got = recognition.recognize(g)
+    got = None if got is None else got[0]
+    tally["accepted"] += got is not None
+    tally["backtracking"] += tally["last"] > 0
+    tally["max_backtracks"] = max(tally["max_backtracks"], tally["last"])
+    expected = unpruned(g, cap)
+    if expected is CAPPED:
+        tally["capped"] += 1
+    elif got != expected:
+        tally["mismatches"] += 1
+        print(f"mismatch on n={g.n} edges={sorted(g.edges)}: unpruned {expected}, recognize {got}")
+
+
+def incomparability_graph(rng: random.Random, n: int) -> Graph:
+    p = random_partial_order(rng, n)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if not (p.less(u, v) or p.less(v, u))])
+
+
+def report(label: str, tally: dict, seconds: float) -> None:
+    print(f"{label}: {tally['graphs']} graphs, {tally['accepted']} accepted, "
+          f"{tally['mismatches']} mismatches, {tally['capped']} capped, "
+          f"{tally['backtracking']} backtracking, at most {tally['max_backtracks']} "
+          f"backtracks, {seconds:.1f} s")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-n", type=int, default=6)
+    parser.add_argument("--random", type=int, default=1000)
+    parser.add_argument("--cap", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+    print(f"unpruned search capped at {args.cap:g} s per graph")
+    tally: dict = {}
+    recognition.search_orderings = counting_search(tally)
+    bad = 0
+
+    def run(label, graphs):
+        nonlocal bad
+        keys = ("graphs", "accepted", "mismatches", "capped", "backtracking", "max_backtracks")
+        tally.update(dict.fromkeys(keys, 0))
+        t0 = time.perf_counter()
+        for g in graphs:
+            compare(g, args.cap, tally)
+        report(label, tally, time.perf_counter() - t0)
+        bad += tally["mismatches"]
+
+    run(f"all graphs, n <= {args.max_n}",
+        (g for n in range(args.max_n + 1) for g in all_graphs(n)))
+    rng = random.Random(args.seed)
+
+    def seeded():
+        for i in range(args.random):
+            n = rng.randint(7, 10)
+            if i % 2:
+                yield incomparability_graph(rng, n)
+            else:
+                yield Graph.from_edges(n, triangle_graph(rng, n).items)
+
+    run(f"seeded triangle and cocomparability graphs, n = 7-10, seed {args.seed}", seeded())
+    for n in (12, 16, 20):
+        for s in range(3):
+            g = Graph.from_edges(n, triangle_graph(random.Random(1000 * n + s), n).items)
+            t0 = time.perf_counter()
+            got = recognition.recognize(g)
+            print(f"triangle_graph(random.Random({1000 * n + s}), {n}): "
+                  f"{'accepted' if got else 'REJECTED'}, {tally['last']} backtracks, "
+                  f"{(time.perf_counter() - t0) * 1000:.1f} ms")
+            bad += got is None
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from ._bits import iter_bits
+from ._bits import clear_rows, iter_bits
 from .errors import EdgeSetMismatch, NotComparabilityOrdering, SizeMismatch
 from .orders import PartialOrder, _check_permutation, _later_masks, _positions
 from .patterns import APEX_PATTERNS, OrderedPattern
@@ -259,9 +259,7 @@ def transitive_orientation(g: Graph) -> Optional[PartialOrder]:
     is a comparability graph iff no class holds an arc and its reverse; the
     classes, each removed before the next is taken, then together orient g
     transitively, which the :class:`PartialOrder` constructor re-checks.
-    A class is closed on bitmasks: a popped arc ab forces all its heads
-    ``rem[a] & ~rem[b]`` and tails ``rem[b] & ~rem[a]`` at once, and one
-    mask test against the class's arcs into a and out of b finds a reverse.
+    A class is closed on bitmasks by :func:`_force_arcs`.
 
     >>> transitive_orientation(cycle_graph(5)) is None
     True
@@ -269,35 +267,68 @@ def transitive_orientation(g: Graph) -> Optional[PartialOrder]:
     [(0, 1), (2, 1)]
     """
     rem = list(g.adj)
-    succ = [0] * g.n
+    out, into = [0] * g.n, [0] * g.n
     for u, v in sorted(g.edges):
         if not rem[u] >> v & 1:
             continue
-        out, into = [0] * g.n, [0] * g.n
-        out[u], into[v] = 1 << v, 1 << u
-        members = 1 << u | 1 << v
-        stack = [(u, v)]
-        while stack:
-            a, b = stack.pop()
-            heads = rem[a] & ~rem[b] & ~(1 << b)
-            tails = rem[b] & ~rem[a] & ~(1 << a)
-            if heads & into[a] or tails & out[b]:
-                return None
-            heads &= ~out[a]
-            tails &= ~into[b]
+        rows = _force_arcs(rem, out, into, [(u, 1 << v)])
+        if rows is None:
+            return None
+        members = 0
+        for _, _, x, row in rows:
+            members |= 1 << x | row
+        for x in iter_bits(members):
+            rem[x] &= ~(out[x] | into[x])
+    return PartialOrder(g.n, tuple(out))
+
+
+def _force_arcs(adj: Sequence[int], out: list[int], into: list[int], arcs) -> Optional[list]:
+    """Set the arcs from each x to the mask h, for (x, h) in ``arcs``, in the
+    heads masks ``out`` and tails masks ``into``, and close them under
+    Γ-forcing in the graph ``adj``.
+
+    Arc ab forces ac for each neighbour c of a that is neither b nor a
+    neighbour of b, and cb for each such neighbour c of b.  A popped arc
+    forces all its heads ``adj[a] & ~adj[b]`` and tails ``adj[b] & ~adj[a]``
+    at once, and one mask test against the arcs into a and out of b finds a
+    reverse.  Returns the arcs set, as rows for ``_bits.clear_rows``, or
+    None, with nothing set, when one of them has its reverse set.  Arcs set
+    before count only as set or as reverses; they are not closed again.
+    """
+    rows, stack = [], []
+    for x, heads in arcs:
+        if heads & into[x]:
+            clear_rows(rows)
+            return None
+        heads &= ~out[x]
+        if heads:
+            out[x] |= heads
+            rows.append((out, into, x, heads))
+            for c in iter_bits(heads):
+                into[c] |= 1 << x
+                stack.append((x, c))
+    while stack:
+        a, b = stack.pop()
+        heads = adj[a] & ~adj[b] & ~(1 << b)
+        tails = adj[b] & ~adj[a] & ~(1 << a)
+        if heads & into[a] or tails & out[b]:
+            clear_rows(rows)
+            return None
+        heads &= ~out[a]
+        tails &= ~into[b]
+        if heads:
             out[a] |= heads
-            into[b] |= tails
-            members |= heads | tails
+            rows.append((out, into, a, heads))
             for c in iter_bits(heads):
                 into[c] |= 1 << a
                 stack.append((a, c))
+        if tails:
+            into[b] |= tails
+            rows.append((into, out, b, tails))
             for c in iter_bits(tails):
                 out[c] |= 1 << b
                 stack.append((c, b))
-        for x in iter_bits(members):
-            rem[x] &= ~(out[x] | into[x])
-            succ[x] |= out[x]
-    return PartialOrder(g.n, tuple(succ))
+    return rows
 
 
 @dataclass(frozen=True)

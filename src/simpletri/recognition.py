@@ -25,28 +25,62 @@ Accepting is self-checking.  p1 and p2 are each other's complement, so an
 extension of T avoiding them on Ḡ avoids them on G, and it has no cpc on G
 because T is transitive: it is an apex ordering of G.  :func:`apex_ordering`
 returns that extension, and :func:`is_simple_triangle` is its verdict.
-:func:`recognize` decides first and only then runs the search over all
-orderings for the lexicographically least apex ordering, which must find
-one; if it does not, it raises instead of returning None.
-:func:`rejection_certificates` runs that search ungated.  An accepted
-ordering is turned into a triangle representation by orienting the
-complement along it and building interval bases for the resulting order.
+
+3. :func:`recognize` decides first and only then searches all orderings for
+   the lexicographically least apex ordering σ*, which must find one; if it
+   does not, it raises instead of returning None.  The search's rule
+   (:class:`_LeastOrderingRule`) prunes by the theorem behind step 2: an
+   apex ordering orients Ḡ transitively, without a 4-anticycle.  Before
+   the search, each pair of false twins x < y of G (equal neighbourhoods)
+   is oriented x→y in Ḡ.  Placing v orients Ḡ's edges from v to the
+   unplaced vertices as v→w.  Each new arc is closed under Γ-forcing in the
+   whole of Ḡ (``graphs._force_arcs``), and an arc whose reverse is set
+   refuses v.  Once every edge of Ḡ is oriented, the orientation is fixed:
+   the rule refuses it if it is not transitive, and otherwise builds its
+   2-SAT relaxation, replays the prefix into it, and refuses as step 2
+   does below that depth.
+
+   The rule refuses only branches that hold no apex ordering with false
+   twins in label order, and σ* is one: swapping two twins out of order
+   would give a smaller apex ordering.  Along such an ordering's path every
+   arc the rule sets is an arc of its orientation of Ḡ: the twin arcs, the
+   placed ones, and what Γ-forcing derives from them, since that
+   orientation is transitive.  When all are set, the orientation is that
+   one, and the ordering satisfies every literal of its formula.  So the
+   first complete ordering is σ*, as it is without the rule.  Without the
+   twin arcs every refused branch would be dead, but an edge of Ḡ between
+   two false twins is forced by no other arc: it stays unoriented until one
+   of them is placed, and the 2-SAT waits for it (the n = 16 draw of the
+   README).  :func:`rejection_certificates` runs the search ungated and
+   without the rule.
+
+An accepted ordering is turned into a triangle representation by orienting
+the complement along it and building interval bases for the resulting
+order.
 """
 from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
+from ._bits import clear_rows
 from .errors import NotApexOrdering, NotComparabilityOrdering
 from .graphs import (
     Graph,
+    _force_arcs,
     complement,
     find_pattern,
     orient_complement_by_ordering,
     transitive_orientation,
 )
-from .orders import Anticycle, _first_interval_extension, build_interval_representation
+from .orders import (
+    Anticycle,
+    PartialOrder,
+    _first_interval_extension,
+    build_interval_representation,
+)
 from .patterns import APEX_PATTERNS, search_orderings
 from .triangles import TriangleRepresentation, order_to_triangles
+from .twosat import IntervalFormula
 
 __all__ = [
     "apex_ordering",
@@ -91,11 +125,80 @@ def recognize(
     """
     if not is_simple_triangle(g):
         return None
-    search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)
+    search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS, _LeastOrderingRule(g))
     ordering = next((o for o, hit in search if hit is None), None)
     if ordering is None:
         raise RuntimeError(f"accepted graph has no apex ordering: {sorted(g.edges)}")
     return ordering, realize(g, ordering)
+
+
+class _LeastOrderingRule:
+    """The rule of :func:`recognize`'s search (step 3 of the module doc).
+
+    ``out``/``into`` hold the arcs of the complement Ḡ oriented so far, as
+    heads and tails masks.  Once every edge of Ḡ is oriented, ``formula``
+    is the 2-SAT relaxation of that orientation, built when the
+    ``handoff``-th vertex of ``prefix`` was placed.
+    """
+
+    def __init__(self, g: Graph):
+        n = g.n
+        full = (1 << n) - 1
+        self.cadj = [full & ~adj & ~(1 << v) for v, adj in enumerate(g.adj)]
+        self.out, self.into = [0] * n, [0] * n
+        self.prefix: list[int] = []
+        self.formula: Optional[IntervalFormula] = None
+        self.handoff = -1
+        # false twins of g, each before its twins with larger labels; this
+        # sets nothing only if Ḡ has no transitive orientation
+        later: dict[int, int] = {}  # per neighbourhood, the vertices after v
+        twins = []
+        for v in reversed(range(n)):
+            heads = later.get(g.adj[v], 0)
+            twins.append((v, heads))
+            later[g.adj[v]] = heads | 1 << v
+        _force_arcs(self.cadj, self.out, self.into, twins)
+
+    def place(self, v: int, unplaced: int) -> Optional[list]:
+        """The rows set for v, or None when v is refused (module doc)."""
+        if self.into[v] & unplaced:
+            return None
+        if self.formula is not None:
+            rows = self.formula.place(v, unplaced)
+        else:
+            rows = _force_arcs(self.cadj, self.out, self.into, [(v, self.cadj[v] & unplaced)])
+            if rows is not None and all(
+                o | i == c for o, i, c in zip(self.out, self.into, self.cadj)
+            ):
+                self.formula = self._formula(v, unplaced)
+                self.handoff = len(self.prefix)
+                if self.formula is None:
+                    clear_rows(rows)
+                    rows = None
+        if rows is not None:
+            self.prefix.append(v)
+        return rows
+
+    def undo(self, rows: list) -> None:
+        self.prefix.pop()
+        if len(self.prefix) == self.handoff:
+            self.formula = None
+        clear_rows(rows)
+
+    def _formula(self, v: int, unplaced: int) -> Optional[IntervalFormula]:
+        """The 2-SAT relaxation of the complete orientation with the prefix,
+        v last, replayed into it, or None if either refuses the branch."""
+        try:
+            order = PartialOrder(len(self.out), tuple(self.out))
+        except ValueError:  # the orientation is not transitive
+            return None
+        formula = IntervalFormula(order)
+        rest = (1 << order.n) - 1
+        for x in (*self.prefix, v):
+            rest ^= 1 << x
+            if formula.place(x, rest) is None:
+                return None
+        return formula
 
 
 def rejection_certificates(

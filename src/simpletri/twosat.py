@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ._bits import iter_bits
+from ._bits import clear_rows, iter_bits
 
 if TYPE_CHECKING:
     from .orders import PartialOrder
@@ -105,10 +105,7 @@ class IntervalFormula:
 
     def undo(self, added: list) -> None:
         """Clear the rows that :meth:`place` or :meth:`_assume` set."""
-        for first, second, x, row in added:
-            first[x] ^= row
-            for y in iter_bits(row):
-                second[y] ^= 1 << x
+        clear_rows(added)
 
     def _assume(self, bef: list[int], aft: list[int], x: int, row: int) -> Optional[list]:
         """Set "x before y" for each y in ``row`` and the closure (rows of the

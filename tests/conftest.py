@@ -1,6 +1,8 @@
 import pytest
 
+from simpletri import orders, recognition
 from simpletri.exhaustive import all_graphs, all_partial_orders
+from simpletri.patterns import search_orderings
 from simpletri.recognition import recognize
 
 
@@ -22,3 +24,44 @@ def recognition_results(small_graphs):
     return {
         n: [recognize(g) for g in graphs] for n, graphs in small_graphs.items()
     }
+
+
+def count_backtracks(monkeypatch, module):
+    """Counts of the searches inside ``module``, of the branches they refuse
+    and of their backtracks, read from the yield stream.  A refused branch is
+    the yielded prefix of a rule refusal and, for a pattern, the prefix
+    without the vertex that closes the witness.  A backtrack is a refused
+    branch that leaves the path to the first complete ordering, or to the
+    root when the search ends without one."""
+    counts = {"searches": 0, "refused": 0, "backtracks": 0}
+
+    def tally(refused, path):
+        counts["refused"] += len(refused)
+        counts["backtracks"] += sum(b[:-1] != path[:len(b) - 1] for b in refused)
+
+    def counted(*args):
+        counts["searches"] += 1
+        refused = []
+        for ordering, hit in search_orderings(*args):
+            if hit is None:
+                tally(refused, ordering)
+                refused = []
+            else:
+                refused.append(ordering if hit[0] == "rule" else ordering[:-1])
+            yield ordering, hit
+        tally(refused, ())
+
+    monkeypatch.setattr(module, "search_orderings", counted)
+    return counts
+
+
+@pytest.fixture
+def backtracks(monkeypatch):
+    """:func:`count_backtracks` for the 2-SAT rule searches of ``orders``."""
+    return count_backtracks(monkeypatch, orders)
+
+
+@pytest.fixture
+def least_backtracks(monkeypatch):
+    """:func:`count_backtracks` for the search of ``recognition.recognize``."""
+    return count_backtracks(monkeypatch, recognition)

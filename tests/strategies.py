@@ -6,8 +6,8 @@ from simpletri.orders import PartialOrder, make_partial_order
 
 
 @st.composite
-def graphs(draw, max_n=6):
-    n = draw(st.integers(min_value=0, max_value=max_n))
+def graphs(draw, max_n=6, min_n=0):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     m = n * (n - 1) // 2
     mask = draw(st.integers(min_value=0, max_value=(1 << m) - 1))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

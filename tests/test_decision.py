@@ -1,15 +1,23 @@
 """The orientation-first decision of ``recognize`` against its references.
 
 ``transitive_orientation`` is pinned to the orientation enumeration of the
-oracles and must orient every comparability graph, the theorem step 2 rests
-on is checked at n = 6, and ``recognize`` is pinned to the first complete
-ordering of the ungated engine search.
+oracles, to its own loop from before the forcing step moved into
+``graphs._force_arcs``, and must orient every comparability graph; the
+theorem step 2 rests on is checked at n = 6.  ``recognize``, whose search
+runs with the rule of step 3, is pinned to the first complete ordering of
+the ungated engine search, its search to no backtrack on the graphs with
+n <= 5, and to well under a second on a triangle graph that took the
+unpruned search more than 30 s.
 """
+import os
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
 
 from simpletri import recognition
+from simpletri._bits import iter_bits
 from simpletri.exhaustive import all_graphs, random_partial_order
 from simpletri.graphs import (
     APEX_PATTERNS,
@@ -17,13 +25,17 @@ from simpletri.graphs import (
     Orientation,
     complement,
     cycle_graph,
+    empty_graph,
     is_transitive_orientation,
     transitive_orientation,
 )
+from simpletri.io import load_graph
 from simpletri.oracles import enumerate_orientations
-from simpletri.orders import _first_interval_extension
+from simpletri.orders import PartialOrder, _first_interval_extension
 from simpletri.patterns import search_orderings
-from simpletri.recognition import is_simple_triangle, recognize
+from simpletri.recognition import check_apex_ordering, is_simple_triangle, recognize
+
+from strategies import graphs
 
 SEED = 20261018
 
@@ -32,6 +44,51 @@ def ungated_search(g):
     """First ordering the engine clears without the decision step, or None."""
     search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)
     return next((o for o, hit in search if hit is None), None)
+
+
+def reference_transitive_orientation(g):
+    """``transitive_orientation`` as it was with its forcing loop inline,
+    each class closed in arc masks of its own."""
+    rem = list(g.adj)
+    succ = [0] * g.n
+    for u, v in sorted(g.edges):
+        if not rem[u] >> v & 1:
+            continue
+        out, into = [0] * g.n, [0] * g.n
+        out[u], into[v] = 1 << v, 1 << u
+        members = 1 << u | 1 << v
+        stack = [(u, v)]
+        while stack:
+            a, b = stack.pop()
+            heads = rem[a] & ~rem[b] & ~(1 << b)
+            tails = rem[b] & ~rem[a] & ~(1 << a)
+            if heads & into[a] or tails & out[b]:
+                return None
+            heads &= ~out[a]
+            tails &= ~into[b]
+            out[a] |= heads
+            into[b] |= tails
+            members |= heads | tails
+            for c in iter_bits(heads):
+                into[c] |= 1 << a
+                stack.append((a, c))
+            for c in iter_bits(tails):
+                out[c] |= 1 << b
+                stack.append((c, b))
+        for x in iter_bits(members):
+            rem[x] &= ~(out[x] | into[x])
+            succ[x] |= out[x]
+    return PartialOrder(g.n, tuple(succ))
+
+
+def test_transitive_orientation_is_the_reference_loop_up_to_six():
+    oriented = 0
+    for n in range(7):
+        for g in all_graphs(n):
+            t = transitive_orientation(g)
+            assert t == reference_transitive_orientation(g), sorted(g.edges)
+            oriented += t is not None
+    assert 0 < oriented < 33868
 
 
 def test_transitive_orientation_matches_enumeration(small_graphs):
@@ -94,3 +151,63 @@ def test_recognize_raises_when_an_acceptance_finds_no_ordering(monkeypatch):
     monkeypatch.setattr(recognition, "is_simple_triangle", lambda g: True)
     with pytest.raises(RuntimeError):
         recognize(cycle_graph(5))
+
+
+# Rejected by the decision: the prism at step 2 (its complement C6 orients,
+# and that orientation has no extension without a 4-anticycle), C5 plus an
+# isolated or a universal vertex and C6 at step 1.  Accepted: the graph on
+# which fixing the free implication classes greedily missed the least
+# ordering (ROADMAP).
+NAMED = {
+    "prism": Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5),
+                                  (0, 3), (1, 4), (2, 5)]),
+    "c5-isolated": Graph.from_edges(6, cycle_graph(5).edges),
+    "c5-universal": Graph.from_edges(6, list(cycle_graph(5).edges) + [(v, 5) for v in range(5)]),
+    "c6": cycle_graph(6),
+    "greedy-class-miss": Graph.from_edges(9, [(1, 5), (1, 8), (2, 7), (3, 5), (4, 5), (4, 6),
+                                              (4, 8), (5, 8), (6, 8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_recognize_is_the_ungated_search_on_named_graphs(name):
+    g = NAMED[name]
+    got = recognize(g)
+    assert (None if got is None else got[0]) == ungated_search(g)
+    if name == "greedy-class-miss":
+        assert got[0] == (0, 2, 7, 3, 1, 4, 5, 6, 8)
+
+
+@given(graphs(min_n=7, max_n=9))
+@settings(max_examples=150, deadline=None)
+def test_recognize_is_the_ungated_search_on_hypothesis_graphs(g):
+    got = recognize(g)
+    assert (None if got is None else got[0]) == ungated_search(g)
+
+
+def test_least_search_never_backtracks_up_to_five(small_graphs, least_backtracks):
+    for n in range(6):
+        for g in small_graphs[n]:
+            recognize(g)
+    assert least_backtracks["refused"] > 0
+    assert least_backtracks["backtracks"] == 0
+
+
+def test_least_search_is_fast_on_a_triangle_graph_with_20_vertices(least_backtracks):
+    # the unpruned search takes more than 30 s on this graph
+    g = load_graph(os.path.join(os.path.dirname(__file__), "fixtures", "triangles-n20-s0.edges"))
+    start = time.perf_counter()
+    got = recognize(g)
+    assert time.perf_counter() - start < 1.0
+    assert got is not None and check_apex_ordering(g, got[0])
+    assert least_backtracks["searches"] == 1
+    assert least_backtracks["backtracks"] == 0
+
+
+def test_rule_refuses_an_intransitive_complete_orientation():
+    # no search checked so far has reached one, so the orientation is set by
+    # hand: the complement of the empty graph on three vertices, oriented as
+    # the cycle 0 -> 1 -> 2 -> 0
+    rule = recognition._LeastOrderingRule(empty_graph(3))
+    rule.out[:], rule.into[:] = [0b010, 0b100, 0b001], [0b100, 0b001, 0b010]
+    assert rule._formula(0, 0b110) is None

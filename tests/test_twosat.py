@@ -46,34 +46,6 @@ def engine_extension(p):
     return next((o for o, hit in search if hit is None), None)
 
 
-@pytest.fixture
-def backtracks(monkeypatch):
-    """Counts of the searches inside ``orders``, of the branches they refuse
-    and of their backtracks, read from the yield stream.  A backtrack is a
-    refused branch that leaves the path to the first complete ordering, or
-    to the root when the search ends without one."""
-    counts = {"searches": 0, "refused": 0, "backtracks": 0}
-
-    def tally(refused, path):
-        counts["refused"] += len(refused)
-        counts["backtracks"] += sum(b[:-1] != path[:len(b) - 1] for b in refused)
-
-    def counted(*args):
-        counts["searches"] += 1
-        refused = []
-        for ordering, hit in search_orderings(*args):
-            if hit is None:
-                tally(refused, ordering)
-                refused = []
-            else:
-                refused.append(ordering)
-            yield ordering, hit
-        tally(refused, ())
-
-    monkeypatch.setattr(orders, "search_orderings", counted)
-    return counts
-
-
 def test_verdict_matches_the_search_on_naturally_ordered_relations(backtracks):
     rejected = 0
     for n in range(7):
