@@ -11,11 +11,13 @@ The two geometric searches and the two orientation oracles read each vertex
 ordering as one n²-bit before-matrix from a table of all n! orderings
 (:func:`_orderings`), so an ordering costs one AND: with a graph's adjacency
 matrix it gives the orientation the ordering induces, and with an order's
-predecessor matrix it tests for an extension.  An orientation is decoded
-into heads masks only when it must be judged.  The table is built on the
-first scan of each size and only the last size is kept: at n = 6, 7 and 8 it
-takes about 1 ms, 10 ms and 0.1 s and holds 0.12, 0.9 and 8 MB (2-vCPU
-x86-64 VM, CPython 3.11).
+predecessor matrix it tests for an extension.  Only the last size's table
+is kept; at n = 6, 7 and 8 it takes about 1 ms, 10 ms and 0.1 s to build
+and holds 0.12, 0.9 and 8 MB (2-vCPU x86-64 VM, CPython 3.11).  The three
+graph oracles share one pass over it per graph, :func:`_transitive_orderings`,
+which judges each complement orientation once, on its arc matrix.  Its at
+most n! entries live in ``g._derived`` and die with the graph: on K8, which
+keeps all 40,320, ``--limit 8 oracle verify`` peaks at 27.7 MB, not 24.9.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .graphs import (
     Graph,
     Orientation,
     _alternating_out,
-    _transitive_out,
+    _cached_on_graph,
     complement,
     is_alternating_orientation,
     is_transitive_orientation,
@@ -120,6 +122,34 @@ def _rows(m: int, n: int) -> list[int]:
     return [m >> v * n & full for v in range(n)]
 
 
+def _transitive_matrix(m: int, n: int, col: int) -> bool:
+    """The arcs of the n²-bit matrix ``m`` are transitive: its boolean
+    square, the union over v of ``m``'s column v (moved to column 0 by
+    ``m >> v & col``; ``col`` is :func:`_matrix` of n ones) times its row v,
+    has no arc outside ``m``."""
+    two, full = 0, (1 << n) - 1
+    for v in range(n):
+        two |= (m >> v & col) * (m >> v * n & full)
+    return not two & ~m
+
+
+@_cached_on_graph
+def _transitive_orderings(g: Graph) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """``(sigma, before, key)``, in table order, for the orderings whose
+    complement orientation, with arc matrix ``key = before & gcm``, is
+    transitive; each distinct key is judged once."""
+    gcm, col = _matrix(complement(g).adj), _matrix([1] * g.n)
+    transitive: dict[int, bool] = {}
+    kept = []
+    for sigma, before in _orderings(g.n):
+        key = before & gcm
+        if key not in transitive:
+            transitive[key] = _transitive_matrix(key, g.n, col)
+        if transitive[key]:
+            kept.append((sigma, before, key))
+    return tuple(kept)
+
+
 def _first_realization(
     orderings: Iterable[tuple[tuple[int, ...], int]]
 ) -> Optional[TriangleRepresentation]:
@@ -156,24 +186,12 @@ def geometric_search_realization(
     dropped before any system is built when the complement orientation it
     induces, each vertex towards its later non-neighbours, is not: with u, v
     and v, w disjoint but not u, w, r(u) + 1 <= l(v), l(v) + 1 <= r(v),
-    r(v) + 1 <= l(w) and l(w) <= r(u) sum to 3 <= 0.  Each orientation is
-    judged once, in vertex space.  Shares no code with
+    r(v) + 1 <= l(w) and l(w) <= r(u) sum to 3 <= 0.  Shares no code with
     :func:`simpletri.recognition.recognize`.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    gcm = _matrix(complement(g).adj)
-
-    def transitive_orderings():
-        transitive: dict[int, bool] = {}
-        for sigma, before in _orderings(g.n):
-            right = before & gcm
-            if right not in transitive:
-                transitive[right] = _transitive_out(_rows(right, g.n))
-            if transitive[right]:
-                yield sigma, right
-
-    t = _first_realization(transitive_orderings())
+    t = _first_realization((sigma, key) for sigma, _, key in _transitive_orderings(g))
     assert t is None or verify_representation(g, t)
     return t
 
@@ -290,23 +308,15 @@ def has_alternating_transitive_pair(g: Graph, limit: int = DEFAULT_LIMIT) -> boo
 
     An acyclic union admits a topological vertex ordering, and that ordering
     induces both orientations back; conversely any single ordering induces an
-    acyclic union.  So it suffices to scan vertex orderings.  An ordering's
-    before-matrix ANDed with a graph's adjacency matrix is the orientation
-    it induces, so each orientation costs one int operation, with no arc set
-    built.  Many orderings induce the same complement orientation, which is
-    judged transitive or not once.
+    acyclic union.  So it suffices to scan the orderings whose complement
+    orientation is transitive, judged once per graph, for one whose
+    orientation of g is alternating.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    gm, gcm = _matrix(g.adj), _matrix(complement(g).adj)
-    transitive: dict[int, bool] = {}
-    for _, before in _orderings(g.n):
-        key = before & gcm
-        if key not in transitive:
-            transitive[key] = _transitive_out(_rows(key, g.n))
-        if transitive[key] and _alternating_out(g, _rows(before & gm, g.n)):
-            return True
-    return False
+    gm = _matrix(g.adj)
+    induced = (_rows(before & gm, g.n) for _, before, _ in _transitive_orderings(g))
+    return any(_alternating_out(g, out) for out in induced)
 
 
 def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
@@ -316,31 +326,21 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
     Requires g to be a simple-triangle graph, which the same scan decides:
     :class:`NotSimpleTriangle` is raised when no ordering gives an
     alternating and transitive pair.  Every transitive orientation of the
-    complement is induced by each of its topological orderings, so one scan
-    of all vertex orderings visits them all; a particular orientation
-    succeeds when at least one of its orderings induces an alternating
-    orientation of g.  An orientation is keyed by its arc matrix (the
-    before-matrix ANDed with the complement's adjacency matrix), which
-    identifies it as its arc set does, and is judged transitive or not
-    once: ``outcome`` holds None for an intransitive one.
+    complement is induced by each of its topological orderings, so the
+    orderings with a transitive one visit them all, keyed by arc matrix; an
+    orientation succeeds when one of its orderings induces an alternating
+    orientation of g.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    gm, gcm = _matrix(g.adj), _matrix(complement(g).adj)
-    outcome: dict[int, Optional[bool]] = {}
-    for _, before in _orderings(g.n):
-        key = before & gcm
-        if key not in outcome:
-            if not _transitive_out(_rows(key, g.n)):
-                outcome[key] = None
-                continue
-        elif outcome[key] is not False:
-            continue
-        outcome[key] = _alternating_out(g, _rows(before & gm, g.n))
-    judged = [ok for ok in outcome.values() if ok is not None]
-    if not any(judged):
+    gm = _matrix(g.adj)
+    outcome: dict[int, bool] = {}
+    for _, before, key in _transitive_orderings(g):
+        if not outcome.get(key):
+            outcome[key] = _alternating_out(g, _rows(before & gm, g.n))
+    if not any(outcome.values()):
         raise NotSimpleTriangle("graph is not a simple-triangle graph")
-    return all(judged)
+    return all(outcome.values())
 
 
 # --- exact integer geometry -------------------------------------------------

@@ -13,6 +13,7 @@ from simpletri.errors import LimitExceeded, NotSimpleTriangle
 from simpletri.exhaustive import all_graphs, all_partial_orders
 from simpletri.graphs import (
     Graph,
+    Orientation,
     _transitive_out,
     complement,
     complete_graph,
@@ -25,9 +26,12 @@ from simpletri.graphs import (
 )
 from simpletri.oracles import (
     _assemble,
+    _matrix,
     _orderings,
     _rows,
     _solve_base_intervals,
+    _transitive_matrix,
+    _transitive_orderings,
     all_transitive_complements_extend,
     enumerate_orientations,
     exact_triangle_intersection,
@@ -336,20 +340,78 @@ class TestOrientationPairChecks:
             else:
                 assert all_transitive_complements_extend(g) == expected
 
-    def test_pair_scan_judges_each_complement_orientation_once(self, monkeypatch):
-        gc = complement(PRISM)
-        distinct = {
-            orientation_from_ordering(gc, sigma).arcs for sigma in permutations(range(6))
-        }
-        calls = []
+    def test_one_shared_pass_judges_each_complement_orientation_once(self, monkeypatch):
+        # fresh graphs, since the pass is cached on the graph; the prism is
+        # rejected, and the complement of C4 + K2 is an accepted
+        # cocomparability graph, so the extend oracle judges its keys too
+        accepted = complement(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]))
+        scans, judged = [], []
 
-        def counted(out):
-            calls.append(out)
-            return _transitive_out(out)
+        def counted_orderings(n):
+            scans.append(n)
+            return _orderings(n)
 
-        monkeypatch.setattr(simpletri.oracles, "_transitive_out", counted)
-        assert not has_alternating_transitive_pair(PRISM)
-        assert len(calls) == len(distinct)
+        def counted_judge(m, n, col):
+            judged.append(m)
+            return _transitive_matrix(m, n, col)
+
+        monkeypatch.setattr(simpletri.oracles, "_orderings", counted_orderings)
+        monkeypatch.setattr(simpletri.oracles, "_transitive_matrix", counted_judge)
+        for g, simple in ((Graph(PRISM.n, PRISM.edges), False), (accepted, True)):
+            scans.clear()
+            judged.clear()
+            gc = complement(g)
+            distinct = {
+                orientation_from_ordering(gc, sigma).arcs for sigma in permutations(range(6))
+            }
+            assert (geometric_search_realization(g) is not None) is simple
+            assert has_alternating_transitive_pair(g) is simple
+            if simple:
+                assert all_transitive_complements_extend(g)
+            else:
+                with pytest.raises(NotSimpleTriangle):
+                    all_transitive_complements_extend(g)
+            assert scans == [6]
+            assert len(judged) == len(set(judged)) == len(distinct)
+
+
+def every_orientation(g):
+    """All 2^|E| orientations of g, cyclic ones included."""
+    edges = sorted(g.edges)
+    for flips in range(1 << len(edges)):
+        yield Orientation(
+            g.n,
+            frozenset((v, u) if flips >> i & 1 else (u, v) for i, (u, v) in enumerate(edges)),
+        )
+
+
+class TestTransitiveMatrix:
+    def test_matches_heads_masks_on_induced_complement_orientations(self):
+        for n in range(6):
+            col = _matrix([1] * n)
+            for g in all_graphs(n):
+                gcm = _matrix(complement(g).adj)
+                for key in {before & gcm for _, before in _orderings(n)}:
+                    assert _transitive_matrix(key, n, col) == _transitive_out(_rows(key, n))
+
+    def test_matches_heads_masks_on_every_orientation(self):
+        for n in range(5):
+            col = _matrix([1] * n)
+            for g in all_graphs(n):
+                for o in every_orientation(g):
+                    assert _transitive_matrix(_matrix(o.out), n, col) == _transitive_out(o.out)
+
+    def test_shared_pass_is_the_filter_by_the_public_predicate(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                gc = complement(g)
+                gcm = _matrix(gc.adj)
+                expected = tuple(
+                    (sigma, before, before & gcm)
+                    for sigma, before in _orderings(n)
+                    if is_transitive_orientation(gc, orientation_from_ordering(gc, sigma))
+                )
+                assert _transitive_orderings(g) == expected
 
 
 class TestExactGeometry:
