@@ -35,44 +35,6 @@ REJECT_MESSAGE = "not a simple-triangle graph"
 GEOMETRY_PAIRS = 2000
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="simpletri",
-        description="Recognize simple-triangle graphs and linear-interval orders.",
-    )
-    parser.add_argument("--limit", type=int, default=6, help="oracle size cap")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--quiet", action="store_true", help="suppress output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rec = sub.add_parser("recognize", help="test a graph file")
-    p_rec.add_argument("graph")
-    p_rec.add_argument("--witness", action="store_true", help="print pruning certificates")
-
-    p_rep = sub.add_parser("represent", help="recognize and emit a representation")
-    p_rep.add_argument("graph")
-    p_rep.add_argument("-o", "--output", default=None)
-    p_rep.add_argument("--format", choices=("structured", "svg"), default="structured")
-
-    p_chk = sub.add_parser("check-ordering", help="evaluate one vertex ordering")
-    p_chk.add_argument("graph")
-    p_chk.add_argument("ordering", help="comma-separated vertex list")
-
-    p_order = sub.add_parser("order", help="partial order commands")
-    order_sub = p_order.add_subparsers(dest="subcommand", required=True)
-    p_orec = order_sub.add_parser("recognize", help="linear-interval order test")
-    p_orec.add_argument("order")
-    p_oint = order_sub.add_parser("intervals", help="interval construction for one extension")
-    p_oint.add_argument("order")
-    p_oint.add_argument("extension", help="comma-separated element list")
-
-    p_oracle = sub.add_parser("oracle", help="brute-force cross checks")
-    oracle_sub = p_oracle.add_subparsers(dest="subcommand", required=True)
-    p_over = oracle_sub.add_parser("verify", help="compare recognizer with the oracles")
-    p_over.add_argument("graph")
-    return parser
-
-
 def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
     try:
         ordering = tuple(int(part) for part in text.split(",")) if text else ()
@@ -193,10 +155,11 @@ def _geometry_mismatches(seed: int) -> int:
 
 def cmd_oracle_verify(args, say) -> int:
     g = load_graph(args.graph)
+    # first, so that a graph over the limit fails before a line is printed
+    oracle_rep = geometric_search_realization(g, limit=args.limit)
     ordering = apex_ordering(g)
     rec = None if ordering is None else realize(g, ordering)
     say(f"recognize: {'accept' if rec is not None else 'reject'}")
-    oracle_rep = geometric_search_realization(g, limit=args.limit)
     say(f"geometric search: {'realizable' if oracle_rep else 'none'}")
     agree = (rec is None) == (oracle_rep is None)
     pair = has_alternating_transitive_pair(g, limit=args.limit)
@@ -213,25 +176,80 @@ def cmd_oracle_verify(args, say) -> int:
     return 0 if agree else 1
 
 
+# The command tree, as (help, arguments, handler or table of sub-commands),
+# where arguments maps space-separated flags to ``add_argument`` keywords.  It
+# both builds the parser and dispatches, through the ``handler`` default.
+ROOT = ("Recognize simple-triangle graphs and linear-interval orders.", {
+    "--limit": dict(type=int, default=6, help="oracle size cap"),
+    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "--quiet": dict(action="store_true", help="suppress output"),
+}, {
+    "recognize": ("test a graph file", {
+        "graph": {}, "--witness": dict(action="store_true", help="print pruning certificates"),
+    }, cmd_recognize),
+    "represent": ("recognize and emit a representation", {
+        "graph": {},
+        "-o --output": dict(default=None),
+        "--format": dict(choices=("structured", "svg"), default="structured"),
+    }, cmd_represent),
+    "check-ordering": ("evaluate one vertex ordering", {
+        "graph": {}, "ordering": dict(help="comma-separated vertex list"),
+    }, cmd_check_ordering),
+    "order": ("partial order commands", {}, {
+        "recognize": ("linear-interval order test", {"order": {}}, cmd_order_recognize),
+        "intervals": ("interval construction for one extension", {
+            "order": {}, "extension": dict(help="comma-separated element list"),
+        }, cmd_order_intervals),
+    }),
+    "oracle": ("brute-force cross checks", {}, {
+        "verify": ("compare recognizer with the oracles", {"graph": {}}, cmd_oracle_verify),
+    }),
+})
+
+
+def _add_command(
+    parser: argparse.ArgumentParser, command: tuple, dest: str, argv: Sequence[str]
+) -> None:
+    """Add ``command``'s arguments and sub-commands to ``parser``.
+
+    Only the sub-command that ``argv`` selects is built when the tokens
+    before it are ``command``'s options, spelt in full, and their values;
+    otherwise (no command, ``-h``, an abbreviation, ``--``) all of them are,
+    so that help and ``invalid choice`` errors list every one.  A narrowed
+    level names every choice in its metavar, so its usage line reads as the
+    full one's.
+    """
+    _, arguments, run = command
+    for flags, options in arguments.items():
+        parser.add_argument(*flags.split(), **options)
+    if not isinstance(run, dict):
+        parser.set_defaults(handler=run)
+        return
+    i = 0
+    while i < len(argv) and argv[i].split("=")[0] in arguments:
+        i += 1 if "=" in argv[i] or arguments[argv[i]].get("action") == "store_true" else 2
+    narrow = i < len(argv) and argv[i] in run
+    sub = parser.add_subparsers(
+        dest=dest, required=True, metavar="{" + ",".join(run) + "}" if narrow else None
+    )
+    for name in argv[i : i + 1] if narrow else run:
+        child = sub.add_parser(name, help=run[name][0])
+        _add_command(child, run[name], "subcommand", argv[i + 1 :] if narrow else ())
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = argparse.ArgumentParser(prog="simpletri", description=ROOT[0])
+    _add_command(parser, ROOT, "command", argv)
     args = parser.parse_args(argv)
 
     def say(message: str) -> None:
         if not args.quiet:
             print(message)
 
-    handlers = {
-        ("recognize", None): cmd_recognize,
-        ("represent", None): cmd_represent,
-        ("check-ordering", None): cmd_check_ordering,
-        ("order", "recognize"): cmd_order_recognize,
-        ("order", "intervals"): cmd_order_intervals,
-        ("oracle", "verify"): cmd_oracle_verify,
-    }
-    handler = handlers[(args.command, getattr(args, "subcommand", None))]
     try:
-        return handler(args, say)
+        return args.handler(args, say)
     except (SimpleTriError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,6 @@
+import argparse
 import json
+import sys
 
 import pytest
 import hypothesis.strategies as st
@@ -473,6 +475,8 @@ class TestCliOracle:
         path = tmp_path / "big.graph"
         path.write_text("7\n0 1\n")
         assert main(["--limit", "5", "oracle", "verify", str(path)]) == 2
+        # refused before the recognizer runs, so no verdict line precedes the error
+        assert capsys.readouterr() == ("", "error: n=7 exceeds oracle limit 5\n")
 
     def test_limit_raised(self, tmp_path, capsys):
         path = tmp_path / "p2.graph"
@@ -516,3 +520,95 @@ class TestCliOracle:
             assert "geometry cross-check: 2000/2000 agree" in capsys.readouterr().out
             assert fresh_geometry_cache.cache_info().currsize <= 1
         assert fresh_geometry_cache.cache_info().misses == 2
+
+
+def _outcome(argv, capsys):
+    """stdout, stderr and exit code of ``main(argv)``, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return capsys.readouterr(), code
+
+
+@pytest.fixture()
+def parsers_built(monkeypatch):
+    """A list that records each ``argparse.ArgumentParser`` constructed."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+GRAPH, ORDER = "<graph>", "<order>"
+
+
+class TestParserNarrowing:
+    """``main`` builds only the branch of the command tree its argv names."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            ["--help"],
+            *([*command, "-h"] for command in [
+                ["recognize"], ["represent"], ["check-ordering"], ["order"],
+                ["order", "recognize"], ["order", "intervals"], ["oracle"], ["oracle", "verify"],
+            ]),
+            ["-h", "recognize", GRAPH],
+            ["--quiet", "-h", "oracle", "verify", GRAPH],
+            [],
+            ["frobnicate"],
+            ["order", "frobnicate"],
+            ["recognize"],
+            ["order"],
+            ["order", "intervals", ORDER],
+            ["represent", GRAPH, "--format", "png"],
+            ["--limit", "x", "recognize", GRAPH],
+            ["--quiet", "recognize", GRAPH],
+            ["--limit=7", "oracle", "verify", GRAPH],
+            ["--seed", "3", "order", "recognize", ORDER],
+            ["--lim", "5", "recognize", GRAPH],
+            ["--limit", "-h", "recognize", GRAPH],
+            ["--limit", "recognize", "recognize", GRAPH],
+            ["--limit", "--", "recognize", GRAPH],
+            ["--quiet=1", "recognize", GRAPH],
+            ["--", "recognize", GRAPH],
+            ["recognize", GRAPH, "--limit", "5"],
+            ["order", "recognize", ORDER, "extra"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no arguments",
+    )
+    def test_narrow_tree_parses_like_the_full_tree(self, argv, c4_file, tmp_path, capsys, monkeypatch):
+        order = tmp_path / "tt.order"
+        order.write_text(TWO_PLUS_TWO_TEXT)
+        argv = [{GRAPH: c4_file, ORDER: str(order)}.get(token, token) for token in argv]
+        narrow = _outcome(argv, capsys)
+        # the full tree: every level built as if argv named no command
+        add = cli._add_command
+        monkeypatch.setattr(cli, "_add_command", lambda *args: add(*args[:3], ()))
+        assert _outcome(argv, capsys) == narrow
+
+    @pytest.mark.parametrize(
+        "command, built",
+        [(["recognize"], 2), (["order", "recognize"], 3), (["oracle", "verify"], 3), (["-h"], 9)],
+        ids=["recognize", "order recognize", "oracle verify", "help"],
+    )
+    def test_parsers_built_per_call(self, command, built, c4_file, parsers_built, capsys):
+        _outcome([*command, c4_file], capsys)
+        assert len(parsers_built) == built
+
+    def test_console_script_reads_sys_argv(self, c4_file, c5_file, parsers_built, capsys, monkeypatch):
+        for path, code in ((c4_file, 0), (c5_file, 1)):
+            assert main(["--seed", "2", "recognize", path]) == code
+            expected = capsys.readouterr()
+            parsers_built.clear()
+            monkeypatch.setattr(sys, "argv", ["simpletri", "--seed", "2", "recognize", path])
+            assert main() == code
+            assert capsys.readouterr() == expected
+            assert len(parsers_built) == 2
