@@ -4,7 +4,8 @@
 rule that prunes by Γ-forcing on the complement and then by the 2-SAT
 relaxation (``recognition`` module doc).  This script checks that its
 answer is the first complete ordering of the unpruned search
-``search_orderings(g.adj, (0,) * n, APEX_PATTERNS)``, or None with it:
+``search_orderings((0,) * n, PatternRule(g.adj, APEX_PATTERNS))``, or None
+with it:
 
 - on every labeled graph with at most ``--max-n`` vertices (33,868 with
   n <= 6);
@@ -15,13 +16,15 @@ answer is the first complete ordering of the unpruned search
 The unpruned side stops after ``--cap`` seconds per graph; such a graph is
 counted as capped, not compared, and the cap is printed.  It also counts
 the backtracks of ``recognize``'s search: refused branches off the path to
-its answer.  A branch is the refused prefix for a rule refusal, and the
-prefix without the closing witness vertex for a pattern refusal.  The count
-is printed per graph for the draws ``triangle_graph(random.Random(1000·n +
-s), n)`` with n = 12, 16, 20 and s = 0-2, and over the graphs above as the
-number of graphs with one or more and the maximum.  It exits 1 on any
-mismatch.  The default run takes about 11 s on a 2-vCPU x86-64 VM
-(CPython 3.11).
+its answer.  The count is printed per graph for the draws
+``triangle_graph(random.Random(1000·n + s), n)`` with n = 12, 16, 20 and
+s = 0-2, and over the graphs above as the number of graphs with one or more
+and the maximum.  Last, it prints what ``recognize`` costs over
+``apex_ordering`` (the decision alone) on ``triangle_graph`` and
+``permutation_graph`` drawn with ``random.Random(n)``, n = 100 and 300: the
+ratio of the median times of five rounds that call the two in turn.  It
+exits 1 on any mismatch.  The default run takes about 20 s on a 2-vCPU
+x86-64 VM (CPython 3.11).
 
     PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1]
 """
@@ -36,10 +39,10 @@ import time
 from simpletri import recognition
 from simpletri.exhaustive import all_graphs, random_partial_order
 from simpletri.graphs import Graph
-from simpletri.patterns import APEX_PATTERNS, search_orderings
+from simpletri.patterns import APEX_PATTERNS, PatternRule, search_orderings
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
-from corpora import triangle_graph  # noqa: E402
+from corpora import permutation_graph, triangle_graph  # noqa: E402
 
 CAPPED = "capped"
 
@@ -47,7 +50,8 @@ CAPPED = "capped"
 def unpruned(g: Graph, cap: float):
     """First ordering of the unpruned search, None, or CAPPED after ``cap`` s."""
     deadline = time.perf_counter() + cap
-    for i, (ordering, hit) in enumerate(search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)):
+    search = search_orderings((0,) * g.n, PatternRule(g.adj, APEX_PATTERNS))
+    for i, (ordering, hit) in enumerate(search):
         if hit is None:
             return ordering
         if not i % 1024 and time.perf_counter() > deadline:
@@ -65,7 +69,7 @@ def counting_search(tally: dict):
             if hit is None:
                 found = ordering
                 break
-            refused.append(ordering if hit[0] == "rule" else ordering[:-1])
+            refused.append(ordering)
         path = () if found is None else found
         tally["last"] = sum(b[:-1] != path[:len(b) - 1] for b in refused)
         if found is not None:
@@ -147,6 +151,19 @@ def main(argv=None) -> int:
                   f"{'accepted' if got else 'REJECTED'}, {tally['last']} backtracks, "
                   f"{(time.perf_counter() - t0) * 1000:.1f} ms")
             bad += got is None
+    recognition.search_orderings = search_orderings  # time it without the tally
+    for make in (triangle_graph, permutation_graph):
+        for n in (100, 300):
+            g = Graph.from_edges(n, make(random.Random(n), n).items)
+            times = {recognition.recognize: [], recognition.apex_ordering: []}
+            for _ in range(5):
+                for call, spent in times.items():
+                    t0 = time.perf_counter()
+                    call(g)
+                    spent.append(time.perf_counter() - t0)
+            least, decision = (sorted(spent)[2] for spent in times.values())
+            print(f"{make.__name__}(random.Random({n}), {n}): recognize {least:.3f} s, "
+                  f"apex_ordering {decision:.3f} s, ratio {least / decision:.2f}")
     return 1 if bad else 0
 
 

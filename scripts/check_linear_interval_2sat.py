@@ -4,10 +4,11 @@ For every naturally ordered relation on at most ``--max-n`` elements, and for
 ``--random`` seeded orders with n = 7-16, this checks that
 ``orders._first_interval_extension``, the search with the 2-SAT relaxation
 as its rule, returns the first linear extension without a 4-anticycle that
-the plain pattern search of ``patterns.search_orderings`` finds (or None
-with it), that ``IntervalFormula.satisfiable`` agrees on whether one
-exists, and counts the rule search's backtracks: refused branches off the
-path to its answer, or off the root when it has none.  On the naturally
+the plain pattern search (``patterns.search_orderings`` with a
+``PatternRule`` on p1 and p2) finds (or None with it), that
+``IntervalFormula.satisfiable`` agrees on whether one exists, and counts
+the rule search's backtracks: refused branches off the path to its answer,
+or off the root when it has none.  On the naturally
 ordered relations it also checks the 2+2 rule on the identity extension:
 the interval construction stalls exactly when
 ``find_alternating_anticycle(p, ext, k_max=2)`` finds a 4-anticycle, and
@@ -36,14 +37,14 @@ from simpletri.orders import (
     find_alternating_anticycle,
     make_partial_order,
 )
-from simpletri.patterns import PATTERN_P1, PATTERN_P2, search_orderings
+from simpletri.patterns import PATTERN_P1, PATTERN_P2, PatternRule, search_orderings
 from simpletri.twosat import IntervalFormula
 
 
 def engine_extension(p: PartialOrder):
     """First extension without a 4-anticycle by the plain pattern search."""
     comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
-    search = search_orderings(comparable, p.pred, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
+    search = search_orderings(p.pred, PatternRule(comparable, (("p1", PATTERN_P1), ("p2", PATTERN_P2))))
     return next((o for o, hit in search if hit is None), None)
 
 

@@ -195,10 +195,6 @@ def induced_2k2s(g: Graph) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...
     return tuple(out)
 
 
-def _all_equal(values: tuple[bool, ...]) -> bool:
-    return all(values) or not any(values)
-
-
 def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
     """All-equal comparison condition around every induced 4-cycle.
 
@@ -209,9 +205,7 @@ def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
     _check_ordering(g, ordering)
     pos = _positions(ordering)
     for u, v, w, x in induced_four_cycles(g):
-        if not _all_equal(
-            (pos[u] < pos[v], pos[w] < pos[v], pos[w] < pos[x], pos[u] < pos[x])
-        ):
+        if len({pos[u] < pos[v], pos[w] < pos[v], pos[w] < pos[x], pos[u] < pos[x]}) > 1:
             return False
     return True
 
@@ -219,17 +213,11 @@ def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
 def fulfills_2k2_rule(g: Graph, ordering: Sequence[int]) -> bool:
     """All-equal comparison condition across every induced disjoint edge pair.
 
-    With edges uw and vx the four comparisons u<v, w<v, w<x, u<x must agree;
-    the condition does not depend on which labeling of the two edges is used.
+    With edges uw and vx, u-v-w-x is an induced 4-cycle of the complement,
+    and the C4 rule there asks the same four comparisons u<v, w<v, w<x, u<x.
+    The complement is memoized on g, so its 4-cycles are listed once.
     """
-    _check_ordering(g, ordering)
-    pos = _positions(ordering)
-    for (u, w), (v, x) in induced_2k2s(g):
-        if not _all_equal(
-            (pos[u] < pos[v], pos[w] < pos[v], pos[w] < pos[x], pos[u] < pos[x])
-        ):
-            return False
-    return True
+    return fulfills_c4_rule(_cached_on_graph(complement)(g), ordering)
 
 
 def orient_complement_by_ordering(g: Graph, ordering: Sequence[int]) -> PartialOrder:

@@ -1,7 +1,7 @@
 """Finite strict partial orders, linear extensions, and interval representations.
 
 An order is held as one successor bitmask per element, the form that the
-pattern search, the 2-SAT relaxation and the peeling below all read; its
+ordering search, the 2-SAT relaxation and the peeling below all read; its
 predecessor masks and its related pairs are derived from them.
 
 The central construction takes a partial order P together with a linear
@@ -10,7 +10,7 @@ endpoints as it goes.  When it succeeds, the produced intervals induce an
 interval order P_I with ``linear_order(L) ∩ P_I == P``.  When the peeling
 stalls, the extension contains an alternating 4-anticycle (the 2+2 rule),
 and the first one is returned as a certificate that no such interval order
-exists for this extension.  Linear extensions are enumerated by the pattern
+exists for this extension.  Linear extensions are enumerated by the
 search engine of :mod:`simpletri.patterns` that also recognizes
 simple-triangle graphs.  Linear-interval orders are recognized by that
 engine too, pruned by the 2-SAT relaxation of :mod:`simpletri.twosat`,
@@ -214,7 +214,7 @@ def is_linear_extension(p: PartialOrder, order: Sequence[int]) -> bool:
 
 def enumerate_linear_extensions(p: PartialOrder) -> Iterator[tuple[int, ...]]:
     """Yield every linear extension exactly once, lexicographically smallest first."""
-    return (ext for ext, _ in search_orderings((), p.pred, ()))
+    return (ext for ext, _ in search_orderings(p.pred))
 
 
 def _dashed_masks(p: PartialOrder, order: Sequence[int]) -> list[int]:
@@ -366,7 +366,7 @@ def _first_interval_extension(p: PartialOrder) -> Optional[tuple[int, ...]]:
     the first refused branch an unsatisfiable relaxation rejects.
     """
     formula = IntervalFormula(p)
-    search = search_orderings((), p.pred, (), formula)
+    search = search_orderings(p.pred, formula)
     first, hit = next(search)
     if hit is None:
         return first

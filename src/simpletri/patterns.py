@@ -1,14 +1,14 @@
-"""Ordered forbidden patterns and the one search over orderings that avoids them.
+"""Ordered forbidden patterns and the one search over orderings.
 
 Both recognizers, the rejection certificates and the linear-extension
-enumeration run on :func:`search_orderings`, with different patterns,
-precedence relations and rules; ``graphs.find_pattern`` scans one ordering for
-one pattern (``recognition.realize`` checks a given ordering by building).
-The search checks forward: it abandons a prefix as soon as its newest vertex
-is second to last in a pattern whose last vertex is still unplaced, since
-that vertex must come later and the pattern is then certain to appear
-(Haralick and Elliott, "Increasing tree search efficiency for constraint
-satisfaction problems", Artificial Intelligence 14, 1980).
+enumeration run on :func:`search_orderings`, and only its *rule* refuses a
+branch: :class:`PatternRule` by checking patterns forward (all three, alone,
+in ``recognition.rejection_certificates``), ``twosat.IntervalFormula`` by
+the 2-SAT relaxation of linear-interval orders, and
+``recognition._LeastOrderingRule`` by Γ-forcing on the complement, with a
+``PatternRule`` on p1 and p2 until it hands over to the 2-SAT.
+``graphs.find_pattern`` scans one ordering for one pattern
+(``recognition.realize`` checks a given ordering by building).
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ __all__ = [
     "PATTERN_P1",
     "PATTERN_P2",
     "APEX_PATTERNS",
+    "PatternRule",
     "search_orderings",
 ]
 
@@ -35,11 +36,11 @@ class OrderedPattern:
 
     Positions are 0-based ranks inside the matched subordering; pairs not
     listed in either set are unconstrained.  ``codes`` compiles the pairs
-    for the search, those ending at the last position first, then the rest
-    in lexicographic order: 0 unconstrained, 1 edge, 2 non-edge.  The search
-    turns each code into a table of allowed neighbours; the pairs ending at
-    the last position cut down the mask of unplaced vertices that can close
-    the pattern, the others match its placed vertices.
+    for :class:`PatternRule`, those ending at the last position first, then
+    the rest in lexicographic order: 0 unconstrained, 1 edge, 2 non-edge.
+    The rule turns each code into a table of allowed neighbours; the pairs
+    ending at the last position cut down the mask of unplaced vertices that
+    can close the pattern, the others match its placed vertices.
     """
 
     size: int
@@ -119,50 +120,59 @@ def _closes4(tables, upto, used, v, later):
 _CLOSES = {3: _closes3, 4: _closes4}
 
 
+class PatternRule:
+    """Forward checking of ``patterns`` on the graph ``adj`` as a rule of
+    :func:`search_orderings` (Haralick and Elliott, "Increasing tree search
+    efficiency for constraint satisfaction problems", Artificial
+    Intelligence 14, 1980).
+
+    ``place(v, unplaced)`` refuses v when v is second to last in an instance
+    of a pattern whose last vertex z is unplaced and the rest placed: z must
+    come later, whether or not ``pred`` lets it come next.  ``hit`` records
+    the first such pattern's name and witness, which ends at z and is
+    picked by label, not by position as ``graphs.find_pattern`` picks.
+    Every instance is found at its second-to-last vertex, so the complete
+    orderings are exactly the pattern-avoiding ones.
+    """
+
+    def __init__(self, adj: Sequence[int], patterns: Sequence[tuple[str, OrderedPattern]]):
+        n = len(adj)
+        by_code = ((-1,) * n, adj, [~mask for mask in adj])
+        self.compiled = [(name, _CLOSES[pat.size], [by_code[c] for c in pat.codes])
+                         for name, pat in patterns]
+        self.full = (1 << n) - 1
+        self.upto = [0] * n
+
+    def place(self, v: int, unplaced: int) -> Optional[bool]:
+        """True, or None when v closes a pattern (recorded in ``hit``)."""
+        self.upto[v] = placed = self.full & ~unplaced
+        used = placed & ~(1 << v)
+        for name, closes, tables in self.compiled:
+            witness = closes(tables, self.upto, used, v, unplaced)
+            if witness is not None:
+                self.hit = name, witness
+                return None
+        return True
+
+    def undo(self, token: bool) -> None:
+        """Nothing to restore: ``upto[v]`` is rewritten whenever v is placed."""
+
+
 def search_orderings(
-    adj: Sequence[int],
-    pred: Sequence[int],
-    patterns: Sequence[tuple[str, OrderedPattern]],
-    rule=None,
-) -> Iterator[tuple[tuple[int, ...], Optional[tuple[str, tuple[int, ...]]]]]:
+    pred: Sequence[int], rule=None
+) -> Iterator[tuple[tuple[int, ...], Optional[str]]]:
     """Depth-first search over orderings of ``0..len(pred)-1`` in lexicographic order.
 
-    Vertex v may be placed once all of the bitmask ``pred[v]`` is.  Yields
-    ``(ordering, None)`` for each complete ordering that avoids the 3- and
-    4-position ``patterns`` on the graph ``adj``, and ``(prefix, (name,
-    witness))`` for each abandoned branch.  A branch is abandoned as soon as
-    its newest vertex v is second to last in an instance of a pattern (the
-    first in ``patterns`` order) whose earlier vertices are placed and whose
-    last vertex z is not: z has to come later in every completion, so the
-    pattern is certain to appear (forward checking).  The yielded ``prefix``
-    is the abandoned branch followed by z, and the witness ends at z; its
-    earlier vertices are picked by vertex label, not by prefix position as
-    ``graphs.find_pattern`` does.  z need not be placeable yet under
-    ``pred``.
-
-    Every abandoned branch is dead, since no ordering extending it avoids the
-    pattern.  No pattern-avoiding ordering is lost and none containing a
-    pattern is yielded: when the second-to-last vertex of any instance is
-    placed, its last vertex is still unplaced and the others are placed, so
-    the check at that node finds an instance.  The complete orderings yielded
-    are therefore exactly the pattern-avoiding ones, in lexicographic order.
-    The walk keeps the next vertex to try at each depth on an explicit stack,
-    so the depth of the search is not bounded by Python's recursion limit.
-
-    Once v passes the pattern check, an optional ``rule`` is asked
-    ``rule.place(v, unplaced)``, with the mask of the vertices not yet placed.
-    None refuses v and yields ``(branch, ("rule", (v,)))``; any other value
-    is a token for ``rule.undo`` when the search leaves the branch.  The
-    complete orderings are the pattern-avoiding ones the rule refuses nowhere.
+    Vertex v may be placed once all of the bitmask ``pred[v]`` is.  Then an
+    optional ``rule`` is asked ``rule.place(v, unplaced)``, with the mask of
+    the vertices not yet placed.  None refuses v: the search yields
+    ``(branch, "refused")``, the branch ending at v.  Any other value is a
+    token for ``rule.undo`` when the search leaves the branch.  Complete
+    orderings are yielded as ``(ordering, None)``.  The next vertex to try
+    at each depth is kept on an explicit stack, not Python's call stack.
     """
     n = len(pred)
-    by_code = ((-1,) * n, adj, [~mask for mask in adj])
-    compiled = [
-        (name, _CLOSES[pat.size], [by_code[c] for c in pat.codes])
-        for name, pat in patterns
-    ]
     full = (1 << n) - 1
-    upto = [0] * n
     prefix: list[int] = []
     tokens = []  # per placed vertex, what ``rule.place`` returned
     tries = [0]  # per depth, the least vertex not yet tried there
@@ -182,22 +192,12 @@ def search_orderings(
                     rule.undo(tokens.pop())
             continue
         tries[-1] = v + 1
-        upto[v] = placed = used | 1 << v
+        if rule is not None:
+            token = rule.place(v, full & ~used & ~(1 << v))
+            if token is None:
+                yield (*prefix, v), "refused"
+                continue
+            tokens.append(token)
         prefix.append(v)
-        for name, closes, tables in compiled:
-            witness = closes(tables, upto, used, v, full & ~placed)
-            if witness is not None:
-                yield (*prefix, witness[-1]), (name, witness)
-                break
-        else:
-            if rule is not None:
-                token = rule.place(v, full & ~placed)
-                if token is None:
-                    yield tuple(prefix), ("rule", (v,))
-                    prefix.pop()
-                    continue
-                tokens.append(token)
-            used = placed
-            tries.append(0)
-            continue
-        prefix.pop()
+        used |= 1 << v
+        tries.append(0)

@@ -35,10 +35,13 @@ returns that extension, and :func:`is_simple_triangle` is its verdict.
    is oriented x→y in Ḡ.  Placing v orients Ḡ's edges from v to the
    unplaced vertices as v→w.  Each new arc is closed under Γ-forcing in the
    whole of Ḡ (``graphs._force_arcs``), and an arc whose reverse is set
-   refuses v.  Once every edge of Ḡ is oriented, the orientation is fixed:
-   the rule refuses it if it is not transitive, and otherwise builds its
-   2-SAT relaxation, replays the prefix into it, and refuses as step 2
-   does below that depth.
+   refuses v.  Until then it also asks a ``patterns.PatternRule`` on p1 and
+   p2; cpc is implied, as Γ-forcing sets z→v from x→v for a cpc (x, v, z).
+   Once every edge of Ḡ is oriented, the orientation is fixed: the rule
+   refuses it if it is not transitive, and otherwise builds its 2-SAT
+   relaxation, replays the prefix into it, and refuses as step 2 does below
+   that depth, asking no pattern: unit propagation of the prefix's literals
+   meets every 2+2 clause that a p1 or p2 would violate.
 
    The rule refuses only branches that hold no apex ordering with false
    twins in label order, and σ* is one: swapping two twins out of order
@@ -78,7 +81,7 @@ from .orders import (
     _first_interval_extension,
     build_interval_representation,
 )
-from .patterns import APEX_PATTERNS, search_orderings
+from .patterns import APEX_PATTERNS, PATTERN_P1, PATTERN_P2, PatternRule, search_orderings
 from .triangles import TriangleRepresentation, order_to_triangles
 from .twosat import IntervalFormula
 
@@ -125,7 +128,7 @@ def recognize(
     """
     if not is_simple_triangle(g):
         return None
-    search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS, _LeastOrderingRule(g))
+    search = search_orderings((0,) * g.n, _LeastOrderingRule(g))
     ordering = next((o for o, hit in search if hit is None), None)
     if ordering is None:
         raise RuntimeError(f"accepted graph has no apex ordering: {sorted(g.edges)}")
@@ -136,9 +139,9 @@ class _LeastOrderingRule:
     """The rule of :func:`recognize`'s search (step 3 of the module doc).
 
     ``out``/``into`` hold the arcs of the complement Ḡ oriented so far, as
-    heads and tails masks.  Once every edge of Ḡ is oriented, ``formula``
-    is the 2-SAT relaxation of that orientation, built when the
-    ``handoff``-th vertex of ``prefix`` was placed.
+    heads and tails masks.  Once every edge of Ḡ is oriented, ``formula`` is
+    the 2-SAT relaxation of that orientation, built when the ``handoff``-th
+    vertex of ``prefix`` was placed; ``patterns`` is asked only before then.
     """
 
     def __init__(self, g: Graph):
@@ -147,6 +150,7 @@ class _LeastOrderingRule:
         self.cadj = [full & ~adj & ~(1 << v) for v, adj in enumerate(g.adj)]
         self.out, self.into = [0] * n, [0] * n
         self.prefix: list[int] = []
+        self.patterns = PatternRule(g.adj, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
         self.formula: Optional[IntervalFormula] = None
         self.handoff = -1
         # false twins of g, each before its twins with larger labels; this
@@ -165,6 +169,8 @@ class _LeastOrderingRule:
             return None
         if self.formula is not None:
             rows = self.formula.place(v, unplaced)
+        elif self.patterns.place(v, unplaced) is None:
+            return None
         else:
             rows = _force_arcs(self.cadj, self.out, self.into, [(v, self.cadj[v] & unplaced)])
             if rows is not None and all(
@@ -206,13 +212,17 @@ def rejection_certificates(
 ) -> Iterator[tuple[tuple[int, ...], str, tuple[int, ...]]]:
     """Yield (prefix, pattern name, witness) for every pruned search prefix.
 
-    Follows the search order of :func:`recognize` without its decision step;
-    on a rejected graph the yielded certificates cover every abandoned branch
-    of the search tree.  A prefix is an abandoned branch followed by the
-    unplaced vertex that closes the witness, which ends at that vertex.
+    Runs :func:`recognize`'s search without its decision step or rule, by a
+    ``PatternRule`` on cpc, p1 and p2 alone; on a rejected graph the yielded
+    certificates cover every abandoned branch of the search tree.  A prefix
+    is an abandoned branch followed by the unplaced vertex that closes the
+    witness, which ends at that vertex.
     """
-    search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)
-    return ((prefix, *hit) for prefix, hit in search if hit is not None)
+    rule = PatternRule(g.adj, APEX_PATTERNS)
+    for branch, hit in search_orderings((0,) * g.n, rule):
+        if hit is not None:
+            name, witness = rule.hit
+            yield (*branch, witness[-1]), name, witness
 
 
 def realize(g: Graph, ordering: Sequence[int]) -> TriangleRepresentation:

@@ -28,11 +28,9 @@ def recognition_results(small_graphs):
 
 def count_backtracks(monkeypatch, module):
     """Counts of the searches inside ``module``, of the branches they refuse
-    and of their backtracks, read from the yield stream.  A refused branch is
-    the yielded prefix of a rule refusal and, for a pattern, the prefix
-    without the vertex that closes the witness.  A backtrack is a refused
-    branch that leaves the path to the first complete ordering, or to the
-    root when the search ends without one."""
+    and of their backtracks, read from the yield stream.  A backtrack is a
+    refused branch that leaves the path to the first complete ordering, or
+    to the root when the search ends without one."""
     counts = {"searches": 0, "refused": 0, "backtracks": 0}
 
     def tally(refused, path):
@@ -47,7 +45,7 @@ def count_backtracks(monkeypatch, module):
                 tally(refused, ordering)
                 refused = []
             else:
-                refused.append(ordering if hit[0] == "rule" else ordering[:-1])
+                refused.append(ordering)
             yield ordering, hit
         tally(refused, ())
 

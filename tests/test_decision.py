@@ -32,7 +32,7 @@ from simpletri.graphs import (
 from simpletri.io import load_graph
 from simpletri.oracles import enumerate_orientations
 from simpletri.orders import PartialOrder, _first_interval_extension
-from simpletri.patterns import search_orderings
+from simpletri.patterns import PatternRule, search_orderings
 from simpletri.recognition import check_apex_ordering, is_simple_triangle, recognize
 
 from strategies import graphs
@@ -42,7 +42,7 @@ SEED = 20261018
 
 def ungated_search(g):
     """First ordering the engine clears without the decision step, or None."""
-    search = search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS)
+    search = search_orderings((0,) * g.n, PatternRule(g.adj, APEX_PATTERNS))
     return next((o for o, hit in search if hit is None), None)
 
 
@@ -202,6 +202,64 @@ def test_least_search_is_fast_on_a_triangle_graph_with_20_vertices(least_backtra
     assert got is not None and check_apex_ordering(g, got[0])
     assert least_backtracks["searches"] == 1
     assert least_backtracks["backtracks"] == 0
+
+
+def test_least_search_pattern_check_never_hits_cpc(small_graphs, recognition_results, monkeypatch):
+    """The least search checks p1 and p2 only: asked for cpc too, its
+    pattern rule records no cpc hit on any graph with n <= 5, since
+    Γ-forcing has already refused the middle vertex of every cpc.  No
+    pattern refuses anything there, so a graph with n = 6 on which p1 and
+    p2 do shows that the check is live."""
+    hits = []
+
+    class AllThree(PatternRule):
+        def __init__(self, adj, patterns):
+            super().__init__(adj, APEX_PATTERNS)
+
+        def place(self, v, unplaced):
+            token = super().place(v, unplaced)
+            if token is None:
+                hits.append(self.hit[0])
+            return token
+
+    monkeypatch.setattr(recognition, "PatternRule", AllThree)
+    for n in range(6):
+        for g, rec in zip(small_graphs[n], recognition_results[n]):
+            assert recognize(g) == rec, sorted(g.edges)
+    assert hits == []
+    pruned = Graph.from_edges(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (2, 4),
+                                  (2, 5), (3, 4)])
+    recognize(pruned)
+    assert hits and "cpc" not in hits
+
+
+def test_least_search_asks_no_pattern_past_the_handoff(small_graphs, monkeypatch):
+    """Once the rule holds a 2-SAT formula, it never asks its pattern rule."""
+    asked = {"placements past the hand-off": 0, "patterns": 0, "patterns past it": 0}
+
+    class Spied(recognition._LeastOrderingRule):
+        def __init__(self, g):
+            super().__init__(g)
+            check = self.patterns.place
+
+            def spy(v, unplaced):
+                asked["patterns"] += 1
+                asked["patterns past it"] += self.formula is not None
+                return check(v, unplaced)
+
+            self.patterns.place = spy
+
+        def place(self, v, unplaced):
+            asked["placements past the hand-off"] += self.formula is not None
+            return super().place(v, unplaced)
+
+    monkeypatch.setattr(recognition, "_LeastOrderingRule", Spied)
+    for n in range(6):
+        for g in small_graphs[n]:
+            recognize(g)
+    recognize(load_graph(os.path.join(os.path.dirname(__file__), "fixtures", "triangles-n20-s0.edges")))
+    assert asked["placements past the hand-off"] > 0 and asked["patterns"] > 0
+    assert asked["patterns past it"] == 0
 
 
 def test_rule_refuses_an_intransitive_complete_orientation():

@@ -1,13 +1,15 @@
 """The pattern search engine against the references it replaced.
 
 Both recognizers and the extension enumeration run on
-:func:`simpletri.patterns.search_orderings`; these tests pin its answers to
-the plain scanners: ``find_pattern`` over every permutation for graphs, and
-enumerate-then-filter by the anticycle search for orders.  The whole yield
-stream is pinned, not only its first ordering: the complete orderings are
-exactly the clean ones in lexicographic order, and every pruned prefix
-carries a real pattern and abandons a branch no clean ordering lies in.
-A synthetic rule pins the contract of the search's ``rule`` argument.
+:func:`simpletri.patterns.search_orderings`, and the forward pattern check
+is its rule :class:`simpletri.patterns.PatternRule`; these tests pin the
+two to the plain scanners: ``find_pattern`` over every permutation for
+graphs, and enumerate-then-filter by the anticycle search for orders.  The
+whole yield stream is pinned, not only its first ordering: the complete
+orderings are exactly the clean ones in lexicographic order, and every
+refused branch carries a real pattern and is one no clean ordering lies in.
+A synthetic rule, composed with a ``PatternRule``, pins the contract of the
+search's ``rule`` argument.
 """
 import random
 from itertools import combinations, permutations
@@ -26,7 +28,7 @@ from simpletri.orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from simpletri.patterns import search_orderings
+from simpletri.patterns import PatternRule, search_orderings
 from simpletri.recognition import is_simple_triangle, recognize, rejection_certificates
 
 SEED = 20261017
@@ -53,13 +55,17 @@ def crown_or_random_order(rng, i, n):
     return relabel_order(make_partial_order(n, CROWN + rest), tuple(labels))
 
 
-def split_stream(search):
+def split_stream(pred, rule):
+    """The complete orderings of the search with a ``PatternRule``, and per
+    refused branch its certificate: the branch followed by the vertex that
+    closes the witness, the pattern's name, and the witness."""
     complete, pruned = [], []
-    for ordering, hit in search:
+    for ordering, hit in search_orderings(pred, rule):
         if hit is None:
             complete.append(ordering)
         else:
-            pruned.append((ordering, *hit))
+            name, witness = rule.hit
+            pruned.append(((*ordering, witness[-1]), name, witness))
     return complete, pruned
 
 
@@ -170,7 +176,7 @@ def test_graph_search_yields_exactly_the_clean_permutations(small_graphs):
             for sigma in permutations(range(g.n))
             if all(find_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
         ]
-        complete, pruned = split_stream(search_orderings(g.adj, (0,) * g.n, APEX_PATTERNS))
+        complete, pruned = split_stream((0,) * g.n, PatternRule(g.adj, APEX_PATTERNS))
         assert complete == clean, sorted(g.edges)
         assert_certificates(g, APEX_PATTERNS, pruned, clean)
         outcomes.add((g.n > 5, not clean))
@@ -192,8 +198,8 @@ def test_order_search_yields_exactly_the_clean_extensions():
             if is_linear_extension(p, ext)
             and all(find_pattern(comparability, ext, pat) is None for _, pat in INTERVAL_PATTERNS)
         ]
-        search = search_orderings(comparability.adj, p.pred, INTERVAL_PATTERNS)
-        complete, pruned = split_stream(search)
+        rule = PatternRule(comparability.adj, INTERVAL_PATTERNS)
+        complete, pruned = split_stream(p.pred, rule)
         assert complete == clean, sorted(p.pairs)
         assert_certificates(comparability, INTERVAL_PATTERNS, pruned, clean)
         outcomes.add((not clean, bool(pruned)))
@@ -230,30 +236,55 @@ class NoAdjacentPair:
         self.stack.pop()
 
 
+class PatternsThen:
+    """A ``PatternRule`` composed with a second rule, which is shown only the
+    branches the patterns let through, as ``recognition`` composes them.
+    It records each branch either refuses."""
+
+    def __init__(self, patterns, rule):
+        self.patterns, self.rule = patterns, rule
+        self.refused = []
+
+    def place(self, v, unplaced):
+        token = None
+        if self.patterns.place(v, unplaced) is not None:
+            token = self.rule.place(v, unplaced)
+        if token is None:
+            self.refused.append((*self.rule.stack, v))
+        return token
+
+    def undo(self, token):
+        self.rule.undo(token)
+
+
 def test_rule_prunes_as_a_filter_and_each_placement_is_undone_once():
-    """Seeded graphs and orders with n = 5-7 under the synthetic rule: the
-    complete orderings are the plain search's that the rule accepts, in
-    order; the rule is never shown a branch that a pattern abandoned; the
-    search leaves branches the rule accepted (real backtracks); and every
-    accepted placement is undone exactly once."""
+    """Seeded graphs and orders with n = 5-7 under the synthetic rule
+    composed with the pattern rule: the complete orderings are those of the
+    pattern rule alone that the synthetic rule accepts, in order; the
+    search yields exactly the branches the rule refuses, with the refused
+    vertex last; the synthetic rule is never shown a branch that a pattern
+    refused; the search leaves branches the rule accepted (real
+    backtracks); and every accepted placement is undone exactly once."""
     rng = random.Random(SEED)
     backtracked = 0
     for i in range(40):
         n = rng.randint(5, 7)
         if i % 2:
-            args = (random_graph(rng, n).adj, (0,) * n, APEX_PATTERNS)
+            adj, pred, patterns = random_graph(rng, n).adj, (0,) * n, APEX_PATTERNS
         else:
             p = crown_or_random_order(rng, i, n)
-            args = (tuple(s | q for s, q in zip(p.succ, p.pred)), p.pred, INTERVAL_PATTERNS)
+            adj = tuple(s | q for s, q in zip(p.succ, p.pred))
+            pred, patterns = p.pred, INTERVAL_PATTERNS
         forbidden = {(u, v) for u in range(n) for v in range(n) if rng.random() < 0.3}
         rule = NoAdjacentPair(n, forbidden)
-        complete, pruned = split_stream(search_orderings(*args, rule))
-        plain, abandoned = split_stream(search_orderings(*args))
-        assert complete == [o for o in plain if rule.accepts(o)], (args, sorted(forbidden))
+        both = PatternsThen(PatternRule(adj, patterns), rule)
+        stream = list(search_orderings(pred, both))
+        plain, abandoned = split_stream(pred, PatternRule(adj, patterns))
+        complete = [o for o, hit in stream if hit is None]
+        assert complete == [o for o in plain if rule.accepts(o)], (adj, pred, sorted(forbidden))
+        assert [o for o, hit in stream if hit is not None] == both.refused
         assert rule.stack == rule.tokens == []
         assert not {prefix[:-1] for prefix, *_ in abandoned} & set(rule.shown)
-        for prefix, name, witness in pruned:
-            assert name != "rule" or witness == prefix[-1:]
         starts = {o[:k] for o in complete for k in range(n + 1)}
         backtracked += sum(branch not in starts for branch in rule.accepted)
     assert backtracked > 0

@@ -1,10 +1,10 @@
 """The 2-SAT decision of linear-interval orders against the plain search.
 
 ``orders._first_interval_extension`` runs the search of
-:mod:`simpletri.patterns` with no pattern and
-:class:`simpletri.twosat.IntervalFormula` as its rule, and decides the
-formula at the first branch the rule refuses.  These tests pin the
-formula's verdict and the rule search's answer to the plain search, check
+:mod:`simpletri.patterns` with :class:`simpletri.twosat.IntervalFormula` as
+its rule, and decides the formula at the first branch the rule refuses.
+These tests pin the formula's verdict and the rule search's answer to the
+plain search, whose rule is a ``PatternRule`` on p1 and p2, check
 that the rule search never backtracks on the exhaustive corpora, guard each
 piece of the formula and of its decision with a small order that needs it,
 check that the formula is sized by the elements, run the rule search on
@@ -24,7 +24,7 @@ from simpletri.orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from simpletri.patterns import PATTERN_P1, PATTERN_P2, search_orderings
+from simpletri.patterns import PATTERN_P1, PATTERN_P2, PatternRule, search_orderings
 from simpletri.recognition import apex_ordering, is_simple_triangle, realize
 from simpletri.triangles import verify_representation
 from simpletri.twosat import IntervalFormula
@@ -42,7 +42,7 @@ FIRST_LITERAL_CONFLICTS = {
 def engine_extension(p):
     """First extension without a 4-anticycle by the plain pattern search."""
     comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
-    search = search_orderings(comparable, p.pred, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
+    search = search_orderings(p.pred, PatternRule(comparable, (("p1", PATTERN_P1), ("p2", PATTERN_P2))))
     return next((o for o, hit in search if hit is None), None)
 
 
