@@ -14,16 +14,18 @@ with it:
   incomparability graph of ``exhaustive.random_partial_order``.
 
 The unpruned side stops after ``--cap`` seconds per graph; such a graph is
-counted as capped, not compared, and the cap is printed.  It also counts
-the backtracks of ``recognize``'s search: refused branches off the path to
-its answer.  The count is printed per graph for the draws
-``triangle_graph(random.Random(1000·n + s), n)`` with n = 12, 16, 20 and
-s = 0-2, and over the graphs above as the number of graphs with one or more
-and the maximum.  Last, it prints what ``recognize`` costs over
-``apex_ordering`` (the decision alone) on ``triangle_graph`` and
+counted as capped, not compared, and the cap is printed.  Over the graphs
+above it prints how many ran the decision (``is_simple_triangle``), which
+``recognize`` calls only at its search's first dead branch.  It also counts
+the backtracks of ``recognize``'s search on accepted graphs: refused
+branches off the path to its answer.  The count is printed per graph for
+the draws ``triangle_graph(random.Random(1000·n + s), n)`` with n = 12, 16,
+20 and s = 0-2, and over the graphs above as the number of accepted graphs
+with one or more and the maximum.  Last, it prints what ``recognize`` costs
+over ``apex_ordering`` (the decision alone) on ``triangle_graph`` and
 ``permutation_graph`` drawn with ``random.Random(n)``, n = 100 and 300: the
 ratio of the median times of five rounds that call the two in turn.  It
-exits 1 on any mismatch.  The default run takes about 20 s on a 2-vCPU
+exits 1 on any mismatch.  The default run takes about 19 s on a 2-vCPU
 x86-64 VM (CPython 3.11).
 
     PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1]
@@ -40,6 +42,7 @@ from simpletri import recognition
 from simpletri.exhaustive import all_graphs, random_partial_order
 from simpletri.graphs import Graph
 from simpletri.patterns import APEX_PATTERNS, PatternRule, search_orderings
+from simpletri.recognition import is_simple_triangle
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
 from corpora import permutation_graph, triangle_graph  # noqa: E402
@@ -60,32 +63,42 @@ def unpruned(g: Graph, cap: float):
 
 
 def counting_search(tally: dict):
-    """``patterns.search_orderings``, setting ``tally["last"]`` to the
-    backtracks made before the first complete ordering, or before it ends."""
+    """``patterns.search_orderings``, passing on what it yields and setting
+    ``tally["last"]`` to the backtracks made before its first complete
+    ordering."""
 
     def search(*args):
-        refused, found = [], None
+        refused = []
         for ordering, hit in search_orderings(*args):
             if hit is None:
-                found = ordering
-                break
-            refused.append(ordering)
-        path = () if found is None else found
-        tally["last"] = sum(b[:-1] != path[:len(b) - 1] for b in refused)
-        if found is not None:
-            yield found, None
+                tally["last"] = sum(b[:-1] != ordering[:len(b) - 1] for b in refused)
+            else:
+                refused.append(ordering)
+            yield ordering, hit
 
     return search
 
 
+def counting_decision(tally: dict):
+    """``recognition.is_simple_triangle``, setting ``tally["decided"]``."""
+
+    def decide(g: Graph) -> bool:
+        tally["decided"] = True
+        return is_simple_triangle(g)
+
+    return decide
+
+
 def compare(g: Graph, cap: float, tally: dict) -> None:
     tally["graphs"] += 1
-    tally["last"] = 0
+    tally["last"], tally["decided"] = 0, False
     got = recognition.recognize(g)
     got = None if got is None else got[0]
     tally["accepted"] += got is not None
-    tally["backtracking"] += tally["last"] > 0
-    tally["max_backtracks"] = max(tally["max_backtracks"], tally["last"])
+    tally["deciding"] += tally["decided"]
+    if got is not None:
+        tally["backtracking"] += tally["last"] > 0
+        tally["max_backtracks"] = max(tally["max_backtracks"], tally["last"])
     expected = unpruned(g, cap)
     if expected is CAPPED:
         tally["capped"] += 1
@@ -103,8 +116,8 @@ def incomparability_graph(rng: random.Random, n: int) -> Graph:
 def report(label: str, tally: dict, seconds: float) -> None:
     print(f"{label}: {tally['graphs']} graphs, {tally['accepted']} accepted, "
           f"{tally['mismatches']} mismatches, {tally['capped']} capped, "
-          f"{tally['backtracking']} backtracking, at most {tally['max_backtracks']} "
-          f"backtracks, {seconds:.1f} s")
+          f"{tally['deciding']} ran the decision, {tally['backtracking']} accepted "
+          f"backtracking, at most {tally['max_backtracks']} backtracks, {seconds:.1f} s")
 
 
 def main(argv=None) -> int:
@@ -117,11 +130,13 @@ def main(argv=None) -> int:
     print(f"unpruned search capped at {args.cap:g} s per graph")
     tally: dict = {}
     recognition.search_orderings = counting_search(tally)
+    recognition.is_simple_triangle = counting_decision(tally)
     bad = 0
 
     def run(label, graphs):
         nonlocal bad
-        keys = ("graphs", "accepted", "mismatches", "capped", "backtracking", "max_backtracks")
+        keys = ("graphs", "accepted", "mismatches", "capped", "deciding", "backtracking",
+                "max_backtracks")
         tally.update(dict.fromkeys(keys, 0))
         t0 = time.perf_counter()
         for g in graphs:
@@ -151,7 +166,8 @@ def main(argv=None) -> int:
                   f"{'accepted' if got else 'REJECTED'}, {tally['last']} backtracks, "
                   f"{(time.perf_counter() - t0) * 1000:.1f} ms")
             bad += got is None
-    recognition.search_orderings = search_orderings  # time it without the tally
+    # time it without the tallies
+    recognition.search_orderings, recognition.is_simple_triangle = search_orderings, is_simple_triangle
     for make in (triangle_graph, permutation_graph):
         for n in (100, 300):
             g = Graph.from_edges(n, make(random.Random(n), n).items)

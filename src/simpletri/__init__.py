@@ -61,6 +61,7 @@ from .recognition import (
     apex_ordering,
     check_apex_ordering,
     is_simple_triangle,
+    least_apex_ordering,
     realize,
     recognize,
 )

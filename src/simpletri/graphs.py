@@ -101,8 +101,9 @@ def empty_graph(n: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
+    full = (1 << g.n) - 1
     edges = frozenset(
-        (u, v) for u, v in combinations(range(g.n), 2) if not g.adjacent(u, v)
+        (u, v) for u, adj in enumerate(g.adj) for v in iter_bits(full & ~adj & ~((2 << u) - 1))
     )
     return Graph(g.n, edges)
 
@@ -256,17 +257,16 @@ def transitive_orientation(g: Graph) -> Optional[PartialOrder]:
     """
     rem = list(g.adj)
     out, into = [0] * g.n, [0] * g.n
-    for u, v in sorted(g.edges):
-        if not rem[u] >> v & 1:
-            continue
-        rows = _force_arcs(rem, out, into, [(u, 1 << v)])
-        if rows is None:
-            return None
-        members = 0
-        for _, _, x, row in rows:
-            members |= 1 << x | row
-        for x in iter_bits(members):
-            rem[x] &= ~(out[x] | into[x])
+    for u in range(g.n):
+        while higher := rem[u] & ~((2 << u) - 1):
+            rows = _force_arcs(rem, out, into, [(u, higher & -higher)])
+            if rows is None:
+                return None
+            members = 0
+            for _, _, x, row in rows:
+                members |= 1 << x | row
+            for x in iter_bits(members):
+                rem[x] &= ~(out[x] | into[x])
     return PartialOrder(g.n, tuple(out))
 
 

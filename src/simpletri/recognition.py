@@ -1,4 +1,4 @@
-"""Recognition of simple-triangle graphs: decided by orientation, then searched.
+"""Recognition of simple-triangle graphs: decided by orientation, and searched.
 
 A vertex ordering is an apex ordering iff it avoids the three forbidden
 patterns (cpc, p1, p2), and G is a simple-triangle graph iff it has one.
@@ -26,14 +26,25 @@ extension of T avoiding them on Ḡ avoids them on G, and it has no cpc on G
 because T is transitive: it is an apex ordering of G.  :func:`apex_ordering`
 returns that extension, and :func:`is_simple_triangle` is its verdict.
 
-3. :func:`recognize` decides first and only then searches all orderings for
-   the lexicographically least apex ordering σ*, which must find one; if it
-   does not, it raises instead of returning None.  The search's rule
-   (:class:`_LeastOrderingRule`) prunes by the theorem behind step 2: an
-   apex ordering orients Ḡ transitively, without a 4-anticycle.  Before
-   the search, each pair of false twins x < y of G (equal neighbourhoods)
-   is oriented x→y in Ḡ.  Placing v orients Ḡ's edges from v to the
-   unplaced vertices as v→w.  Each new arc is closed under Γ-forcing in the
+3. :func:`recognize` searches all orderings for the lexicographically
+   least apex ordering σ* (:func:`least_apex_ordering`) and runs the
+   decision of steps 1 and 2 once, at the search's first dead branch: a
+   refusal for any reason but an arc from an unplaced vertex, which is a
+   precedence like the engine's ``pred``, or the first backtrack.  A
+   rejecting decision returns None at once; after an accepting one the
+   search must find σ*, and it raises instead of returning None if it does
+   not.  Until its first dead branch the search only goes deeper, trying at
+   most n vertices at each depth, so a rejection is decided within n² calls
+   of the rule.  Accepting needs no decision: every complete ordering of
+   the search extends a transitive orientation of Ḡ without a 4-anticycle
+   (below), so it is an apex ordering by the argument above.
+
+   The search's rule (:class:`_LeastOrderingRule`) prunes by the theorem
+   behind step 2: an apex ordering orients Ḡ transitively, without a
+   4-anticycle.  Before the search, each pair of false twins x < y of G
+   (equal neighbourhoods) is oriented x→y in Ḡ.  Placing v orients Ḡ's
+   edges from v to the unplaced vertices as v→w, so an arc w→v from an
+   unplaced w refuses v.  Each new arc is closed under Γ-forcing in the
    whole of Ḡ (``graphs._force_arcs``), and an arc whose reverse is set
    refuses v.  Until then it also asks a ``patterns.PatternRule`` on p1 and
    p2; cpc is implied, as Γ-forcing sets z→v from x→v for a cpc (x, v, z).
@@ -51,11 +62,11 @@ returns that extension, and :func:`is_simple_triangle` is its verdict.
    orientation is transitive.  When all are set, the orientation is that
    one, and the ordering satisfies every literal of its formula.  So the
    first complete ordering is σ*, as it is without the rule.  Without the
-   twin arcs every refused branch would be dead, but an edge of Ḡ between
-   two false twins is forced by no other arc: it stays unoriented until one
-   of them is placed, and the 2-SAT waits for it (the n = 16 draw of the
-   README).  :func:`rejection_certificates` runs the search ungated and
-   without the rule.
+   twin arcs no refused branch would hold an apex ordering, but an edge of
+   Ḡ between two false twins is forced by no other arc: it stays
+   unoriented until one of them is placed, and the 2-SAT waits for it (the
+   n = 16 draw of the README).  :func:`rejection_certificates` runs the
+   search without the decision and without the rule.
 
 An accepted ordering is turned into a triangle representation by orienting
 the complement along it and building interval bases for the resulting
@@ -89,6 +100,7 @@ __all__ = [
     "apex_ordering",
     "check_apex_ordering",
     "is_simple_triangle",
+    "least_apex_ordering",
     "recognize",
     "realize",
     "rejection_certificates",
@@ -118,21 +130,40 @@ def is_simple_triangle(g: Graph) -> bool:
     return apex_ordering(g) is not None
 
 
-def recognize(
-    g: Graph,
-) -> Optional[tuple[tuple[int, ...], TriangleRepresentation]]:
-    """Lexicographically least apex ordering with its realization, or None.
+def least_apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
+    """The lexicographically least apex ordering of g, or None (step 3 of the
+    module doc).
 
-    Returns None exactly when :func:`is_simple_triangle` rejects; raises
-    RuntimeError if it accepts and the search finds no apex ordering.
+    Searches first, and calls :func:`is_simple_triangle` once, at the
+    search's first dead branch, within n² calls of the rule: None comes only
+    from that call.  Raises RuntimeError if it accepts and the search finds
+    no apex ordering.
     """
+    rule = _LeastOrderingRule(g)
+    search = search_orderings((0,) * g.n, rule)
+    for ordering, hit in search:
+        if hit is None:
+            return ordering
+        if rule.dead:
+            break
     if not is_simple_triangle(g):
         return None
-    search = search_orderings((0,) * g.n, _LeastOrderingRule(g))
     ordering = next((o for o, hit in search if hit is None), None)
     if ordering is None:
         raise RuntimeError(f"accepted graph has no apex ordering: {sorted(g.edges)}")
-    return ordering, realize(g, ordering)
+    return ordering
+
+
+def recognize(
+    g: Graph,
+) -> Optional[tuple[tuple[int, ...], TriangleRepresentation]]:
+    """:func:`least_apex_ordering` with its realization, or None.
+
+    Returns None exactly when :func:`is_simple_triangle` rejects, but runs
+    that decision only where the search meets a dead branch.
+    """
+    ordering = least_apex_ordering(g)
+    return None if ordering is None else (ordering, realize(g, ordering))
 
 
 class _LeastOrderingRule:
@@ -142,6 +173,8 @@ class _LeastOrderingRule:
     heads and tails masks.  Once every edge of Ḡ is oriented, ``formula`` is
     the 2-SAT relaxation of that orientation, built when the ``handoff``-th
     vertex of ``prefix`` was placed; ``patterns`` is asked only before then.
+    ``dead`` is set at the first dead branch: a refusal other than by
+    ``into``, which is a precedence, or the first ``undo``.
     """
 
     def __init__(self, g: Graph):
@@ -153,6 +186,7 @@ class _LeastOrderingRule:
         self.patterns = PatternRule(g.adj, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
         self.formula: Optional[IntervalFormula] = None
         self.handoff = -1
+        self.dead = False
         # false twins of g, each before its twins with larger labels; this
         # sets nothing only if Ḡ has no transitive orientation
         later: dict[int, int] = {}  # per neighbourhood, the vertices after v
@@ -170,7 +204,7 @@ class _LeastOrderingRule:
         if self.formula is not None:
             rows = self.formula.place(v, unplaced)
         elif self.patterns.place(v, unplaced) is None:
-            return None
+            rows = None
         else:
             rows = _force_arcs(self.cadj, self.out, self.into, [(v, self.cadj[v] & unplaced)])
             if rows is not None and all(
@@ -181,11 +215,14 @@ class _LeastOrderingRule:
                 if self.formula is None:
                     clear_rows(rows)
                     rows = None
-        if rows is not None:
+        if rows is None:
+            self.dead = True
+        else:
             self.prefix.append(v)
         return rows
 
     def undo(self, rows: list) -> None:
+        self.dead = True
         self.prefix.pop()
         if len(self.prefix) == self.handoff:
             self.formula = None

@@ -7,11 +7,13 @@ theorem step 2 rests on is checked at n = 6.  ``recognize``, whose search
 runs with the rule of step 3, is pinned to the first complete ordering of
 the ungated engine search, its search to no backtrack on the graphs with
 n <= 5, and to well under a second on a triangle graph that took the
-unpruned search more than 30 s.
+unpruned search more than 30 s.  Its decision runs at most once, at the
+first dead branch of the search, and never where the search meets none.
 """
 import os
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,68 @@ def test_recognize_is_the_ungated_search_on_named_graphs(name):
 def test_recognize_is_the_ungated_search_on_hypothesis_graphs(g):
     got = recognize(g)
     assert (None if got is None else got[0]) == ungated_search(g)
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Counts of the rule's ``place`` calls and of its refusals by ``into``,
+    and the ``place`` count at each call of the decision in ``recognize``."""
+    counts = {"place": 0, "into": 0, "decided_at": []}
+
+    class Spied(recognition._LeastOrderingRule):
+        def place(self, v, unplaced):
+            counts["place"] += 1
+            counts["into"] += self.into[v] & unplaced != 0
+            return super().place(v, unplaced)
+
+    def decide(g):
+        counts["decided_at"].append(counts["place"])
+        return is_simple_triangle(g)
+
+    monkeypatch.setattr(recognition, "_LeastOrderingRule", Spied)
+    monkeypatch.setattr(recognition, "is_simple_triangle", decide)
+    return counts
+
+
+def recognize_spied(g, counts):
+    counts.update(place=0, into=0, decided_at=[])
+    return recognize(g)
+
+
+def test_recognize_decides_at_most_once_and_rejects_by_the_decision_up_to_six(spied):
+    """Rejections are decided within n² placements; a search that refuses
+    only by ``into``, a precedence, runs no decision."""
+    undecided_with_into = 0
+    for n in range(7):
+        for g in all_graphs(n):
+            got = recognize_spied(g, spied)
+            assert (got is None) == (not is_simple_triangle(g)), sorted(g.edges)
+            assert len(spied["decided_at"]) <= 1, sorted(g.edges)
+            if got is None:
+                assert spied["decided_at"] and spied["decided_at"][0] <= n * n, sorted(g.edges)
+            else:
+                undecided_with_into += spied["into"] > 0 and not spied["decided_at"]
+    assert undecided_with_into > 0
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(12, [*NAMED["prism"].edges, *((u, v) for v in range(6, 12) for u in range(v))]),
+    Graph.from_edges(11, cycle_graph(5).edges),
+], ids=["prism-6-universal", "c5-6-isolated"])
+def test_recognize_rejects_within_n_squared_placements(g, spied):
+    assert recognize_spied(g, spied) is None
+    assert len(spied["decided_at"]) == 1 and spied["decided_at"][0] <= g.n ** 2
+
+
+def test_recognize_never_decides_on_permutation_graphs(spied):
+    """The inversion graphs of ``bench/corpora.permutation_graph``, naturally
+    labelled: the search places n vertices and meets no dead branch."""
+    for n in range(16, 25):
+        pi = list(range(n))
+        random.Random(n).shuffle(pi)
+        g = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if pi[u] > pi[v]])
+        assert recognize_spied(g, spied) is not None
+        assert spied["decided_at"] == [], n
 
 
 def test_least_search_never_backtracks_up_to_five(small_graphs, least_backtracks):

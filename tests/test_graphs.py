@@ -56,6 +56,12 @@ class TestComplement:
     def test_involution(self, g):
         assert complement(complement(g)) == g
 
+    def test_is_the_pairwise_definition_up_to_six(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                pairs = {(u, v) for u, v in combinations(range(n), 2) if not g.adjacent(u, v)}
+                assert complement(g).edges == pairs, sorted(g.edges)
+
 
 class TestFindPattern:
     def test_c4_identity_has_p2(self):

@@ -252,6 +252,14 @@ class TestCliRecognize:
         assert main(["recognize", c5_file]) == 1
         assert "not a simple-triangle graph" in capsys.readouterr().out
 
+    def test_accept_realizes_nothing(self, c4_file, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("realize called")
+
+        monkeypatch.setattr(recognition, "realize", refuse)
+        assert main(["recognize", c4_file]) == 0
+        assert capsys.readouterr().out.strip() == "0 2 1 3"
+
     def test_reject_with_witness(self, c5_file, capsys):
         assert main(["recognize", "--witness", c5_file]) == 1
         out = capsys.readouterr().out

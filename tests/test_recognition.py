@@ -18,6 +18,7 @@ from simpletri.recognition import (
     apex_ordering,
     check_apex_ordering,
     is_simple_triangle,
+    least_apex_ordering,
     realize,
     recognize,
     rejection_certificates,
@@ -155,6 +156,15 @@ class TestRecognize:
             ordering, rep = got
             assert verify_representation(g, rep)
             assert is_cocomparability_ordering(g, ordering)
+
+
+def test_least_apex_ordering_is_what_recognize_realizes(small_graphs, recognition_results):
+    for n in range(6):
+        for g, rec in zip(small_graphs[n], recognition_results[n]):
+            ordering = least_apex_ordering(g)
+            assert ordering == (None if rec is None else rec[0]), sorted(g.edges)
+            if ordering is not None:
+                assert verify_representation(g, realize(g, ordering))
 
 
 class TestApexOrdering:
