@@ -20,5 +20,8 @@ def clear_rows(rows) -> None:
     ``graphs._force_arcs`` and the literals of ``twosat.IntervalFormula``."""
     for first, second, x, row in rows:
         first[x] ^= row
-        for y in iter_bits(row):
-            second[y] ^= 1 << x
+        bit = 1 << x
+        while row:
+            low = row & -row
+            row ^= low
+            second[low.bit_length() - 1] ^= bit

@@ -48,39 +48,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    ``edges`` holds normalized pairs ``(u, v)`` with u < v; ``adj`` caches a
-    neighbour bitmask per vertex, and ``_derived`` the induced structures
-    computed on demand, so both live and die with the instance.
+    ``adj`` holds a neighbour bitmask per vertex, and it and ``n`` alone are
+    compared and hashed.  ``edges``, the normalized pairs ``(u, v)`` with
+    u < v, is derived from ``adj`` on first use, and ``_derived`` caches the
+    induced structures computed on demand, so both live and die with the
+    instance.  ``Graph(n, edges)`` takes normalized pairs, :meth:`from_edges`
+    any pairs and :meth:`from_adj` the masks.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
-    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _derived: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    adj: tuple[int, ...] = field(repr=False)
+    _derived: dict = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        adj = [0] * self.n
-        for u, v in self.edges:
-            if not (0 <= u < v < self.n):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        adj = [0] * n
+        for u, v in edges:
+            if not (0 <= u < v < n):
                 raise ValueError(f"edge ({u}, {v}) is not normalized or out of range")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        object.__setattr__(self, "adj", tuple(adj))
+        self.__dict__.update(n=n, adj=tuple(adj), _derived={})
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        normalized = frozenset((min(u, v), max(u, v)) for u, v in edges)
-        return cls(n, normalized)
+        return cls(n, ((min(u, v), max(u, v)) for u, v in edges))
+
+    @classmethod
+    def from_adj(cls, n: int, adj: Iterable[int]) -> "Graph":
+        """The graph with neighbour masks ``adj``, which must be symmetric,
+        irreflexive and below ``1 << n``; this is not checked."""
+        g = cls.__new__(cls)
+        g.__dict__.update(n=n, adj=tuple(adj), _derived={})
+        return g
+
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(
+            (u, v) for u, adj in enumerate(self.adj) for v in iter_bits(adj & ~((2 << u) - 1))
+        )
 
     def adjacent(self, u: int, v: int) -> bool:
         return self.adj[u] >> v & 1 == 1
 
     def __len__(self) -> int:
         return self.n
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
 
 def cycle_graph(n: int) -> Graph:
@@ -96,16 +114,13 @@ def complete_graph(n: int) -> Graph:
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
+    return Graph(n, ())
 
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
     full = (1 << g.n) - 1
-    edges = frozenset(
-        (u, v) for u, adj in enumerate(g.adj) for v in iter_bits(full & ~adj & ~((2 << u) - 1))
-    )
-    return Graph(g.n, edges)
+    return Graph.from_adj(g.n, (full & ~adj & ~(1 << u) for u, adj in enumerate(g.adj)))
 
 
 def _cached_on_graph(fn):
@@ -276,47 +291,53 @@ def _force_arcs(adj: Sequence[int], out: list[int], into: list[int], arcs) -> Op
     Γ-forcing in the graph ``adj``.
 
     Arc ab forces ac for each neighbour c of a that is neither b nor a
-    neighbour of b, and cb for each such neighbour c of b.  A popped arc
-    forces all its heads ``adj[a] & ~adj[b]`` and tails ``adj[b] & ~adj[a]``
-    at once, and one mask test against the arcs into a and out of b finds a
-    reverse.  Returns the arcs set, as rows for ``_bits.clear_rows``, or
-    None, with nothing set, when one of them has its reverse set.  Arcs set
-    before count only as set or as reverses; they are not closed again.
+    neighbour of b, and cb for each such neighbour c of b.  Each arc forces
+    all its heads ``adj[a] & ~adj[b]`` and tails ``adj[b] & ~adj[a]`` at
+    once, and one mask test against the arcs into a and out of b finds a
+    reverse.  The rows set are also the worklist: each is read in turn and
+    its arcs forced, so nothing is kept per arc.  Returns the arcs set, as
+    rows for ``_bits.clear_rows``, or None, with nothing set, when one of
+    them has its reverse set.  Arcs set before count only as set or as
+    reverses; they are not closed again.
     """
-    rows, stack = [], []
+    rows = []
     for x, heads in arcs:
         if heads & into[x]:
             clear_rows(rows)
             return None
-        heads &= ~out[x]
-        if heads:
-            out[x] |= heads
-            rows.append((out, into, x, heads))
-            for c in iter_bits(heads):
-                into[c] |= 1 << x
-                stack.append((x, c))
-    while stack:
-        a, b = stack.pop()
-        heads = adj[a] & ~adj[b] & ~(1 << b)
-        tails = adj[b] & ~adj[a] & ~(1 << a)
-        if heads & into[a] or tails & out[b]:
-            clear_rows(rows)
-            return None
-        heads &= ~out[a]
-        tails &= ~into[b]
-        if heads:
-            out[a] |= heads
-            rows.append((out, into, a, heads))
-            for c in iter_bits(heads):
-                into[c] |= 1 << a
-                stack.append((a, c))
-        if tails:
-            into[b] |= tails
-            rows.append((into, out, b, tails))
-            for c in iter_bits(tails):
-                out[c] |= 1 << b
-                stack.append((c, b))
+        if heads := heads & ~out[x]:
+            _set_row(rows, out, into, x, heads)
+    done = 0
+    while done < len(rows):
+        first, _, x, row = rows[done]
+        done += 1
+        while row:
+            low = row & -row
+            row ^= low
+            c = low.bit_length() - 1
+            a, b = (x, c) if first is out else (c, x)
+            heads = adj[a] & ~adj[b] & ~(1 << b)
+            tails = adj[b] & ~adj[a] & ~(1 << a)
+            if heads & into[a] or tails & out[b]:
+                clear_rows(rows)
+                return None
+            if heads := heads & ~out[a]:
+                _set_row(rows, out, into, a, heads)
+            if tails := tails & ~into[b]:
+                _set_row(rows, into, out, b, tails)
     return rows
+
+
+def _set_row(rows: list, first: list[int], second: list[int], x: int, row: int) -> None:
+    """``first[x] |= row`` and ``second[y] |= 1 << x`` for each y in ``row``,
+    recorded in ``rows`` for ``_bits.clear_rows``."""
+    first[x] |= row
+    rows.append((first, second, x, row))
+    bit = 1 << x
+    while row:
+        low = row & -row
+        row ^= low
+        second[low.bit_length() - 1] |= bit
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ def _read_count(lines, what: str) -> tuple[int, object]:
 def parse_graph(text: str) -> Graph:
     """Parse edge-list text into a validated :class:`Graph`."""
     n, lines = _read_count(_significant_lines(text), "graph")
-    edges: set[tuple[int, int]] = set()
+    adj = [0] * n
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
@@ -71,11 +71,11 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"endpoint out of range in {line!r}", lineno)
         if u == v:
             raise SelfLoop(f"self-loop at vertex {u}", lineno)
-        edge = (min(u, v), max(u, v))
-        if edge in edges:
-            raise DuplicateEdge(f"duplicate edge {edge[0]} {edge[1]}", lineno)
-        edges.add(edge)
-    return Graph(n, frozenset(edges))
+        if adj[u] >> v & 1:
+            raise DuplicateEdge(f"duplicate edge {min(u, v)} {max(u, v)}", lineno)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph.from_adj(n, adj)
 
 
 def parse_order(text: str) -> PartialOrder:

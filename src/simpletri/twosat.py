@@ -39,10 +39,22 @@ negation when the first one holds a literal and its negation; when both
 do, it stops.  Both closures conflict only when the formula, with what is
 already set, forces the literal and also its negation, so it is
 unsatisfiable.  A closure without a conflict satisfies every clause it
-touches, so setting it keeps a satisfiable formula satisfiable.  A
-propagation that sets k rows costs O(k·n) operations on n-bit masks, and
-each variable costs at most two, so with L literals the decision takes
-O(L²·n) of them in the worst case.
+touches, so setting it keeps a satisfiable formula satisfiable.
+
+Cost.  Propagation is a worklist of elements, not of rows.  Each element
+has two waiting rows, one for ``bef`` and one for ``aft``; every row
+implied for it is OR-ed into one of them less the literals already set,
+and it is queued when that row turns nonzero.  A pop sets its whole row,
+so a literal waits at most once in each list, and a propagation that sets k
+literals pops at most 2k elements, each in O(n) operations on n-bit
+masks.  The 2+2 rows of a pop are OR-ed into the rows of the s >_P x or,
+when those are more, into the dual rows of the q <_P y; the literals are
+the same.  A propagation stops at the first pop that sets, or makes wait,
+the negation of a literal already set.  The propagations that
+:meth:`~IntervalFormula.satisfiable` keeps close at most L literals in
+all, and each variable costs at most two, so with L literals the decision
+takes O(L·n) operations plus O(L·n) per conflicting propagation, O(L²·n)
+in the worst case.
 
 Search.  ``orders._first_interval_extension`` runs the engine of
 :mod:`simpletri.patterns` with the same propagation as its rule: placing x
@@ -67,7 +79,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ._bits import clear_rows, iter_bits
+from ._bits import clear_rows
 
 if TYPE_CHECKING:
     from .orders import PartialOrder
@@ -77,7 +89,14 @@ __all__ = ["IntervalFormula"]
 
 class IntervalFormula:
     """The 2-SAT relaxation for the order ``p``, read from its bitmasks; as a
-    rule it keeps the search prefix's assignment in ``bef``/``aft``."""
+    rule it keeps the search prefix's assignment in ``bef``/``aft``.
+
+    :meth:`_assume` propagates by a worklist (module doc, Cost):
+    ``bef_due[x]`` holds the literals "x before y" implied and not yet set,
+    ``aft_due[y]`` those "x before y" implied as rows of the dual, and x
+    or y is queued when its row there turns nonzero.  Both lists are zero
+    between calls, a conflict included.
+    """
 
     def __init__(self, p: PartialOrder):
         n, succ, pred = p.n, p.succ, p.pred
@@ -87,15 +106,17 @@ class IntervalFormula:
         # the elements incomparable to some element; no other s has a 2+2 clause
         self.loose = sum(1 << v for v in range(n) if inc[v])
         self.bef, self.aft = [0] * n, [0] * n
+        self.bef_due, self.aft_due = [0] * n, [0] * n
 
     def satisfiable(self) -> bool:
         """True iff the formula is satisfiable, decided by propagation (module doc)."""
         n, inc = self.n, self.inc
         bef, aft = [0] * n, [0] * n
         for x in range(n):
-            for y in iter_bits(inc[x]):
-                if not (bef[x] | aft[x]) >> y & 1 and self._assume(bef, aft, x, 1 << y) is None:
-                    if self._assume(bef, aft, y, 1 << x) is None:
+            while open_ := inc[x] & ~(bef[x] | aft[x]):
+                low = open_ & -open_
+                if self._assume(bef, aft, x, low) is None:
+                    if self._assume(bef, aft, low.bit_length() - 1, 1 << x) is None:
                         return False
         return True
 
@@ -111,28 +132,67 @@ class IntervalFormula:
         """Set "x before y" for each y in ``row`` and the closure (rows of the
         dual: module doc) in ``bef``/``aft``; return the rows set, or None and
         leave them unchanged when the closure sets a literal and its negation."""
+        if not (row := row & ~bef[x]):
+            return []
         inc, loose = self.inc, self.loose
-        sides = ((self.succ, self.pred, bef, aft), (self.pred, self.succ, aft, bef))
+        bef_due, aft_due = self.bef_due, self.aft_due
+        sides = (
+            (self.succ, self.pred, bef, aft, bef_due, aft_due),
+            (self.pred, self.succ, aft, bef, aft_due, bef_due),
+        )
         added = []
-        tasks = [(False, x, row)]
-        while tasks:
-            dual, x, row = tasks.pop()
-            up, down, first, second = sides[dual]
-            row &= ~first[x]
+        bef_due[x] = row
+        queue = [(0, x)]
+        while queue:
+            dual, x = queue.pop()
+            up, down, first, second, due, other = sides[dual]
+            row = due[x] & ~first[x]
+            due[x] = 0
             if not row:
                 continue
             if row & second[x]:
-                self.undo(added)
-                return None
+                return self._refuse(added, queue)
             first[x] |= row
             added.append((first, second, x, row))
-            later = below = 0
-            for y in iter_bits(row):
-                second[y] |= 1 << x
+            bit, before = 1 << x, down[x]
+            later = below = clash = 0
+            while row:
+                low = row & -row
+                row ^= low
+                y = low.bit_length() - 1
+                second[y] |= bit
                 later |= up[y]
                 below |= down[y]
-                tasks.append((not dual, y, down[x] & inc[y]))
-            tasks.append((dual, x, later & inc[x]))
-            for s in iter_bits(up[x] & loose):
-                tasks.append((dual, s, below & inc[s]))
+                if new := before & inc[y] & ~(second[y] | other[y]):
+                    if not other[y]:
+                        queue.append((not dual, y))
+                    other[y] |= new
+                    clash |= new & first[y]
+            if new := later & inc[x] & ~first[x]:
+                queue.append((dual, x))
+                due[x] = new
+                clash |= new & second[x]
+            # each s >_P x before each q in below incomparable to s, as rows
+            # of the s or, when fewer, as rows of the dual of the q
+            side, ends, mask = dual, up[x] & loose, below
+            if ends.bit_count() > (below & loose).bit_count():
+                side, ends, mask = not dual, below & loose, up[x]
+                first, second, due = second, first, other
+            while ends:
+                low = ends & -ends
+                ends ^= low
+                s = low.bit_length() - 1
+                if new := mask & inc[s] & ~(first[s] | due[s]):
+                    if not due[s]:
+                        queue.append((side, s))
+                    due[s] |= new
+                    clash |= new & second[s]
+            if clash:
+                return self._refuse(added, queue)
         return added
+
+    def _refuse(self, added: list, queue: list) -> None:
+        """Clear the rows set and the rows waiting after a conflict."""
+        for dual, x in queue:
+            (self.aft_due if dual else self.bef_due)[x] = 0
+        self.undo(added)

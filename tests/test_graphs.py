@@ -54,13 +54,41 @@ class TestComplement:
     @given(graphs(max_n=7))
     @settings(max_examples=100)
     def test_involution(self, g):
-        assert complement(complement(g)) == g
+        back = complement(complement(g))
+        assert back == g and hash(back) == hash(g) and back.edges == g.edges
 
     def test_is_the_pairwise_definition_up_to_six(self):
         for n in range(7):
             for g in all_graphs(n):
                 pairs = {(u, v) for u, v in combinations(range(n), 2) if not g.adjacent(u, v)}
                 assert complement(g).edges == pairs, sorted(g.edges)
+
+
+@st.composite
+def edge_sets(draw, max_n=7):
+    """A vertex count n and a set of normalized pairs on ``0..n-1``."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    return n, draw(st.frozensets(st.sampled_from(pairs))) if pairs else frozenset()
+
+
+class TestMasks:
+    """A graph holds its neighbour masks; ``edges`` is derived from them."""
+
+    @given(edge_sets())
+    @settings(max_examples=60)
+    def test_edges_are_the_input_set(self, case):
+        n, edges = case
+        g = Graph(n, edges)
+        assert g.edges == edges
+        assert g == Graph.from_edges(n, [(v, u) for u, v in edges])
+        assert all(g.adjacent(u, v) == ((min(u, v), max(u, v)) in edges) for u in range(n) for v in range(n))
+
+    def test_rejects_pairs_that_are_not_normalized(self):
+        with pytest.raises(ValueError):
+            Graph(3, [(1, 0)])
+        with pytest.raises(ValueError):
+            Graph(3, [(0, 3)])
 
 
 class TestFindPattern:

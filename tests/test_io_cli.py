@@ -46,8 +46,10 @@ class TestParseGraph:
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
             parse_graph("3\n0 1\n0 1\n")
-        with pytest.raises(DuplicateEdge):
-            parse_graph("3\n0 1\n1 0\n")
+        with pytest.raises(DuplicateEdge) as info:
+            parse_graph("# 1 0 repeats 0 1\n3\n0 1\n\n1 0\n")
+        assert info.value.line == 5
+        assert str(info.value) == "line 5: duplicate edge 0 1"
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -71,7 +73,8 @@ class TestParseGraph:
     @given(graphs(max_n=7))
     @settings(max_examples=60)
     def test_round_trip(self, g):
-        assert parse_graph(graph_to_text(g)) == g
+        parsed = parse_graph(graph_to_text(g))
+        assert parsed == g and hash(parsed) == hash(g)
 
 
 class TestParseOrder:

@@ -7,7 +7,8 @@ These tests pin the formula's verdict and the rule search's answer to the
 plain search, whose rule is a ``PatternRule`` on p1 and p2, check
 that the rule search never backtracks on the exhaustive corpora, guard each
 piece of the formula and of its decision with a small order that needs it,
-check that the formula is sized by the elements, run the rule search on
+check its propagation against a naive fixpoint over the two clause
+families, check that the formula is sized by the elements, run the rule search on
 triangle graphs with n = 40, and pin the two families that were exponential
 before.
 """
@@ -15,6 +16,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
 
 from simpletri import orders
 from simpletri.exhaustive import naturally_ordered_relations
@@ -28,6 +30,8 @@ from simpletri.patterns import PATTERN_P1, PATTERN_P2, PatternRule, search_order
 from simpletri.recognition import apex_ordering, is_simple_triangle, realize
 from simpletri.triangles import verify_representation
 from simpletri.twosat import IntervalFormula
+
+from strategies import orders_with_extension
 
 CROWN = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
 
@@ -114,6 +118,82 @@ def test_negation_of_a_conflicting_literal():
     assert formula.inc[0] & -formula.inc[0] == 1 << 1
     assert formula._assume([0] * n, [0] * n, 0, 1 << 1) is None
     assert formula.satisfiable()
+
+
+def literals_of(p):
+    """Every literal (x, y), "x before y": x and y distinct and unrelated."""
+    return {(x, y) for x in range(p.n) for y in range(p.n) if x != y and not (p.less(x, y) or p.less(y, x))}
+
+
+def implications(p):
+    """Each literal mapped to the literals that one clause of the module
+    doc's two families forces with it, both ways."""
+    out = {}
+    rel, lits = p.pairs, literals_of(p)
+    inc = lambda a, b: (a, b) in lits
+    for a, b in rel:
+        for c in range(p.n):
+            if inc(c, a) and inc(c, b):  # not "b before c" and "c before a"
+                out.setdefault((b, c), []).append((a, c))
+                out.setdefault((c, a), []).append((c, b))
+        for a1, b1 in rel:
+            if inc(a1, b) and inc(a, b1):  # not "a1 before b" and "a before b1"
+                out.setdefault((a1, b), []).append((b1, a))
+                out.setdefault((a, b1), []).append((b, a1))
+    return out
+
+
+def closure(forces, literals):
+    """The literals forced by ``literals``, and whether they hold a literal
+    and its negation."""
+    done, todo = set(literals), list(literals)
+    while todo:
+        for lit in forces.get(todo.pop(), ()):
+            if lit not in done:
+                done.add(lit)
+                todo.append(lit)
+    return done, any((y, x) in done for x, y in done)
+
+
+def masks(n, literals):
+    bef, aft = [0] * n, [0] * n
+    for x, y in literals:
+        bef[x] |= 1 << y
+        aft[y] |= 1 << x
+    return bef, aft
+
+
+@given(orders_with_extension(max_n=8))
+@example((make_partial_order(8, CROWN), tuple(range(8))))  # unsatisfiable
+@example((make_partial_order(4, [(0, 2), (1, 3)]), (0, 1, 2, 3)))  # 1 is refused
+@settings(max_examples=100, deadline=None)
+def test_propagation_matches_a_naive_fixpoint(case):
+    p, ext = case
+    lits, forces, formula = literals_of(p), implications(p), IntervalFormula(p)
+    idle = ([0] * p.n, [0] * p.n)
+    # place along ext until refused, then undo back to the root
+    states, tokens, unplaced = [set()], [], (1 << p.n) - 1
+    for x in ext:
+        unplaced ^= 1 << x
+        new = {(x, y) for y in range(p.n) if unplaced >> y & 1 and (x, y) in lits}
+        literals, conflict = closure(forces, states[-1] | new)
+        token = formula.place(x, unplaced)
+        assert (token is None) == conflict
+        assert (formula.bef_due, formula.aft_due) == idle
+        if token is None:
+            assert (formula.bef, formula.aft) == masks(p.n, states[-1])
+            break
+        assert (formula.bef, formula.aft) == masks(p.n, literals)
+        states.append(literals)
+        tokens.append(token)
+    while tokens:
+        formula.undo(tokens.pop())
+        states.pop()
+        assert (formula.bef, formula.aft) == masks(p.n, states[-1])
+    # unsatisfiable iff some literal and its negation each force a conflict
+    expected = not any(closure(forces, [lit])[1] and closure(forces, [lit[::-1]])[1] for lit in lits)
+    assert formula.satisfiable() == expected
+    assert (formula.bef, formula.aft) == idle == (formula.bef_due, formula.aft_due)
 
 
 def test_formula_is_sized_by_the_incomparable_pairs():
