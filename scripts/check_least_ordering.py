@@ -25,7 +25,7 @@ with one or more and the maximum.  Last, it prints what ``recognize`` costs
 over ``apex_ordering`` (the decision alone) on ``triangle_graph`` and
 ``permutation_graph`` drawn with ``random.Random(n)``, n = 100 and 300: the
 ratio of the median times of five rounds that call the two in turn.  It
-exits 1 on any mismatch.  The default run takes about 19 s on a 2-vCPU
+exits 1 on any mismatch.  The default run takes about 9 s on a 2-vCPU
 x86-64 VM (CPython 3.11).
 
     PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1]

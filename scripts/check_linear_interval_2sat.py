@@ -14,10 +14,11 @@ the interval construction stalls exactly when
 ``find_alternating_anticycle(p, ext, k_max=2)`` finds a 4-anticycle, and
 then returns that one as its certificate.  It prints the number of
 mismatches and of backtracks and exits 1 if either is nonzero.  The default
-run takes about 67 s (23 s for the n <= 7 pass, 44 s for the random orders,
+run takes about 51 s (14 s for the n <= 7 pass, 37 s for the random orders,
 on a 2-vCPU x86-64 VM, CPython 3.11).  With ``--max-n 8`` the pass over the
-2,902,132 relations with n <= 8 takes about 890 s there, of which about
-32 s generates the 2,800,472 with n = 8.
+2,902,132 relations with n <= 8 took about 890 s there, of which about
+32 s generates the 2,800,472 with n = 8, before the 2-SAT propagated by
+an element worklist.
 
     PYTHONPATH=src python scripts/check_linear_interval_2sat.py [--max-n 7] [--random 600] [--seed 1]
 """

@@ -14,10 +14,23 @@ def lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def set_row(rows: list, first: list[int], second: list[int], x: int, row: int) -> None:
+    """Set ``first[x] |= row`` and ``second[y] |= 1 << x`` for each y in
+    ``row``, and record the row ``(first, second, x, row)`` in ``rows``.
+    ``twosat.IntervalFormula._assume`` sets its rows inline, the same way."""
+    first[x] |= row
+    rows.append((first, second, x, row))
+    bit = 1 << x
+    while row:
+        low = row & -row
+        row ^= low
+        second[low.bit_length() - 1] |= bit
+
+
 def clear_rows(rows) -> None:
-    """Undo rows ``(first, second, x, row)`` that were set as ``first[x] |= row``
-    and ``second[y] |= 1 << x`` for each y in ``row``: the arcs of
-    ``graphs._force_arcs`` and the literals of ``twosat.IntervalFormula``."""
+    """Undo rows ``(first, second, x, row)`` as :func:`set_row` sets them:
+    the arcs of ``graphs._force_arcs`` and the literals of
+    ``twosat.IntervalFormula``."""
     for first, second, x, row in rows:
         first[x] ^= row
         bit = 1 << x

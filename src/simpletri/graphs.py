@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from ._bits import clear_rows, iter_bits
+from ._bits import clear_rows, iter_bits, set_row
 from .errors import EdgeSetMismatch, NotComparabilityOrdering, SizeMismatch
 from .orders import PartialOrder, _check_permutation, _later_masks, _positions
 from .patterns import APEX_PATTERNS, OrderedPattern
@@ -56,8 +56,8 @@ class Graph:
     compared and hashed.  ``edges``, the normalized pairs ``(u, v)`` with
     u < v, is derived from ``adj`` on first use, and ``_derived`` caches the
     induced structures computed on demand, so both live and die with the
-    instance.  ``Graph(n, edges)`` takes normalized pairs, :meth:`from_edges`
-    any pairs and :meth:`from_adj` the masks.
+    instance.  ``Graph(n, edges)`` takes normalized pairs and
+    :meth:`from_edges` any pairs.
     """
 
     n: int
@@ -78,9 +78,10 @@ class Graph:
         return cls(n, ((min(u, v), max(u, v)) for u, v in edges))
 
     @classmethod
-    def from_adj(cls, n: int, adj: Iterable[int]) -> "Graph":
-        """The graph with neighbour masks ``adj``, which must be symmetric,
-        irreflexive and below ``1 << n``; this is not checked."""
+    def _from_adj(cls, n: int, adj: Iterable[int]) -> "Graph":
+        """The graph with neighbour masks ``adj``, unchecked: its callers,
+        ``io.parse_graph`` and :func:`complement`, build them symmetric,
+        irreflexive and below ``1 << n``."""
         g = cls.__new__(cls)
         g.__dict__.update(n=n, adj=tuple(adj), _derived={})
         return g
@@ -120,7 +121,7 @@ def empty_graph(n: int) -> Graph:
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
     full = (1 << g.n) - 1
-    return Graph.from_adj(g.n, (full & ~adj & ~(1 << u) for u, adj in enumerate(g.adj)))
+    return Graph._from_adj(g.n, (full & ~adj & ~(1 << u) for u, adj in enumerate(g.adj)))
 
 
 def _cached_on_graph(fn):
@@ -306,7 +307,7 @@ def _force_arcs(adj: Sequence[int], out: list[int], into: list[int], arcs) -> Op
             clear_rows(rows)
             return None
         if heads := heads & ~out[x]:
-            _set_row(rows, out, into, x, heads)
+            set_row(rows, out, into, x, heads)
     done = 0
     while done < len(rows):
         first, _, x, row = rows[done]
@@ -322,22 +323,10 @@ def _force_arcs(adj: Sequence[int], out: list[int], into: list[int], arcs) -> Op
                 clear_rows(rows)
                 return None
             if heads := heads & ~out[a]:
-                _set_row(rows, out, into, a, heads)
+                set_row(rows, out, into, a, heads)
             if tails := tails & ~into[b]:
-                _set_row(rows, into, out, b, tails)
+                set_row(rows, into, out, b, tails)
     return rows
-
-
-def _set_row(rows: list, first: list[int], second: list[int], x: int, row: int) -> None:
-    """``first[x] |= row`` and ``second[y] |= 1 << x`` for each y in ``row``,
-    recorded in ``rows`` for ``_bits.clear_rows``."""
-    first[x] |= row
-    rows.append((first, second, x, row))
-    bit = 1 << x
-    while row:
-        low = row & -row
-        row ^= low
-        second[low.bit_length() - 1] |= bit
 
 
 @dataclass(frozen=True)

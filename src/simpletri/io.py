@@ -75,7 +75,7 @@ def parse_graph(text: str) -> Graph:
             raise DuplicateEdge(f"duplicate edge {min(u, v)} {max(u, v)}", lineno)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph.from_adj(n, adj)
+    return Graph._from_adj(n, adj)
 
 
 def parse_order(text: str) -> PartialOrder:

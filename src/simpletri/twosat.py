@@ -173,7 +173,8 @@ class IntervalFormula:
                 due[x] = new
                 clash |= new & second[x]
             # each s >_P x before each q in below incomparable to s, as rows
-            # of the s or, when fewer, as rows of the dual of the q
+            # of the s or, when the q are fewer, as dual rows of the q: the
+            # literals are the same, and the loop runs once per end
             side, ends, mask = dual, up[x] & loose, below
             if ends.bit_count() > (below & loose).bit_count():
                 side, ends, mask = not dual, below & loose, up[x]

@@ -6,13 +6,17 @@ from simpletri.orders import PartialOrder, make_partial_order
 
 
 @st.composite
-def graphs(draw, max_n=6, min_n=0):
+def edge_sets(draw, max_n=6, min_n=0):
+    """A vertex count n and a set of normalized pairs on ``0..n-1``."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))
     m = n * (n - 1) // 2
     mask = draw(st.integers(min_value=0, max_value=(1 << m) - 1))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = frozenset(pairs[i] for i in range(m) if mask >> i & 1)
-    return Graph(n, edges)
+    return n, frozenset(pairs[i] for i in range(m) if mask >> i & 1)
+
+
+def graphs(max_n=6, min_n=0):
+    return edge_sets(max_n=max_n, min_n=min_n).map(lambda case: Graph(*case))
 
 
 @st.composite

@@ -37,7 +37,7 @@ from simpletri.graphs import (
 from simpletri.oracles import enumerate_orientations
 from simpletri.orders import find_alternating_anticycle, is_linear_extension
 
-from strategies import graphs
+from strategies import edge_sets, graphs
 
 C4 = cycle_graph(4)
 TWO_K2 = Graph.from_edges(4, [(0, 2), (1, 3)])
@@ -64,18 +64,10 @@ class TestComplement:
                 assert complement(g).edges == pairs, sorted(g.edges)
 
 
-@st.composite
-def edge_sets(draw, max_n=7):
-    """A vertex count n and a set of normalized pairs on ``0..n-1``."""
-    n = draw(st.integers(0, max_n))
-    pairs = list(combinations(range(n), 2))
-    return n, draw(st.frozensets(st.sampled_from(pairs))) if pairs else frozenset()
-
-
 class TestMasks:
     """A graph holds its neighbour masks; ``edges`` is derived from them."""
 
-    @given(edge_sets())
+    @given(edge_sets(max_n=7))
     @settings(max_examples=60)
     def test_edges_are_the_input_set(self, case):
         n, edges = case
