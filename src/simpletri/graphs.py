@@ -373,16 +373,11 @@ def _check_orients(g: Graph, o: Orientation) -> None:
         raise EdgeSetMismatch("orientation does not cover exactly the graph's edges")
 
 
-def _transitive_out(out: Sequence[int]) -> bool:
-    """No head v of any u has a head outside ``out[u]``; ``out[v]`` masks
-    the heads of v's arcs, as :attr:`Orientation.out` does."""
-    return not any(out[v] & ~heads for heads in out for v in iter_bits(heads))
-
-
 def is_transitive_orientation(g: Graph, o: Orientation) -> bool:
     """True iff every directed path u -> v -> w is closed by the arc u -> w."""
     _check_orients(g, o)
-    return _transitive_out(o.out)
+    out = o.out
+    return not any(out[v] & ~heads for heads in out for v in iter_bits(heads))
 
 
 @_cached_on_graph
@@ -423,12 +418,7 @@ def is_alternating_orientation(g: Graph, o: Orientation) -> bool:
     can possibly mean on a chordless cycle.
     """
     _check_orients(g, o)
-    return _alternating_out(g, o.out)
-
-
-def _alternating_out(g: Graph, out: Sequence[int]) -> bool:
-    """:func:`is_alternating_orientation` on heads masks ``out`` that orient
-    exactly the edges of g."""
+    out = o.out
     return all(out[a] >> b & 1 == out[c] >> b & 1 for a, b, c in _cycle_p3s(g))
 
 

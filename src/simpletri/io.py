@@ -33,12 +33,24 @@ __all__ = [
 MAX_VERTICES = 10_000
 
 
+# Characters that _significant_lines splits into lines at once, so that a
+# large file never has all its lines in memory together.
+_PIECE = 1 << 16
+
+
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+    """Numbered lines of ``text`` as ``str.splitlines`` breaks them, less
+    blanks and comments.  Each piece ends just after a ``\\n``, which no
+    line break can straddle, so the numbering is the whole text's."""
+    lineno = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE) + 1 or len(text)
+        for raw in text[start:end].splitlines():
+            lineno += 1
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+        start = end
 
 
 def _read_count(lines, what: str) -> tuple[int, object]:

@@ -7,23 +7,23 @@ characterizations are checked by enumerating orientations, and triangle
 intersection is re-decided with exact integer geometry: two triangles are
 disjoint exactly when the line along one side of one of them separates them.
 
-The two geometric searches and the two orientation oracles read each vertex
-ordering as one n²-bit before-matrix from a table of all n! orderings
-(:func:`_orderings`), so an ordering costs one AND: with a graph's adjacency
-matrix it gives the orientation the ordering induces, and with an order's
-predecessor matrix it tests for an extension.  Only the last size's table
-is kept; at n = 6, 7 and 8 it takes about 1 ms, 10 ms and 0.1 s to build
-and holds 0.12, 0.9 and 8 MB (2-vCPU x86-64 VM, CPython 3.11).  The three
-graph oracles share one pass over it per graph, :func:`_transitive_orderings`,
-which judges each complement orientation once, on its arc matrix.  Its at
-most n! entries live in ``g._derived`` and die with the graph: on K8, which
-keeps all 40,320, ``--limit 8 oracle verify`` peaks at 27.7 MB, not 24.9.
+The geometric searches and the orientation oracles pick orderings out of
+one table of all n! orderings with their n²-bit before-matrices
+(:func:`_orderings`) by n!-bit masks: bit k of ``P[u][v]``
+(:func:`_before_masks`) says that ordering k puts u before v, so each
+filter (transitive complement orientation, alternating orientation, order
+extension) is O(n³) ANDs per input, not one check per ordering.  Only the
+last size's table and masks are kept: at n = 6, 7 and 8 the table takes
+about 2, 17 and 140 ms and 0.12, 0.9 and 8 MB, the masks 0.1, 0.2 and 0.7
+ms and 4 kB, 30 kB and 0.3 MB (2-vCPU x86-64 VM, CPython 3.11).
 """
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from itertools import permutations
+from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._bits import iter_bits
@@ -31,13 +31,13 @@ from .errors import LimitExceeded, NotSimpleTriangle
 from .graphs import (
     Graph,
     Orientation,
-    _alternating_out,
     _cached_on_graph,
+    _cycle_p3s,
     complement,
     is_alternating_orientation,
     is_transitive_orientation,
 )
-from .orders import PartialOrder, _positions
+from .orders import PartialOrder, _later_masks, _positions
 from .triangles import TriangleRepresentation, verify_representation
 
 __all__ = [
@@ -100,14 +100,7 @@ def _orderings(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     way (:func:`_matrix`), exactly the arcs the ordering directs forward.
     Built on the first call for each n; the cache keeps only the last n.
     """
-    table = []
-    for sigma in permutations(range(n)):
-        before = seen = 0
-        for v in reversed(sigma):
-            before |= seen << v * n
-            seen |= 1 << v
-        table.append((sigma, before))
-    return tuple(table)
+    return tuple((sigma, _matrix(_later_masks(sigma))) for sigma in permutations(range(n)))
 
 
 def _matrix(rows: Sequence[int]) -> int:
@@ -116,56 +109,69 @@ def _matrix(rows: Sequence[int]) -> int:
     return sum(row << v * n for v, row in enumerate(rows))
 
 
-def _rows(m: int, n: int) -> list[int]:
-    """The row masks of the n²-bit matrix ``m``; inverse of :func:`_matrix`."""
-    full = (1 << n) - 1
-    return [m >> v * n & full for v in range(n)]
+@functools.lru_cache(maxsize=1)
+def _before_masks(n: int) -> list[list[int]]:
+    """``P[u][v]``, whose bit k is set iff ordering k of :func:`_orderings`
+    puts u before v.  Block f of the table is f followed by the (n-1)-table
+    relabelled, so the masks grow from the last size's by O(n³) shifts."""
+    masks, count = [], 1  # the smaller size's masks and number of orderings
+    for m in range(1, n + 1):
+        grown = [[0] * m for _ in range(m)]
+        for f in range(m):
+            rest = [x for x in range(m) if x != f]
+            for i, u in enumerate(rest):
+                grown[f][u] |= (1 << count) - 1 << f * count
+                for j, v in enumerate(rest):
+                    grown[u][v] |= masks[i][j] << f * count
+        masks, count = grown, count * m
+    return masks
 
 
-def _transitive_matrix(m: int, n: int, col: int) -> bool:
-    """The arcs of the n²-bit matrix ``m`` are transitive: its boolean
-    square, the union over v of ``m``'s column v (moved to column 0 by
-    ``m >> v & col``; ``col`` is :func:`_matrix` of n ones) times its row v,
-    has no arc outside ``m``."""
-    two, full = 0, (1 << n) - 1
-    for v in range(n):
-        two |= (m >> v & col) * (m >> v * n & full)
-    return not two & ~m
+def _outside(n: int, masks: Iterable[int]) -> int:
+    """The n!-bit mask of the orderings in none of ``masks``."""
+    return (1 << factorial(n)) - 1 & ~functools.reduce(operator.or_, masks, 0)
+
+
+def _table_entries(keep: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The :func:`_orderings` entries whose bits are set in ``keep``, found in
+    one pass over its digits (``iter_bits`` copies the n!-bit int per bit)."""
+    table, digits = _orderings(n), bin(keep)[:1:-1]
+    k = digits.find("1")
+    while k >= 0:
+        yield table[k]
+        k = digits.find("1", k + 1)
 
 
 @_cached_on_graph
-def _transitive_orderings(g: Graph) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """``(sigma, before, key)``, in table order, for the orderings whose
-    complement orientation, with arc matrix ``key = before & gcm``, is
-    transitive; each distinct key is judged once."""
-    gcm, col = _matrix(complement(g).adj), _matrix([1] * g.n)
-    transitive: dict[int, bool] = {}
-    kept = []
-    for sigma, before in _orderings(g.n):
-        key = before & gcm
-        if key not in transitive:
-            transitive[key] = _transitive_matrix(key, g.n, col)
-        if transitive[key]:
-            kept.append((sigma, before, key))
-    return tuple(kept)
+def _transitive_orderings(g: Graph) -> int:
+    """The orderings whose complement orientation is transitive: none puts a
+    before b before c on a path a-b-c of the complement with a, c apart."""
+    P, gc = _before_masks(g.n), complement(g).adj
+    return _outside(g.n, (
+        P[a][b] & P[b][c]
+        for b in range(g.n) for a in iter_bits(gc[b]) for c in iter_bits(gc[b] & ~gc[a] & ~(1 << a))
+    ))
 
 
-def _first_realization(
-    orderings: Iterable[tuple[tuple[int, ...], int]]
-) -> Optional[TriangleRepresentation]:
-    """Triangles on the first ordering whose base intervals can be solved.
+def _alternating_orderings(g: Graph) -> int:
+    """The orderings whose orientation of g is alternating: none puts b
+    between a and c for a path (a, b, c) of ``graphs._cycle_p3s``."""
+    P = _before_masks(g.n)
+    return _outside(g.n, (P[a][b] & P[b][c] | P[c][b] & P[b][a] for a, b, c in _cycle_p3s(g)))
 
-    ``orderings`` yields each candidate apex ordering sigma with the matrix
-    (:func:`_matrix`) whose row v holds the vertices after v that v's base
-    must lie completely left of.  The system is read in position space,
-    where two orderings can give the same one; one found infeasible is not
-    solved again.
-    """
+
+def _first_realization(keep: int, n: int, apart: Sequence[int]) -> Optional[TriangleRepresentation]:
+    """Triangles on the first ordering in ``keep`` whose base intervals can
+    be solved, where v's base must lie completely left of the bases of the
+    vertices in ``apart[v]`` that come after v (``-(2 << i)`` masks the
+    positions after i).  A system found infeasible, read in position space,
+    is not solved again."""
     infeasible: set[tuple[int, ...]] = set()
-    for sigma, right in orderings:
+    for sigma, _ in _table_entries(keep, n):
         pos = _positions(sigma)
-        rows = _rows(right, len(sigma))
-        separate = tuple(sum(1 << pos[u] for u in iter_bits(rows[v])) for v in sigma)
+        separate = tuple(
+            sum(1 << pos[u] for u in iter_bits(apart[v])) & -(2 << i) for i, v in enumerate(sigma)
+        )
         if separate in infeasible:
             continue
         base_by_pos = _solve_base_intervals(sigma, separate)
@@ -191,7 +197,7 @@ def geometric_search_realization(
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    t = _first_realization((sigma, key) for sigma, _, key in _transitive_orderings(g))
+    t = _first_realization(_transitive_orderings(g), g.n, complement(g).adj)
     assert t is None or verify_representation(g, t)
     return t
 
@@ -208,11 +214,9 @@ def geometric_search_order_realization(
     """
     if p.n > limit:
         raise LimitExceeded(f"n={p.n} exceeds oracle limit {limit}")
-    predm, succm = _matrix(p.pred), _matrix(p.succ)
-    extensions = (
-        (sigma, succm) for sigma, before in _orderings(p.n) if not before & predm
-    )
-    t = _first_realization(extensions)
+    P = _before_masks(p.n)
+    extensions = _outside(p.n, (P[v][u] for v in range(p.n) for u in iter_bits(p.pred[v])))
+    t = _first_realization(extensions, p.n, p.succ)
     assert t is None or t.induced_order() == p
     return t
 
@@ -308,15 +312,12 @@ def has_alternating_transitive_pair(g: Graph, limit: int = DEFAULT_LIMIT) -> boo
 
     An acyclic union admits a topological vertex ordering, and that ordering
     induces both orientations back; conversely any single ordering induces an
-    acyclic union.  So it suffices to scan the orderings whose complement
-    orientation is transitive, judged once per graph, for one whose
-    orientation of g is alternating.
+    acyclic union.  So it suffices that one ordering is in both the
+    transitive and the alternating mask.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    gm = _matrix(g.adj)
-    induced = (_rows(before & gm, g.n) for _, before, _ in _transitive_orderings(g))
-    return any(_alternating_out(g, out) for out in induced)
+    return bool(_transitive_orderings(g) & _alternating_orderings(g))
 
 
 def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
@@ -328,19 +329,18 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
     alternating and transitive pair.  Every transitive orientation of the
     complement is induced by each of its topological orderings, so the
     orderings with a transitive one visit them all, keyed by arc matrix; an
-    orientation succeeds when one of its orderings induces an alternating
-    orientation of g.
+    orientation succeeds when one of its orderings is also in the
+    alternating mask.
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    gm = _matrix(g.adj)
-    outcome: dict[int, bool] = {}
-    for _, before, key in _transitive_orderings(g):
-        if not outcome.get(key):
-            outcome[key] = _alternating_out(g, _rows(before & gm, g.n))
-    if not any(outcome.values()):
+    gcm, kept = _matrix(complement(g).adj), _transitive_orderings(g)
+    alternating = _alternating_orderings(g)
+    extended = {before & gcm for _, before in _table_entries(kept & alternating, g.n)}
+    if not extended:
         raise NotSimpleTriangle("graph is not a simple-triangle graph")
-    return all(outcome.values())
+    rest = _table_entries(kept & ~alternating, g.n)
+    return all(before & gcm in extended for _, before in rest)
 
 
 # --- exact integer geometry -------------------------------------------------

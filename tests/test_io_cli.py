@@ -1,17 +1,20 @@
 import argparse
 import json
+import random
 import sys
 
 import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import simpletri.io
 from simpletri import cli, oracles, recognition
 from simpletri.cli import main
 from simpletri.errors import CycleError, DuplicateEdge, ParseError, SelfLoop
 from simpletri.graphs import Graph, cycle_graph
 from simpletri.io import (
     MAX_VERTICES,
+    _significant_lines,
     emit_representation,
     graph_to_text,
     order_to_text,
@@ -69,6 +72,30 @@ class TestParseGraph:
             parse_graph(f"{MAX_VERTICES + 1}\n")
         with pytest.raises(ParseError):
             parse_order("99999999999\n")
+
+    @pytest.mark.parametrize("brk", ["\r\n", "\r", "\f"])
+    def test_line_breaks(self, brk):
+        lines = ["# a square", "4", "0 1", "", "1 2", "2 3", "3 0", "1 0"]
+        assert parse_graph(brk.join(lines[:-1]) + brk) == cycle_graph(4)
+        with pytest.raises(DuplicateEdge) as info:
+            parse_graph(brk.join(lines))
+        assert info.value.line == 8
+
+    def test_lines_are_numbered_across_pieces(self, monkeypatch):
+        # a piece ends after a "\n", so no "\r\n" straddles two of them
+        def whole_text_lines(text):
+            stripped = (raw.strip() for raw in text.splitlines())
+            return [(i, line) for i, line in enumerate(stripped, 1) if line[:1] not in "#"]
+
+        rng = random.Random(5)
+        breaks = ["\n", "\r\n", "\r", "\f", "\v", "\x1c", "\x85", "\u2028", "\n\n"]
+        words = ["0 1", "# note", "", "  2 3 ", "#", "x"]
+        text = "".join(rng.choice(words) + rng.choice(breaks) for _ in range(60_000))
+        assert len(text) > 2 * simpletri.io._PIECE
+        assert list(_significant_lines(text)) == whole_text_lines(text)
+        for piece in (1, 2, 3, 7):
+            monkeypatch.setattr(simpletri.io, "_PIECE", piece)
+            assert list(_significant_lines(text[:3_000])) == whole_text_lines(text[:3_000])
 
     @given(graphs(max_n=7))
     @settings(max_examples=60)

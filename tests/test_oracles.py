@@ -13,8 +13,6 @@ from simpletri.errors import LimitExceeded, NotSimpleTriangle
 from simpletri.exhaustive import all_graphs, all_partial_orders
 from simpletri.graphs import (
     Graph,
-    Orientation,
-    _transitive_out,
     complement,
     complete_graph,
     cycle_graph,
@@ -25,12 +23,12 @@ from simpletri.graphs import (
     union_is_acyclic,
 )
 from simpletri.oracles import (
+    _alternating_orderings,
     _assemble,
-    _matrix,
+    _before_masks,
     _orderings,
-    _rows,
     _solve_base_intervals,
-    _transitive_matrix,
+    _table_entries,
     _transitive_orderings,
     all_transitive_complements_extend,
     enumerate_orientations,
@@ -42,7 +40,7 @@ from simpletri.oracles import (
     random_triangle_pair,
     triangle_interiors_intersect,
 )
-from simpletri.orders import _later_masks, make_partial_order, recognize_linear_interval_order
+from simpletri.orders import make_partial_order, recognize_linear_interval_order
 from simpletri.recognition import recognize
 from simpletri.triangles import TriangleRepresentation, triangles_disjoint, verify_representation
 
@@ -106,7 +104,9 @@ def test_ordering_table_lists_every_permutation_once_in_order():
         table = _orderings(n)
         assert [sigma for sigma, _ in table] == list(permutations(range(n)))
         for sigma, before in table:
-            assert _rows(before, n) == _later_masks(sigma)
+            pos = {v: i for i, v in enumerate(sigma)}
+            pairs = [(v, w) for v in range(n) for w in range(n) if pos[v] < pos[w]]
+            assert before == sum(1 << v * n + w for v, w in pairs)
     assert _orderings(0) == (((), 0),)
 
 
@@ -340,78 +340,49 @@ class TestOrientationPairChecks:
             else:
                 assert all_transitive_complements_extend(g) == expected
 
-    def test_one_shared_pass_judges_each_complement_orientation_once(self, monkeypatch):
-        # fresh graphs, since the pass is cached on the graph; the prism is
-        # rejected, and the complement of C4 + K2 is an accepted
-        # cocomparability graph, so the extend oracle judges its keys too
+    def test_masks_are_built_once_per_size(self):
+        # every oracle of one size reads one set of masks, and a build does
+        # not go through the one-entry cache for the smaller sizes
+        _before_masks.cache_clear()
         accepted = complement(Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)]))
-        scans, judged = [], []
-
-        def counted_orderings(n):
-            scans.append(n)
-            return _orderings(n)
-
-        def counted_judge(m, n, col):
-            judged.append(m)
-            return _transitive_matrix(m, n, col)
-
-        monkeypatch.setattr(simpletri.oracles, "_orderings", counted_orderings)
-        monkeypatch.setattr(simpletri.oracles, "_transitive_matrix", counted_judge)
-        for g, simple in ((Graph(PRISM.n, PRISM.edges), False), (accepted, True)):
-            scans.clear()
-            judged.clear()
-            gc = complement(g)
-            distinct = {
-                orientation_from_ordering(gc, sigma).arcs for sigma in permutations(range(6))
-            }
-            assert (geometric_search_realization(g) is not None) is simple
-            assert has_alternating_transitive_pair(g) is simple
-            if simple:
-                assert all_transitive_complements_extend(g)
-            else:
-                with pytest.raises(NotSimpleTriangle):
-                    all_transitive_complements_extend(g)
-            assert scans == [6]
-            assert len(judged) == len(set(judged)) == len(distinct)
-
-
-def every_orientation(g):
-    """All 2^|E| orientations of g, cyclic ones included."""
-    edges = sorted(g.edges)
-    for flips in range(1 << len(edges)):
-        yield Orientation(
-            g.n,
-            frozenset((v, u) if flips >> i & 1 else (u, v) for i, (u, v) in enumerate(edges)),
-        )
+        for g in (Graph(PRISM.n, PRISM.edges), accepted, cycle_graph(6)):
+            geometric_search_realization(g)
+            if has_alternating_transitive_pair(g):
+                all_transitive_complements_extend(g)
+        geometric_search_order_realization(CROWN)
+        assert _before_masks.cache_info().misses == 1
+        geometric_search_order_realization(make_partial_order(5, [(0, 1)]))
+        assert _before_masks.cache_info().misses == 2
 
 
 class TestTransitiveMatrix:
-    def test_matches_heads_masks_on_induced_complement_orientations(self):
-        for n in range(6):
-            col = _matrix([1] * n)
-            for g in all_graphs(n):
-                gcm = _matrix(complement(g).adj)
-                for key in {before & gcm for _, before in _orderings(n)}:
-                    assert _transitive_matrix(key, n, col) == _transitive_out(_rows(key, n))
+    """The n!-bit ordering masks and the two filters the oracles build from
+    them."""
 
-    def test_matches_heads_masks_on_every_orientation(self):
-        for n in range(5):
-            col = _matrix([1] * n)
-            for g in all_graphs(n):
-                for o in every_orientation(g):
-                    assert _transitive_matrix(_matrix(o.out), n, col) == _transitive_out(o.out)
+    def test_masks_match_the_table_before_matrices(self):
+        for n in range(8):
+            table = _orderings(n)
+            masks = _before_masks(n)
+            for u in range(n):
+                for v in range(n):
+                    bit = u * n + v
+                    digits = "".join(str(before >> bit & 1) for _, before in reversed(table))
+                    assert masks[u][v] == int(digits, 2)
 
     def test_shared_pass_is_the_filter_by_the_public_predicate(self):
         for n in range(6):
             for g in all_graphs(n):
                 gc = complement(g)
-                gcm = _matrix(gc.adj)
-                expected = tuple(
-                    (sigma, before, before & gcm)
-                    for sigma, before in _orderings(n)
-                    if is_transitive_orientation(gc, orientation_from_ordering(gc, sigma))
+                transitive = _transitive_orderings(g)
+                alternating = _alternating_orderings(g)
+                for k, (sigma, _) in enumerate(_orderings(n)):
+                    o_gc = orientation_from_ordering(gc, sigma)
+                    o_g = orientation_from_ordering(g, sigma)
+                    assert transitive >> k & 1 == is_transitive_orientation(gc, o_gc)
+                    assert alternating >> k & 1 == is_alternating_orientation(g, o_g)
+                assert tuple(_table_entries(transitive, n)) == tuple(
+                    entry for k, entry in enumerate(_orderings(n)) if transitive >> k & 1
                 )
-                assert _transitive_orderings(g) == expected
 
 
 class TestExactGeometry:
