@@ -8,11 +8,14 @@ for n = 7 and n = 8 (seeded by n) with p cycling through 0.3, 0.5 and 0.7,
 accepted graph ``all_transitive_complements_extend`` must hold and
 ``apex_ordering`` must give an ordering whose ``realize`` passes
 ``verify_representation``.  It prints the counts and the wall time of
-each part and exits 1 on any mismatch.  A run takes about 20 s on a 2-vCPU
-x86-64 VM with CPython 3.11: 12–13 s for n = 6, 1.5–2.5 s for the n = 7
-sample and 6–7 s for the n = 8 one (27 s and 6 s for the first two when the
-oracles judged each complement orientation and each kept ordering on its
-own).  That is too slow for the test suite.
+each part, with the time spent in each oracle (geometric, pair, extend) and
+in the recognizer, and exits 1 on any mismatch.  A run takes about 12 s on a
+2-vCPU x86-64 VM with CPython 3.11: 10 s for n = 6, 0.7–0.8 s for the n = 7
+sample and 1.3 s for the n = 8 one.  The recognizer takes 5.8–6.1, 0.4 and
+0.4 s of that and the geometric search 2.1–2.2, 0.2 and 0.6 s (11, 1.3 and
+4.7 s for the three parts when the search rebuilt each ordering's system
+whole and solved it by Bellman-Ford, and the extend oracle read the
+ordering table).  That is too slow for the test suite.
 
     PYTHONPATH=src python scripts/check_oracles.py
 """
@@ -47,30 +50,42 @@ def sample_graphs(n: int):
 
 
 def check(label: str, graphs) -> int:
-    """Cross-check each graph, print the counts, and return the mismatches."""
+    """Cross-check each graph, print the counts and the time of each
+    oracle and of the recognizer, and return the mismatches."""
     start = time.perf_counter()
+    times = dict.fromkeys(("recognizer", "geometric", "pair", "extend"), 0.0)
+
+    def timed(part, f, *args):
+        t = time.perf_counter()
+        out = f(*args)
+        times[part] += time.perf_counter() - t
+        return out
+
     count = accepted = mismatches = 0
     for g in graphs:
         count += 1
-        verdict = recognize(g) is not None
+        verdict = timed("recognizer", recognize, g) is not None
         answers = (
             verdict,
-            geometric_search_realization(g, limit=g.n) is not None,
-            has_alternating_transitive_pair(g, limit=g.n),
+            timed("geometric", geometric_search_realization, g, g.n) is not None,
+            timed("pair", has_alternating_transitive_pair, g, g.n),
         )
         accepted += verdict
         ok = len(set(answers)) == 1
         if ok and verdict:
             # called only once the pair oracle accepts, else it raises
-            ok = all_transitive_complements_extend(g, limit=g.n)
-            ok = ok and verify_representation(g, realize(g, apex_ordering(g)))
+            ok = timed("extend", all_transitive_complements_extend, g, g.n)
+            rep = timed("recognizer", lambda: realize(g, apex_ordering(g)))
+            ok = ok and verify_representation(g, rep)
         if not ok:
             mismatches += 1
             print(f"mismatch: n={g.n} edges={sorted(g.edges)} answers={answers}")
     print(
         f"{label}: {count} graphs, {accepted} accepted, "
         f"{count - accepted} rejected, {mismatches} mismatches, "
-        f"{time.perf_counter() - start:.1f} s"
+        f"{time.perf_counter() - start:.1f} s ("
+        + ", ".join(f"{part} {t:.2f} s" for part, t in times.items())
+        + ")"
     )
     return mismatches
 

@@ -7,15 +7,18 @@ characterizations are checked by enumerating orientations, and triangle
 intersection is re-decided with exact integer geometry: two triangles are
 disjoint exactly when the line along one side of one of them separates them.
 
-The geometric searches and the orientation oracles pick orderings out of
-one table of all n! orderings with their n²-bit before-matrices
-(:func:`_orderings`) by n!-bit masks: bit k of ``P[u][v]``
-(:func:`_before_masks`) says that ordering k puts u before v, so each
-filter (transitive complement orientation, alternating orientation, order
-extension) is O(n³) ANDs per input, not one check per ordering.  Only the
-last size's table and masks are kept: at n = 6, 7 and 8 the table takes
-about 2, 17 and 140 ms and 0.12, 0.9 and 8 MB, the masks 0.1, 0.2 and 0.7
-ms and 4 kB, 30 kB and 0.3 MB (2-vCPU x86-64 VM, CPython 3.11).
+The oracles judge the n! orderings of 0..n-1 by n!-bit masks: bit k of
+``P[u][v]`` (:func:`_before_masks`) says that the k-th ordering in
+lexicographic order puts u before v, so each filter (transitive complement
+orientation, alternating orientation, order extension) is O(n³) ANDs per
+input, not one check per ordering.  The orientation oracles read nothing
+but the masks, so they reach n = 10; only the geometric searches read the
+table of the orderings themselves (:func:`_orderings`), to hand the kept
+ones to the solver.  Only the last size's table and masks are kept: at
+n = 6, 7 and 8 the table takes about 0.2, 2 and 20 ms and 0.07, 0.5 and
+4.5 MB, the masks 0.1, 0.2 and 0.7 ms and 4 kB, 30 kB and 0.3 MB, and at
+n = 9 and 10 the masks 6 and 100 ms and 3.4 and 43 MB (2-vCPU x86-64 VM,
+CPython 3.11).
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .graphs import (
     is_alternating_orientation,
     is_transitive_orientation,
 )
-from .orders import PartialOrder, _later_masks, _positions
+from .orders import PartialOrder
 from .triangles import TriangleRepresentation, verify_representation
 
 __all__ = [
@@ -55,58 +58,53 @@ __all__ = [
 DEFAULT_LIMIT = 6
 
 
-def _solve_base_intervals(
-    sigma: Sequence[int], separate: Sequence[int]
-) -> Optional[list[tuple[int, int]]]:
-    """Minimal integer base intervals for a fixed apex ordering, if any exist.
+def _solve_base_intervals(cols: Sequence[int]) -> Optional[list[tuple[int, int]]]:
+    """Least integer base intervals for a fixed apex ordering, if any exist.
 
-    ``separate[i] >> j & 1`` (for positions i < j) says the pair must be
+    ``cols[j] >> i & 1`` (for positions i < j) says the pair must be
     disjoint, i.e. r(i) < l(j); otherwise l(j) <= r(i) is required.  These
-    are pure difference constraints, solved as longest paths from an implicit
-    source pinned at coordinate 1.  Any feasible system has a solution inside
-    1..2n because a longest constraint chain visits each endpoint variable at
-    most once.  A system whose disjoint pairs are not transitive has a
-    positive cycle and is found infeasible, but the searches send none:
-    :func:`geometric_search_realization` drops such orderings first, and an
-    order's extensions give the order's own pairs, which are transitive.
+    are difference constraints.  Their least solution with every endpoint at
+    least 1 is found one value t = 2, 3, ... at a time, as the positions
+    whose l reaches t and those whose r does: l(j) >= t exactly when
+    r(i) >= t - 1 for some i in ``cols[j]``, and r(i) >= t exactly when
+    l(i) >= t - 1 or l(j) >= t for some later j that i must meet.  Both sets
+    only shrink as t grows.  Either they run out, and each endpoint is 1
+    plus the number of values beyond 1 it reaches, or they repeat, and the
+    values grow without bound along a positive cycle: the system is
+    infeasible.  Intransitive disjoint pairs make one, but the searches send
+    none: :func:`geometric_search_realization` drops such orderings first,
+    and an order's extensions give the order's own pairs, which are
+    transitive.
     """
-    n = len(sigma)
-    # variables: 0..n-1 left endpoints, n..2n-1 right endpoints (by position)
-    edges = [(i, n + i, 1) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if separate[i] >> j & 1:
-                edges.append((n + i, j, 1))
-            else:
-                edges.append((j, n + i, 0))
-    dist = [1] * (2 * n)
-    for _ in range(2 * n + 1):
-        changed = False
-        for x, y, w in edges:
-            if dist[x] + w > dist[y]:
-                dist[y] = dist[x] + w
-                changed = True
-        if not changed:
-            return [(dist[i], dist[n + i]) for i in range(n)]
-    return None
+    n = len(cols)
+    meet = [(1 << j) - 1 & ~col for j, col in enumerate(cols)]
+    levels = []
+    lower = upper = (1 << n) - 1  # the positions whose l, and whose r, reach t - 1
+    while upper:
+        level = 0
+        for j, col in enumerate(cols):
+            if col & upper:
+                level |= 1 << j
+        reach, rest = lower, level
+        while rest:
+            low = rest & -rest
+            reach |= meet[low.bit_length() - 1]
+            rest ^= low
+        if level == lower and reach == upper:
+            return None
+        levels.append((level, reach))
+        lower, upper = level, reach
+    return [
+        (1 + sum(ls >> j & 1 for ls, _ in levels), 1 + sum(rs >> j & 1 for _, rs in levels))
+        for j in range(n)
+    ]
 
 
 @functools.lru_cache(maxsize=1)
-def _orderings(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every ordering of 0..n-1, in lexicographic order, with its before-matrix.
-
-    Bit ``v * n + w`` of the before-matrix is set iff v comes before w, so
-    ``before & m`` keeps, of an n x n adjacency matrix ``m`` laid out the same
-    way (:func:`_matrix`), exactly the arcs the ordering directs forward.
-    Built on the first call for each n; the cache keeps only the last n.
-    """
-    return tuple((sigma, _matrix(_later_masks(sigma))) for sigma in permutations(range(n)))
-
-
-def _matrix(rows: Sequence[int]) -> int:
-    """Row masks as one n²-bit int, row v at bits v·n .. v·n + n - 1."""
-    n = len(rows)
-    return sum(row << v * n for v, row in enumerate(rows))
+def _orderings(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every ordering of 0..n-1, in lexicographic order.  Built on the first
+    call for each n; the cache keeps only the last n."""
+    return tuple(permutations(range(n)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -132,9 +130,9 @@ def _outside(n: int, masks: Iterable[int]) -> int:
     return (1 << factorial(n)) - 1 & ~functools.reduce(operator.or_, masks, 0)
 
 
-def _table_entries(keep: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The :func:`_orderings` entries whose bits are set in ``keep``, found in
-    one pass over its digits (``iter_bits`` copies the n!-bit int per bit)."""
+def _table_entries(keep: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The :func:`_orderings` whose bits are set in ``keep``, found in one
+    pass over its digits (``iter_bits`` copies the n!-bit int per bit)."""
     table, digits = _orderings(n), bin(keep)[:1:-1]
     k = digits.find("1")
     while k >= 0:
@@ -160,24 +158,38 @@ def _alternating_orderings(g: Graph) -> int:
     return _outside(g.n, (P[a][b] & P[b][c] | P[c][b] & P[b][a] for a, b, c in _cycle_p3s(g)))
 
 
-def _first_realization(keep: int, n: int, apart: Sequence[int]) -> Optional[TriangleRepresentation]:
+def _first_realization(
+    keep: int, n: int, earlier: Sequence[int]
+) -> Optional[TriangleRepresentation]:
     """Triangles on the first ordering in ``keep`` whose base intervals can
-    be solved, where v's base must lie completely left of the bases of the
-    vertices in ``apart[v]`` that come after v (``-(2 << i)`` masks the
-    positions after i).  A system found infeasible, read in position space,
-    is not solved again."""
+    be solved, where the base of each vertex of ``earlier[w]`` that comes
+    before w must end before w's base begins.  Column j of an ordering's
+    system holds the positions of those vertices for the w at position j.
+    It depends only on the first j + 1 vertices, so only the columns from
+    the first position where the ordering differs from the last one are
+    rebuilt.  A system found infeasible is not solved again."""
     infeasible: set[tuple[int, ...]] = set()
-    for sigma, _ in _table_entries(keep, n):
-        pos = _positions(sigma)
-        separate = tuple(
-            sum(1 << pos[u] for u in iter_bits(apart[v])) & -(2 << i) for i, v in enumerate(sigma)
-        )
-        if separate in infeasible:
+    cols, last = [0] * n, (-1,) * n
+    bit, placed = [0] * n, [0] * (n + 1)  # 1 << v's position; the first j vertices
+    for sigma in _table_entries(keep, n):
+        d = 0
+        while d < n and sigma[d] == last[d]:
+            d += 1
+        for j in range(d, n):
+            w = sigma[j]
+            col, rest = 0, earlier[w] & placed[j]
+            while rest:
+                low = rest & -rest
+                col |= bit[low.bit_length() - 1]
+                rest ^= low
+            cols[j], bit[w], placed[j + 1] = col, 1 << j, placed[j] | 1 << w
+        last, key = sigma, tuple(cols)
+        if key in infeasible:
             continue
-        base_by_pos = _solve_base_intervals(sigma, separate)
+        base_by_pos = _solve_base_intervals(key)
         if base_by_pos is not None:
             return _assemble(sigma, base_by_pos)
-        infeasible.add(separate)
+        infeasible.add(key)
     return None
 
 
@@ -216,7 +228,7 @@ def geometric_search_order_realization(
         raise LimitExceeded(f"n={p.n} exceeds oracle limit {limit}")
     P = _before_masks(p.n)
     extensions = _outside(p.n, (P[v][u] for v in range(p.n) for u in iter_bits(p.pred[v])))
-    t = _first_realization(extensions, p.n, p.succ)
+    t = _first_realization(extensions, p.n, p.pred)
     assert t is None or t.induced_order() == p
     return t
 
@@ -324,23 +336,34 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
     """Every transitive orientation of the complement extends to an acyclic
     union with some alternating orientation of g.
 
-    Requires g to be a simple-triangle graph, which the same scan decides:
+    Requires g to be a simple-triangle graph, which the same masks decide:
     :class:`NotSimpleTriangle` is raised when no ordering gives an
     alternating and transitive pair.  Every transitive orientation of the
     complement is induced by each of its topological orderings, so the
-    orderings with a transitive one visit them all, keyed by arc matrix; an
-    orientation succeeds when one of its orderings is also in the
-    alternating mask.
+    orderings with a transitive one are split by the direction of one edge
+    of the complement after another, with ``P[a][b]`` and ``P[b][a]``, until
+    each part holds the orderings of one orientation.  That orientation
+    succeeds when one of its orderings is also alternating.  A part stops
+    early once all its orderings are alternating (each of its orientations
+    succeeds) or none is (each fails).
     """
     if g.n > limit:
         raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
-    gcm, kept = _matrix(complement(g).adj), _transitive_orderings(g)
-    alternating = _alternating_orderings(g)
-    extended = {before & gcm for _, before in _table_entries(kept & alternating, g.n)}
-    if not extended:
+    kept, alternating = _transitive_orderings(g), _alternating_orderings(g)
+    if not kept & alternating:
         raise NotSimpleTriangle("graph is not a simple-triangle graph")
-    rest = _table_entries(kept & ~alternating, g.n)
-    return all(before & gcm in extended for _, before in rest)
+    P, edges = _before_masks(g.n), sorted(complement(g).edges)
+    unalternating = kept & ~alternating
+
+    def extends(part: int, e: int) -> bool:
+        if not part & alternating:
+            return not part
+        if not part & unalternating or e == len(edges):
+            return True
+        a, b = edges[e]
+        return extends(part & P[a][b], e + 1) and extends(part & P[b][a], e + 1)
+
+    return extends(kept, 0)
 
 
 # --- exact integer geometry -------------------------------------------------

@@ -68,16 +68,16 @@ def sampled_six_vertex_graphs():
 
 
 def reference_geometric_search(g):
-    """Every apex ordering, its position masks built pair by pair, sent to
+    """Every apex ordering, its position columns built pair by pair, sent to
     the solver, which finds the intransitive systems infeasible too."""
     n = g.n
     for sigma in permutations(range(n)):
-        separate = [0] * n
+        cols = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
                 if not g.adjacent(sigma[i], sigma[j]):
-                    separate[i] |= 1 << j
-        base_by_pos = _solve_base_intervals(sigma, separate)
+                    cols[j] |= 1 << i
+        base_by_pos = _solve_base_intervals(cols)
         if base_by_pos is not None:
             return _assemble(sigma, base_by_pos)
     return None
@@ -89,11 +89,8 @@ def reference_order_search(p):
     for sigma in permutations(range(n)):
         if any(p.less(sigma[j], sigma[i]) for i in range(n) for j in range(i + 1, n)):
             continue
-        separate = [
-            sum(1 << j for j in range(i + 1, n) if p.less(sigma[i], sigma[j]))
-            for i in range(n)
-        ]
-        base_by_pos = _solve_base_intervals(sigma, separate)
+        cols = [sum(1 << i for i in range(j) if p.less(sigma[i], sigma[j])) for j in range(n)]
+        base_by_pos = _solve_base_intervals(cols)
         if base_by_pos is not None:
             return _assemble(sigma, base_by_pos)
     return None
@@ -101,13 +98,8 @@ def reference_order_search(p):
 
 def test_ordering_table_lists_every_permutation_once_in_order():
     for n in range(7):
-        table = _orderings(n)
-        assert [sigma for sigma, _ in table] == list(permutations(range(n)))
-        for sigma, before in table:
-            pos = {v: i for i, v in enumerate(sigma)}
-            pairs = [(v, w) for v in range(n) for w in range(n) if pos[v] < pos[w]]
-            assert before == sum(1 << v * n + w for v, w in pairs)
-    assert _orderings(0) == (((), 0),)
+        assert _orderings(n) == tuple(permutations(range(n)))
+    assert _orderings(0) == ((),)
 
 
 class TestGeometricSearch:
@@ -152,9 +144,9 @@ class TestGeometricSearch:
         # transitivity filter and the infeasible-system memo
         calls = []
 
-        def counted(sigma, separate):
-            calls.append(tuple(separate))
-            return _solve_base_intervals(sigma, separate)
+        def counted(cols):
+            calls.append(tuple(cols))
+            return _solve_base_intervals(cols)
 
         monkeypatch.setattr(simpletri.oracles, "_solve_base_intervals", counted)
         assert geometric_search_realization(PRISM) is None
@@ -191,7 +183,11 @@ def test_base_intervals_match_bellman_ford():
                 sum(1 << j for j in range(i + 1, g.n) if not g.adjacent(sigma[i], sigma[j]))
                 for i in range(g.n)
             ]
-            assert _solve_base_intervals(sigma, separate) == bellman_ford_base_intervals(separate)
+            cols = [
+                sum(1 << i for i in range(j) if not g.adjacent(sigma[i], sigma[j]))
+                for j in range(g.n)
+            ]
+            assert _solve_base_intervals(cols) == bellman_ford_base_intervals(separate)
 
 
 class TestOrderRealization:
@@ -330,7 +326,11 @@ class TestOrientationPairChecks:
         small = (g for n in range(6) for g in all_graphs(n))
         # the rejected n = 6 graphs of the crosscheck stream scan all 720 orderings
         tail = [C5_PLUS_ISOLATED, C5_PLUS_UNIVERSAL, cycle_graph(6)]
-        for g in chain(small, [prism, complement(prism)], tail):
+        # the split by complement edge stops at once on both ends, and on
+        # the edgeless graph only its all-alternating stop keeps it from
+        # reaching each of the 720 orientations of the complement
+        ends = [empty_graph(6), complete_graph(6)]
+        for g in chain(small, [prism, complement(prism)], tail, ends):
             assert has_alternating_transitive_pair(g) == reference_pair_exists(g)
             try:
                 expected = reference_all_extend(g)
@@ -339,6 +339,44 @@ class TestOrientationPairChecks:
                     all_transitive_complements_extend(g)
             else:
                 assert all_transitive_complements_extend(g) == expected
+
+    def test_false_when_one_complement_orientation_has_no_alternating_ordering(
+        self, monkeypatch
+    ):
+        """The False branch, reached only through a synthetic mask: by the
+        paper's theorem (acceptance test 07), every transitive orientation of
+        a simple-triangle graph's complement extends, so no graph reaches it.
+        C4's complement, 0-2 and 1-3, has four transitive orientations; the
+        mask drops the alternating orderings of the one with 0 before 2 and
+        1 before 3, and the other three keep theirs."""
+        P, alternating = _before_masks(4), simpletri.oracles._alternating_orderings
+        assert all_transitive_complements_extend(C4)
+        monkeypatch.setattr(
+            simpletri.oracles,
+            "_alternating_orderings",
+            lambda g: alternating(g) & ~(P[0][2] & P[1][3]),
+        )
+        assert has_alternating_transitive_pair(C4)
+        assert not all_transitive_complements_extend(C4)
+
+    def test_split_reaches_nine_vertices_without_the_ordering_table(self):
+        # an intersection graph of nine random triangles, whose complement
+        # has 9 edges and whose transitive orderings are not all alternating
+        rng, n = random.Random(6), 9
+        points = rng.sample(range(1, 2 * n + 1), 2 * n)
+        t = TriangleRepresentation(
+            tuple(rng.sample(range(1, n + 1), n)),
+            tuple(tuple(sorted(points[2 * v: 2 * v + 2])) for v in range(n)),
+        )
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if not triangles_disjoint(t, u, v)]
+        )
+        assert len(complement(g).edges) == 9
+        assert _transitive_orderings(g) & ~_alternating_orderings(g)
+        misses = _orderings.cache_info().misses
+        assert has_alternating_transitive_pair(g, limit=9)
+        assert all_transitive_complements_extend(g, limit=9)
+        assert _orderings.cache_info().misses == misses
 
     def test_masks_are_built_once_per_size(self):
         # every oracle of one size reads one set of masks, and a build does
@@ -359,14 +397,13 @@ class TestTransitiveMatrix:
     """The n!-bit ordering masks and the two filters the oracles build from
     them."""
 
-    def test_masks_match_the_table_before_matrices(self):
+    def test_masks_match_the_table_orderings(self):
         for n in range(8):
-            table = _orderings(n)
+            positions = [{v: i for i, v in enumerate(sigma)} for sigma in reversed(_orderings(n))]
             masks = _before_masks(n)
             for u in range(n):
                 for v in range(n):
-                    bit = u * n + v
-                    digits = "".join(str(before >> bit & 1) for _, before in reversed(table))
+                    digits = "".join(str(int(pos[u] < pos[v])) for pos in positions)
                     assert masks[u][v] == int(digits, 2)
 
     def test_shared_pass_is_the_filter_by_the_public_predicate(self):
@@ -375,7 +412,7 @@ class TestTransitiveMatrix:
                 gc = complement(g)
                 transitive = _transitive_orderings(g)
                 alternating = _alternating_orderings(g)
-                for k, (sigma, _) in enumerate(_orderings(n)):
+                for k, sigma in enumerate(_orderings(n)):
                     o_gc = orientation_from_ordering(gc, sigma)
                     o_g = orientation_from_ordering(g, sigma)
                     assert transitive >> k & 1 == is_transitive_orientation(gc, o_gc)
