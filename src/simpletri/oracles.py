@@ -11,14 +11,13 @@ The oracles judge the n! orderings of 0..n-1 by n!-bit masks: bit k of
 ``P[u][v]`` (:func:`_before_masks`) says that the k-th ordering in
 lexicographic order puts u before v, so each filter (transitive complement
 orientation, alternating orientation, order extension) is O(n³) ANDs per
-input, not one check per ordering.  The orientation oracles read nothing
-but the masks, so they reach n = 10; only the geometric searches read the
-table of the orderings themselves (:func:`_orderings`), to hand the kept
-ones to the solver.  Only the last size's table and masks are kept: at
-n = 6, 7 and 8 the table takes about 0.2, 2 and 20 ms and 0.07, 0.5 and
-4.5 MB, the masks 0.1, 0.2 and 0.7 ms and 4 kB, 30 kB and 0.3 MB, and at
-n = 9 and 10 the masks 6 and 100 ms and 3.4 and 43 MB (2-vCPU x86-64 VM,
-CPython 3.11).
+input, not one check per ordering.  Every oracle reads only the masks: the
+geometric searches walk the kept orderings straight from theirs, prefix by
+prefix.  Only the last size's masks are kept: 0.1, 0.2 and 0.7 ms and
+4 kB, 30 kB and 0.3 MB at n = 6, 7 and 8, and 6 and 100 ms and 3.4 and
+43 MB at n = 9 and 10 (2-vCPU x86-64 VM, CPython 3.11).  n = 11 would take
+1.5-1.8 s and a 710 MB peak, so no oracle goes past n = :data:`MAX_N` = 10,
+whatever its limit.
 """
 from __future__ import annotations
 
@@ -56,6 +55,14 @@ __all__ = [
 ]
 
 DEFAULT_LIMIT = 6
+MAX_N = 10
+
+
+def _check_size(n: int, limit: int) -> None:
+    """Refuse n over ``limit`` or over :data:`MAX_N`, before any mask is built."""
+    cap = min(limit, MAX_N)
+    if n > cap:
+        raise LimitExceeded(f"n={n} exceeds oracle limit {cap}")
 
 
 def _solve_base_intervals(cols: Sequence[int]) -> Optional[list[tuple[int, int]]]:
@@ -101,17 +108,11 @@ def _solve_base_intervals(cols: Sequence[int]) -> Optional[list[tuple[int, int]]
 
 
 @functools.lru_cache(maxsize=1)
-def _orderings(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every ordering of 0..n-1, in lexicographic order.  Built on the first
-    call for each n; the cache keeps only the last n."""
-    return tuple(permutations(range(n)))
-
-
-@functools.lru_cache(maxsize=1)
 def _before_masks(n: int) -> list[list[int]]:
-    """``P[u][v]``, whose bit k is set iff ordering k of :func:`_orderings`
-    puts u before v.  Block f of the table is f followed by the (n-1)-table
-    relabelled, so the masks grow from the last size's by O(n³) shifts."""
+    """``P[u][v]``, whose bit k is set iff the k-th ordering of 0..n-1 in
+    lexicographic order puts u before v.  The orderings that start with f
+    are f followed by those of the other n - 1 vertices, relabelled, so the
+    masks grow from the last size's by O(n³) shifts."""
     masks, count = [], 1  # the smaller size's masks and number of orderings
     for m in range(1, n + 1):
         grown = [[0] * m for _ in range(m)]
@@ -128,16 +129,6 @@ def _before_masks(n: int) -> list[list[int]]:
 def _outside(n: int, masks: Iterable[int]) -> int:
     """The n!-bit mask of the orderings in none of ``masks``."""
     return (1 << factorial(n)) - 1 & ~functools.reduce(operator.or_, masks, 0)
-
-
-def _table_entries(keep: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The :func:`_orderings` whose bits are set in ``keep``, found in one
-    pass over its digits (``iter_bits`` copies the n!-bit int per bit)."""
-    table, digits = _orderings(n), bin(keep)[:1:-1]
-    k = digits.find("1")
-    while k >= 0:
-        yield table[k]
-        k = digits.find("1", k + 1)
 
 
 @_cached_on_graph
@@ -165,32 +156,41 @@ def _first_realization(
     be solved, where the base of each vertex of ``earlier[w]`` that comes
     before w must end before w's base begins.  Column j of an ordering's
     system holds the positions of those vertices for the w at position j.
-    It depends only on the first j + 1 vertices, so only the columns from
-    the first position where the ordering differs from the last one are
-    rebuilt.  A system found infeasible is not solved again."""
+    The orderings that share their first j vertices are one block of
+    (n - j)! bits, so a depth-first walk over prefixes, in label order,
+    meets the kept ones in lexicographic order, enters only the blocks that
+    hold one, and builds column j once per prefix.  A system found
+    infeasible is not solved again."""
     infeasible: set[tuple[int, ...]] = set()
-    cols, last = [0] * n, (-1,) * n
-    bit, placed = [0] * n, [0] * (n + 1)  # 1 << v's position; the first j vertices
-    for sigma in _table_entries(keep, n):
-        d = 0
-        while d < n and sigma[d] == last[d]:
-            d += 1
-        for j in range(d, n):
-            w = sigma[j]
-            col, rest = 0, earlier[w] & placed[j]
-            while rest:
-                low = rest & -rest
-                col |= bit[low.bit_length() - 1]
-                rest ^= low
-            cols[j], bit[w], placed[j + 1] = col, 1 << j, placed[j] | 1 << w
-        last, key = sigma, tuple(cols)
-        if key in infeasible:
-            continue
-        base_by_pos = _solve_base_intervals(key)
-        if base_by_pos is not None:
-            return _assemble(sigma, base_by_pos)
-        infeasible.add(key)
-    return None
+    sigma, cols, bit = [0] * n, [0] * n, [0] * n  # bit[v]: 1 << v's position
+
+    def walk(j: int, block: int, free: int) -> Optional[TriangleRepresentation]:
+        if j == n:
+            key = tuple(cols)
+            if key not in infeasible:
+                base_by_pos = _solve_base_intervals(key)
+                if base_by_pos is not None:
+                    return _assemble(sigma, base_by_pos)
+                infeasible.add(key)
+            return None
+        size = factorial(n - j - 1)
+        whole, left = (1 << size) - 1, free
+        while left:
+            w = (left & -left).bit_length() - 1
+            left &= left - 1
+            if sub := block & whole:
+                col, rest = 0, earlier[w] & ~free
+                while rest:
+                    low = rest & -rest
+                    col |= bit[low.bit_length() - 1]
+                    rest ^= low
+                sigma[j], cols[j], bit[w] = w, col, 1 << j
+                if (t := walk(j + 1, sub, free ^ 1 << w)) is not None:
+                    return t
+            block >>= size
+        return None
+
+    return walk(0, keep, (1 << n) - 1)
 
 
 def geometric_search_realization(
@@ -207,8 +207,7 @@ def geometric_search_realization(
     r(v) + 1 <= l(w) and l(w) <= r(u) sum to 3 <= 0.  Shares no code with
     :func:`simpletri.recognition.recognize`.
     """
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    _check_size(g.n, limit)
     t = _first_realization(_transitive_orderings(g), g.n, complement(g).adj)
     assert t is None or verify_representation(g, t)
     return t
@@ -224,8 +223,7 @@ def geometric_search_order_realization(
     element comes after one of its predecessors; every extension is tried
     with disjointness required exactly on the related pairs.
     """
-    if p.n > limit:
-        raise LimitExceeded(f"n={p.n} exceeds oracle limit {limit}")
+    _check_size(p.n, limit)
     P = _before_masks(p.n)
     extensions = _outside(p.n, (P[v][u] for v in range(p.n) for u in iter_bits(p.pred[v])))
     t = _first_realization(extensions, p.n, p.pred)
@@ -327,8 +325,7 @@ def has_alternating_transitive_pair(g: Graph, limit: int = DEFAULT_LIMIT) -> boo
     acyclic union.  So it suffices that one ordering is in both the
     transitive and the alternating mask.
     """
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    _check_size(g.n, limit)
     return bool(_transitive_orderings(g) & _alternating_orderings(g))
 
 
@@ -347,8 +344,7 @@ def all_transitive_complements_extend(g: Graph, limit: int = DEFAULT_LIMIT) -> b
     early once all its orderings are alternating (each of its orientations
     succeeds) or none is (each fails).
     """
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds oracle limit {limit}")
+    _check_size(g.n, limit)
     kept, alternating = _transitive_orderings(g), _alternating_orderings(g)
     if not kept & alternating:
         raise NotSimpleTriangle("graph is not a simple-triangle graph")

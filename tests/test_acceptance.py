@@ -26,6 +26,7 @@ from simpletri.graphs import (
     fulfills_c4_rule,
     is_cocomparability_ordering,
     is_comparability_ordering,
+    transitive_orientation,
     PATTERN_CP,
     PATTERN_CPC,
     PATTERN_P1,
@@ -33,9 +34,11 @@ from simpletri.graphs import (
 )
 from simpletri.oracles import (
     all_transitive_complements_extend,
+    enumerate_orientations,
     exact_triangle_intersection,
     geometric_search_order_realization,
     geometric_search_realization,
+    has_alternating_transitive_pair,
     random_triangle_pair,
     triangle_interiors_intersect,
 )
@@ -330,6 +333,27 @@ def test_10a_separating_example_corpus_slot():
     )
     assert next(iter(enumerate_orientations(g, "alternating", limit=32)), None) is not None
     assert recognize(g) is None
+
+
+def test_separating_example_with_nine_vertices():
+    """A computed graph that Ḡ orients transitively and G alternately, yet
+    that is rejected, by the pair oracle too, while every one-vertex
+    deletion is realized: a minimal separating example."""
+    g = _load_fixture_graph("separating-n9.edges")
+    assert recognize(g) is None
+    assert transitive_orientation(complement(g)) is not None
+    assert next(enumerate_orientations(g, "alternating", limit=len(g.edges)), None) is not None
+    assert geometric_search_realization(g, limit=9) is None
+    assert not has_alternating_transitive_pair(g, limit=9)
+    for v in range(g.n):
+        keep = [u for u in range(g.n) if u != v]
+        h = Graph.from_edges(
+            g.n - 1,
+            [(keep.index(a), keep.index(b)) for a, b in g.edges if v not in (a, b)],
+        )
+        assert recognize(h) is not None
+        t = geometric_search_realization(h, limit=8)
+        assert t is not None and verify_representation(h, t)
 
 
 def test_10b_orientation_nonuniqueness_corpus_slot():

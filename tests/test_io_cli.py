@@ -521,8 +521,30 @@ class TestCliOracle:
         path.write_text("2\n0 1\n")
         assert main(["--limit", "2", "--seed", "7", "oracle", "verify", str(path)]) == 0
 
-    def test_limit_seven_rebuilds_the_ordering_table(self, tmp_path, capsys):
-        # the oracles keep one ordering table, so 6, 7, 6 vertices build it three times
+    def test_limit_eleven_is_refused_before_any_mask(self, tmp_path, capsys):
+        path = tmp_path / "eleven.graph"
+        path.write_text("11\n0 1\n")
+        before = oracles._before_masks.cache_info()
+        assert main(["--limit", "11", "oracle", "verify", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: n=11 exceeds oracle limit 10\n")
+        assert oracles._before_masks.cache_info() == before
+
+    def test_limit_ten_runs_every_oracle(self, tmp_path, capsys):
+        # the prism plus four isolated vertices: rejected, with a transitive
+        # complement, so the geometric search walks its kept orderings
+        path = tmp_path / "prism4.graph"
+        path.write_text("10\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n0 3\n1 4\n2 5\n")
+        assert main(["--limit", "10", "oracle", "verify", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == [
+            "recognize: reject",
+            "geometric search: none",
+            "alternating/transitive pair: no",
+        ]
+        assert out[-1] == "agreement: ok"
+
+    def test_limit_seven_rebuilds_the_masks(self, tmp_path, capsys):
+        # the oracles keep one size's masks, so 6, 7, 6 vertices build them three times
         six, seven = tmp_path / "c4k2.graph", tmp_path / "c4tail.graph"
         six.write_text("6\n0 1\n1 2\n2 3\n3 0\n4 5\n")
         seven.write_text("7\n0 1\n1 2\n2 3\n3 0\n3 4\n4 5\n5 6\n")
@@ -534,11 +556,11 @@ class TestCliOracle:
             "geometry cross-check: 2000/2000 agree",
             "agreement: ok",
         ]
-        oracles._orderings.cache_clear()
+        oracles._before_masks.cache_clear()
         for path in (six, seven, six):
             assert main(["--limit", "7", "oracle", "verify", str(path)]) == 0
             assert capsys.readouterr().out.splitlines() == accepted
-        assert oracles._orderings.cache_info().misses == 3
+        assert oracles._before_masks.cache_info().misses == 3
 
     def test_geometry_mismatch_fails_the_verdict(
         self, c4_file, capsys, monkeypatch, fresh_geometry_cache

@@ -26,9 +26,7 @@ from simpletri.oracles import (
     _alternating_orderings,
     _assemble,
     _before_masks,
-    _orderings,
     _solve_base_intervals,
-    _table_entries,
     _transitive_orderings,
     all_transitive_complements_extend,
     enumerate_orientations,
@@ -94,12 +92,6 @@ def reference_order_search(p):
         if base_by_pos is not None:
             return _assemble(sigma, base_by_pos)
     return None
-
-
-def test_ordering_table_lists_every_permutation_once_in_order():
-    for n in range(7):
-        assert _orderings(n) == tuple(permutations(range(n)))
-    assert _orderings(0) == ((),)
 
 
 class TestGeometricSearch:
@@ -293,6 +285,24 @@ def test_oracles_on_zero_and_one_vertex(n):
     assert t is not None and t == reference_order_search(p)
 
 
+@pytest.mark.parametrize(
+    "oracle, instance",
+    [
+        (geometric_search_realization, empty_graph(11)),
+        (geometric_search_order_realization, make_partial_order(11, [])),
+        (has_alternating_transitive_pair, empty_graph(11)),
+        (all_transitive_complements_extend, empty_graph(11)),
+    ],
+    ids=["geometric", "order", "pair", "extend"],
+)
+def test_oracles_refuse_eleven_vertices_whatever_the_limit(oracle, instance):
+    # the masks for n = 11 alone would take 1.5-1.8 s and a 710 MB peak
+    before = _before_masks.cache_info()
+    with pytest.raises(LimitExceeded, match="n=11 exceeds oracle limit 10"):
+        oracle(instance, limit=11)
+    assert _before_masks.cache_info() == before
+
+
 class TestOrientationPairChecks:
     def test_examples(self):
         assert has_alternating_transitive_pair(C4)
@@ -373,10 +383,8 @@ class TestOrientationPairChecks:
         )
         assert len(complement(g).edges) == 9
         assert _transitive_orderings(g) & ~_alternating_orderings(g)
-        misses = _orderings.cache_info().misses
         assert has_alternating_transitive_pair(g, limit=9)
         assert all_transitive_complements_extend(g, limit=9)
-        assert _orderings.cache_info().misses == misses
 
     def test_masks_are_built_once_per_size(self):
         # every oracle of one size reads one set of masks, and a build does
@@ -399,7 +407,8 @@ class TestTransitiveMatrix:
 
     def test_masks_match_the_table_orderings(self):
         for n in range(8):
-            positions = [{v: i for i, v in enumerate(sigma)} for sigma in reversed(_orderings(n))]
+            orderings = reversed(list(permutations(range(n))))
+            positions = [{v: i for i, v in enumerate(sigma)} for sigma in orderings]
             masks = _before_masks(n)
             for u in range(n):
                 for v in range(n):
@@ -412,14 +421,11 @@ class TestTransitiveMatrix:
                 gc = complement(g)
                 transitive = _transitive_orderings(g)
                 alternating = _alternating_orderings(g)
-                for k, sigma in enumerate(_orderings(n)):
+                for k, sigma in enumerate(permutations(range(n))):
                     o_gc = orientation_from_ordering(gc, sigma)
                     o_g = orientation_from_ordering(g, sigma)
                     assert transitive >> k & 1 == is_transitive_orientation(gc, o_gc)
                     assert alternating >> k & 1 == is_alternating_orientation(g, o_g)
-                assert tuple(_table_entries(transitive, n)) == tuple(
-                    entry for k, entry in enumerate(_orderings(n)) if transitive >> k & 1
-                )
 
 
 class TestExactGeometry:
