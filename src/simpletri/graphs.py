@@ -3,8 +3,11 @@
 Vertex orderings are plain permutations of ``0..n-1``.  The ordered patterns
 of :mod:`simpletri.patterns` are re-exported here: the three-vertex ones
 characterize comparability and cocomparability orderings, and the four-vertex
-ones are the extra obstructions of an apex ordering.  Rules and predicates
-here are all pure functions over immutable values.
+ones are the extra obstructions of an apex ordering.  Every pattern check of
+one given ordering, the C4 and 2K2 rules included, runs the search engine's
+:class:`~simpletri.patterns.PatternRule` along the ordering, on the graph
+relabelled by position.  Rules and predicates here are all pure functions
+over immutable values.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 from ._bits import clear_rows, iter_bits, set_row
 from .errors import EdgeSetMismatch, NotComparabilityOrdering, SizeMismatch
 from .orders import PartialOrder, _check_permutation, _later_masks, _positions
-from .patterns import APEX_PATTERNS, OrderedPattern
+from .patterns import APEX_PATTERNS, C4_PATTERNS, OrderedPattern, PatternRule
 from .patterns import PATTERN_CP, PATTERN_CPC, PATTERN_P1, PATTERN_P2
 
 __all__ = [
@@ -39,8 +42,6 @@ __all__ = [
     "is_transitive_orientation",
     "is_alternating_orientation",
     "union_is_acyclic",
-    "induced_four_cycles",
-    "induced_2k2s",
     "cycle_graph",
     "path_graph",
     "complete_graph",
@@ -143,88 +144,71 @@ def _check_ordering(g: Graph, ordering: Sequence[int]) -> None:
     _check_permutation(ordering, g.n)
 
 
+def _instances(g: Graph, ordering: Sequence[int], patterns):
+    """Instances of ``patterns`` along ``ordering`` as tuples of positions:
+    for each position v, in turn, that is second to last in an instance, the
+    least one of the first pattern that has one there.
+
+    The graph is relabelled by position and one :class:`PatternRule` placed
+    along the positions; at v its kernels return the instance
+    ``(x0, [x1,] v, z)`` least in lexicographic order.
+    """
+    _check_ordering(g, ordering)
+    bit = [1 << p for p in _positions(ordering)]
+    by_position = []
+    for u in ordering:
+        row, adj = 0, g.adj[u]
+        while adj:
+            low = adj & -adj
+            row |= bit[low.bit_length() - 1]
+            adj ^= low
+        by_position.append(row)
+    rule = PatternRule(by_position, patterns)
+    for v in range(g.n - 1):
+        if rule.place(v, rule.full & ~((2 << v) - 1)) is None:
+            yield rule.hit[1]
+
+
+def _avoids(g: Graph, ordering: Sequence[int], patterns) -> bool:
+    return next(_instances(g, ordering, patterns), None) is None
+
+
 def find_pattern(
     g: Graph, ordering: Sequence[int], pattern: OrderedPattern
 ) -> Optional[tuple[int, ...]]:
     """First ordering-increasing vertex tuple matching ``pattern``, or None.
 
-    Tuples are scanned in lexicographic order of their ordering positions,
-    so the returned witness is deterministic.
+    First in lexicographic order of the tuples' ordering positions, so the
+    returned witness is deterministic: the least of the instances that
+    :func:`_instances` finds per second-to-last position.
     """
-    _check_ordering(g, ordering)
-    adj = g.adj
-    edges = tuple(pattern.required_edges)
-    non_edges = tuple(pattern.required_non_edges)
-    for positions in combinations(range(g.n), pattern.size):
-        verts = tuple(ordering[p] for p in positions)
-        if all(adj[verts[i]] >> verts[j] & 1 for i, j in edges) and not any(
-            adj[verts[i]] >> verts[j] & 1 for i, j in non_edges
-        ):
-            return verts
-    return None
+    first = min(_instances(g, ordering, [("", pattern)]), default=None)
+    return None if first is None else tuple(ordering[p] for p in first)
 
 
 def is_comparability_ordering(g: Graph, ordering: Sequence[int]) -> bool:
     """No two adjacent pairs u < v < w with uv, vw edges but uw a non-edge."""
-    return find_pattern(g, ordering, PATTERN_CP) is None
+    return _avoids(g, ordering, [("cp", PATTERN_CP)])
 
 
 def is_cocomparability_ordering(g: Graph, ordering: Sequence[int]) -> bool:
     """Every edge uw spanning a middle vertex v has uv or vw present."""
-    return find_pattern(g, ordering, PATTERN_CPC) is None
-
-
-@_cached_on_graph
-def induced_four_cycles(g: Graph) -> tuple[tuple[int, int, int, int], ...]:
-    """Induced 4-cycles as tuples (u, v, w, x) with edges uv, vw, wx, xu."""
-    out = []
-    for quad in combinations(range(g.n), 4):
-        inside = 0
-        for q in quad:
-            inside |= 1 << q
-        degs = [(g.adj[q] & inside).bit_count() for q in quad]
-        if degs != [2, 2, 2, 2]:
-            continue
-        u = quad[0]
-        rest = [q for q in quad[1:]]
-        opposite = [q for q in rest if not g.adjacent(u, q)]
-        if len(opposite) != 1:
-            continue
-        w = opposite[0]
-        v, x = [q for q in rest if q != w]
-        out.append((u, v, w, x))
-    return tuple(out)
-
-
-@_cached_on_graph
-def induced_2k2s(g: Graph) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
-    """Induced pairs of disjoint edges with no other adjacency among the four."""
-    out = []
-    for quad in combinations(range(g.n), 4):
-        pairs = [
-            (a, b) for a, b in combinations(quad, 2) if g.adjacent(a, b)
-        ]
-        if len(pairs) != 2:
-            continue
-        (a, b), (c, d) = pairs
-        if len({a, b, c, d}) == 4:
-            out.append(((a, b), (c, d)))
-    return tuple(out)
+    return _avoids(g, ordering, [("cpc", PATTERN_CPC)])
 
 
 def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
     """All-equal comparison condition around every induced 4-cycle.
 
     For a cycle (u, v, w, x) the four comparisons u<v, w<v, w<x, u<x must
-    agree; the other cyclic labeling (v, w, x, u) negates all four, so the
-    condition does not depend on the labeling either.
+    agree, so one diagonal pair, u and w or v and x, comes before the other.
+    The cycles that break the rule are those whose diagonals interleave or
+    nest along the ordering, the two ordered patterns of
+    ``patterns.C4_PATTERNS``, asked in one pass.  They contain p2 and p1, so
+    every apex ordering meets the rule; conversely a cocomparability
+    ordering that meets it is an apex ordering, the paper's lemma that
+    acceptance test 04 checks.
     """
-    _check_ordering(g, ordering)
-    pos = _positions(ordering)
-    for u, v, w, x in induced_four_cycles(g):
-        if len({pos[u] < pos[v], pos[w] < pos[v], pos[w] < pos[x], pos[u] < pos[x]}) > 1:
-            return False
-    return True
+    return _avoids(g, ordering, C4_PATTERNS)
 
 
 def fulfills_2k2_rule(g: Graph, ordering: Sequence[int]) -> bool:
@@ -232,9 +216,8 @@ def fulfills_2k2_rule(g: Graph, ordering: Sequence[int]) -> bool:
 
     With edges uw and vx, u-v-w-x is an induced 4-cycle of the complement,
     and the C4 rule there asks the same four comparisons u<v, w<v, w<x, u<x.
-    The complement is memoized on g, so its 4-cycles are listed once.
     """
-    return fulfills_c4_rule(_cached_on_graph(complement)(g), ordering)
+    return fulfills_c4_rule(complement(g), ordering)
 
 
 def orient_complement_by_ordering(g: Graph, ordering: Sequence[int]) -> PartialOrder:

@@ -6,8 +6,9 @@ branch: :class:`PatternRule` by checking patterns forward (all three, alone,
 in ``recognition.rejection_certificates``), ``twosat.IntervalFormula`` by
 the 2-SAT relaxation of linear-interval orders, and
 ``recognition._LeastOrderingRule`` by Γ-forcing on the complement, with a
-``PatternRule`` on p1 and p2 until it hands over to the 2-SAT.
-``graphs.find_pattern`` scans one ordering for one pattern
+``PatternRule`` on p1 and p2 until it hands over to the 2-SAT.  The rule's
+kernels are also the one matcher of a given ordering: ``graphs.find_pattern``
+and the C4 and 2K2 rules run a ``PatternRule`` along the ordering
 (``recognition.realize`` checks a given ordering by building).
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ __all__ = [
     "PATTERN_P1",
     "PATTERN_P2",
     "APEX_PATTERNS",
+    "C4_PATTERNS",
     "PatternRule",
     "search_orderings",
 ]
@@ -34,13 +36,14 @@ __all__ = [
 class OrderedPattern:
     """Edge/non-edge constraints on a tuple of ordering positions.
 
-    Positions are 0-based ranks inside the matched subordering; pairs not
-    listed in either set are unconstrained.  ``codes`` compiles the pairs
-    for :class:`PatternRule`, those ending at the last position first, then
-    the rest in lexicographic order: 0 unconstrained, 1 edge, 2 non-edge.
-    The rule turns each code into a table of allowed neighbours; the pairs
-    ending at the last position cut down the mask of unplaced vertices that
-    can close the pattern, the others match its placed vertices.
+    Positions are 0-based ranks inside the matched subordering, 3 or 4 of
+    them, the sizes the rule's kernels match; pairs not listed in either set
+    are unconstrained.  ``codes`` compiles the pairs for :class:`PatternRule`,
+    those ending at the last position first, then the rest in lexicographic
+    order: 0 unconstrained, 1 edge, 2 non-edge.  The rule turns each code
+    into a table of allowed neighbours; the pairs ending at the last
+    position cut down the mask of unplaced vertices that can close the
+    pattern, the others match its placed vertices.
     """
 
     size: int
@@ -49,6 +52,8 @@ class OrderedPattern:
     codes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.size not in (3, 4):
+            raise ValueError(f"pattern size {self.size} is not 3 or 4")
         both = self.required_edges & self.required_non_edges
         if both:
             raise ValueError(f"positions {sorted(both)} required present and absent")
@@ -79,6 +84,14 @@ PATTERN_P1 = _pattern(4, [(0, 2), (1, 3)], [(1, 2), (0, 3)])
 PATTERN_P2 = _pattern(4, [(0, 3), (1, 2)], [(0, 2), (1, 3)])
 
 APEX_PATTERNS = (("cpc", PATTERN_CPC), ("p1", PATTERN_P1), ("p2", PATTERN_P2))
+
+# The induced 4-cycles whose diagonals (the non-edges) interleave, 0-1-2-3,
+# or nest, 0-1-3-2: p2 and p1 with the pairs 0-1 and 2-3 also adjacent.
+# ``graphs.fulfills_c4_rule`` forbids both.
+C4_PATTERNS = (
+    ("c4-p2", _pattern(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [(0, 2), (1, 3)])),
+    ("c4-p1", _pattern(4, [(0, 1), (1, 3), (2, 3), (0, 2)], [(0, 3), (1, 2)])),
+)
 
 
 def _closes3(tables, upto, used, v, later):
@@ -129,10 +142,11 @@ class PatternRule:
     ``place(v, unplaced)`` refuses v when v is second to last in an instance
     of a pattern whose last vertex z is unplaced and the rest placed: z must
     come later, whether or not ``pred`` lets it come next.  ``hit`` records
-    the first such pattern's name and witness, which ends at z and is
-    picked by label, not by position as ``graphs.find_pattern`` picks.
-    Every instance is found at its second-to-last vertex, so the complete
-    orderings are exactly the pattern-avoiding ones.
+    the first such pattern's name and witness, which ends at z and is the
+    least such one by label; ``graphs.find_pattern`` relabels the graph by
+    position, so that it is the least by position.  Every instance is found
+    at its second-to-last vertex, so the complete orderings are exactly the
+    pattern-avoiding ones.
     """
 
     def __init__(self, adj: Sequence[int], patterns: Sequence[tuple[str, OrderedPattern]]):

@@ -1,4 +1,5 @@
 from itertools import combinations, permutations
+import random
 import time
 
 import pytest
@@ -23,8 +24,6 @@ from simpletri.graphs import (
     find_pattern,
     fulfills_2k2_rule,
     fulfills_c4_rule,
-    induced_2k2s,
-    induced_four_cycles,
     is_alternating_orientation,
     is_cocomparability_ordering,
     is_comparability_ordering,
@@ -36,10 +35,13 @@ from simpletri.graphs import (
 )
 from simpletri.oracles import enumerate_orientations
 from simpletri.orders import find_alternating_anticycle, is_linear_extension
+from simpletri.patterns import C4_PATTERNS
 
+from references import c4_rule_by_cycles, scan_pattern
 from strategies import edge_sets, graphs
 
 C4 = cycle_graph(4)
+ALL_PATTERNS = (PATTERN_CP, PATTERN_CPC, PATTERN_P1, PATTERN_P2, *(pat for _, pat in C4_PATTERNS))
 TWO_K2 = Graph.from_edges(4, [(0, 2), (1, 3)])
 P3 = path_graph(3)
 
@@ -104,6 +106,43 @@ class TestFindPattern:
         g = Graph.from_edges(5, [(0, 2), (0, 4)])
         # both (0, 1, 2) and (0, 1, 4) match cpc; the positionally first wins
         assert find_pattern(g, (0, 1, 2, 3, 4), PATTERN_CPC) == (0, 1, 2)
+
+    def test_least_witness_over_all_second_to_last_positions(self):
+        # (2, 3, 4) closes after position 3 and (0, 4, 5) only after
+        # position 4, yet the later one is first in lexicographic order
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 5), (2, 4)])
+        assert find_pattern(g, tuple(range(6)), PATTERN_CPC) == (0, 4, 5)
+
+    def test_matches_the_tuple_scan_on_every_small_graph(self, small_graphs):
+        """Each pattern of the library gets the witness of the scan over all
+        position tuples, and the C4 rule is the comparison around every
+        induced 4-cycle: on every ordering of every graph with n <= 4, and
+        on every graph with n <= 5 under the identity and one seeded
+        ordering.  An ordering has the instances that the identity has on
+        the graph relabelled by position, so each graph under one ordering
+        covers every (graph, ordering) pair with n <= 5 up to relabelling.
+        The 124,470 pairs themselves take about 25 s on a 2-vCPU x86-64 VM,
+        too long for this suite."""
+        rng = random.Random(20261019)
+        witnessed = set()
+        for n in range(6):
+            for g in small_graphs[n]:
+                shuffled = rng.sample(range(n), n)
+                for sigma in permutations(range(n)) if n <= 4 else (tuple(range(n)), shuffled):
+                    got = [find_pattern(g, sigma, pat) for pat in ALL_PATTERNS]
+                    assert got == [scan_pattern(g, sigma, pat) for pat in ALL_PATTERNS], (g, sigma)
+                    assert fulfills_c4_rule(g, sigma) == c4_rule_by_cycles(g, sigma), (g, sigma)
+                    witnessed.update(i for i, w in enumerate(got) if w is not None)
+        assert witnessed == set(range(len(ALL_PATTERNS)))
+
+    @given(graphs(max_n=9), st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_matches_the_tuple_scan_on_random_orderings(self, g, rng):
+        sigma = list(range(g.n))
+        rng.shuffle(sigma)
+        for pat in ALL_PATTERNS:
+            assert find_pattern(g, sigma, pat) == scan_pattern(g, sigma, pat)
+        assert fulfills_c4_rule(g, sigma) == c4_rule_by_cycles(g, sigma)
 
 
 class TestOrderingPredicates:
@@ -177,18 +216,6 @@ class TestFourCycleRule:
                             reference = outcome
                         assert outcome == reference
             assert reference == fulfills_2k2_rule(g, sigma)
-
-
-class TestInducedSubstructures:
-    def test_c4_detection(self):
-        assert induced_four_cycles(C4) == ((0, 1, 2, 3),)
-        assert induced_four_cycles(complete_graph(4)) == ()
-
-    def test_2k2_detection(self):
-        assert induced_2k2s(TWO_K2) == (((0, 2), (1, 3)),)
-        assert induced_2k2s(path_graph(4)) == ()
-        # P5 contains exactly one induced pair of disjoint edges
-        assert induced_2k2s(path_graph(5)) == (((0, 1), (3, 4)),)
 
 
 class TestOrientComplement:

@@ -2,6 +2,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import combinations
 
 import pytest
 import hypothesis.strategies as st
@@ -11,7 +12,7 @@ import simpletri.io
 from simpletri import cli, oracles, recognition
 from simpletri.cli import main
 from simpletri.errors import CycleError, DuplicateEdge, ParseError, SelfLoop
-from simpletri.graphs import Graph, cycle_graph
+from simpletri.graphs import APEX_PATTERNS, Graph, cycle_graph
 from simpletri.io import (
     MAX_VERTICES,
     _significant_lines,
@@ -25,6 +26,7 @@ from simpletri.io import (
 from simpletri.orders import PartialOrder, make_partial_order
 from simpletri.triangles import TriangleRepresentation, verify_representation
 
+from references import c4_rule_by_cycles, scan_pattern
 from strategies import graphs, partial_orders
 
 C4_TEXT = "4\n0 1\n1 2\n2 3\n3 0\n"
@@ -407,6 +409,61 @@ class TestCliCheckOrdering:
 
     def test_bad_ordering(self, c4_file, capsys):
         assert main(["check-ordering", c4_file, "0,1,2"]) == 2
+
+    def test_prints_what_the_reference_scans_give(self, tmp_path, capsys):
+        """Seeded graphs with n = 6-12, every other one the intersection
+        graph of random triangles so that it has apex orderings, each under
+        the identity, its ``apex_ordering`` when it has one, and one
+        adjacent swap of the last of these: the command prints and exits as
+        the tuple scan and the C4 rule's cycle definition say."""
+        rng = random.Random(20261019)
+        path = tmp_path / "g.graph"
+        exits, seen = [], set()
+        for i in range(30):
+            n = rng.randint(6, 12)
+            g = triangle_graph(rng, n) if i % 2 else Graph.from_edges(
+                n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+            )
+            path.write_text(graph_to_text(g))
+            orderings = [tuple(range(n))]
+            apex = recognition.apex_ordering(g)
+            if apex is not None:
+                orderings.append(apex)
+            k = rng.randrange(n - 1)
+            last = orderings[-1]
+            orderings.append((*last[:k], last[k + 1], last[k], *last[k + 2:]))
+            for sigma in orderings:
+                witnesses = {name: scan_pattern(g, sigma, pat) for name, pat in APEX_PATTERNS}
+                accepted = all(w is None for w in witnesses.values())
+                expected = [
+                    f"cocomparability: {'yes' if witnesses['cpc'] is None else 'no'}",
+                    f"C4 rule: {'yes' if c4_rule_by_cycles(g, sigma) else 'no'}",
+                    *(f"{name}: " + ("none" if w is None else ",".join(map(str, w)))
+                      for name, w in witnesses.items()),
+                    f"apex ordering: {'yes' if accepted else 'no'}",
+                ]
+                exits.append(main(["check-ordering", str(path), ",".join(map(str, sigma))]))
+                assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+                assert exits[-1] == (0 if accepted else 1), (sorted(g.edges), sigma)
+                seen.update(line for line in expected if "none" not in line)
+        assert set(exits) == {0, 1}
+        assert {"C4 rule: yes", "C4 rule: no"} <= seen
+        assert {name for name, _ in APEX_PATTERNS} <= {line.split(":")[0] for line in seen}
+
+
+def triangle_graph(rng, n):
+    """Intersection graph of n random triangles between two lines: two are
+    disjoint when one lies left of the other on both lines."""
+    apex = rng.sample(range(n), n)
+    points = rng.sample(range(2 * n), 2 * n)
+    base = [sorted(points[2 * v:2 * v + 2]) for v in range(n)]
+
+    def left(u, v):
+        return apex[u] < apex[v] and base[u][1] < base[v][0]
+
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if not (left(u, v) or left(v, u))]
+    )
 
 
 class TestCliOrder:

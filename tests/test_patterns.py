@@ -3,8 +3,9 @@
 Both recognizers and the extension enumeration run on
 :func:`simpletri.patterns.search_orderings`, and the forward pattern check
 is its rule :class:`simpletri.patterns.PatternRule`; these tests pin the
-two to the plain scanners: ``find_pattern`` over every permutation for
-graphs, and enumerate-then-filter by the anticycle search for orders.  The
+two to plain scanners that share no code with them: the reference tuple
+scan ``references.scan_pattern`` over every permutation for graphs, and
+enumerate-then-filter by the anticycle search for orders.  The
 whole yield stream is pinned, not only its first ordering: the complete
 orderings are exactly the clean ones in lexicographic order, and every
 refused branch carries a real pattern and is one no clean ordering lies in.
@@ -14,13 +15,15 @@ search's ``rule`` argument.
 import random
 from itertools import combinations, permutations
 
+import pytest
+
 from simpletri.exhaustive import (
     all_graphs,
     naturally_ordered_relations,
     random_partial_order,
     relabel_order,
 )
-from simpletri.graphs import APEX_PATTERNS, PATTERN_P1, PATTERN_P2, Graph, find_pattern
+from simpletri.graphs import APEX_PATTERNS, PATTERN_P1, PATTERN_P2, Graph
 from simpletri.orders import (
     enumerate_linear_extensions,
     find_alternating_anticycle,
@@ -28,8 +31,10 @@ from simpletri.orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from simpletri.patterns import PatternRule, search_orderings
+from simpletri.patterns import OrderedPattern, PatternRule, search_orderings
 from simpletri.recognition import is_simple_triangle, recognize, rejection_certificates
+
+from references import scan_pattern
 
 SEED = 20261017
 CROWN = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
@@ -74,7 +79,7 @@ def assert_certificates(g, patterns, certificates, clean):
 
     Real: its prefix is a branch followed by one vertex not on it, and the
     witness is a subsequence of the prefix ending at that vertex on which
-    ``find_pattern`` finds the named pattern.  Dead: no clean ordering
+    the reference scan finds the named pattern.  Dead: no clean ordering
     starts with the branch.
     """
     by_name = dict(patterns)
@@ -89,8 +94,15 @@ def assert_certificates(g, patterns, certificates, clean):
             sub = Graph.from_edges(
                 k, [(i, j) for i, j in combinations(range(k), 2) if g.adjacent(witness[i], witness[j])]
             )
-            assert find_pattern(sub, tuple(range(k)), by_name[name]) == tuple(range(k))
+            assert scan_pattern(sub, tuple(range(k)), by_name[name]) == tuple(range(k))
             matched.add((name, witness))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 5])
+def test_pattern_sizes_other_than_three_and_four_are_refused(size):
+    """The rule's kernels match 3 and 4 positions only."""
+    with pytest.raises(ValueError, match="not 3 or 4"):
+        OrderedPattern(size, frozenset(), frozenset())
 
 
 def test_two_plus_two_rule_is_the_p1_p2_pair():
@@ -103,7 +115,7 @@ def test_two_plus_two_rule_is_the_p1_p2_pair():
         for p in naturally_ordered_relations(n):
             comparability = Graph(n, p.pairs)
             clean = all(
-                find_pattern(comparability, ext, pat) is None
+                scan_pattern(comparability, ext, pat) is None
                 for pat in (PATTERN_P1, PATTERN_P2)
             )
             assert (find_alternating_anticycle(p, ext, k_max=2) is None) == clean
@@ -152,7 +164,7 @@ def test_graph_recognition_matches_permutation_scan():
             (
                 sigma
                 for sigma in permutations(range(n))
-                if all(find_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
+                if all(scan_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
             ),
             None,
         )
@@ -164,7 +176,7 @@ def test_graph_recognition_matches_permutation_scan():
 
 def test_graph_search_yields_exactly_the_clean_permutations(small_graphs):
     """Every graph with n <= 5 and seeded ones with n = 6-7: the complete
-    orderings are the permutations ``find_pattern`` clears of cpc, p1 and p2,
+    orderings are the permutations the reference scan clears of cpc, p1 and p2,
     in lexicographic order, and every pruned prefix is real and dead."""
     rng = random.Random(SEED)
     graphs = [g for n in range(6) for g in small_graphs[n]]
@@ -174,7 +186,7 @@ def test_graph_search_yields_exactly_the_clean_permutations(small_graphs):
         clean = [
             sigma
             for sigma in permutations(range(g.n))
-            if all(find_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
+            if all(scan_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
         ]
         complete, pruned = split_stream((0,) * g.n, PatternRule(g.adj, APEX_PATTERNS))
         assert complete == clean, sorted(g.edges)
@@ -196,7 +208,7 @@ def test_order_search_yields_exactly_the_clean_extensions():
             ext
             for ext in permutations(range(p.n))
             if is_linear_extension(p, ext)
-            and all(find_pattern(comparability, ext, pat) is None for _, pat in INTERVAL_PATTERNS)
+            and all(scan_pattern(comparability, ext, pat) is None for _, pat in INTERVAL_PATTERNS)
         ]
         rule = PatternRule(comparability.adj, INTERVAL_PATTERNS)
         complete, pruned = split_stream(p.pred, rule)
