@@ -12,15 +12,20 @@ accepted graph ``all_transitive_complements_extend`` must hold and
 ``apex_ordering`` must give an ordering whose ``realize`` passes
 ``verify_representation``.  It prints the counts and the wall time of
 each part, with the time spent in each oracle (geometric, pair, extend) and
-in the recognizer, and exits 1 on any mismatch.
+in the recognizer, and how often the geometric searches called their
+solver and found the system infeasible, and exits 1 on any mismatch.
 
 Every part reports 0 mismatches.  Accepted and rejected: 30,104 and 2,664
 at n = 6; 1,654 and 346, 1,234 and 766, 101 and 199, 21 and 79 in the
 samples with n = 7 to 10; all 8 of the prism family rejected.  A run takes
 about 20 s on a 2-vCPU x86-64 VM with CPython 3.11, whose speed drifts by
-a third: 10-14 s for n = 6, 0.8, 1.4, 0.9 and 2.5 s for the samples with
-n = 7 to 10, and 1.0-2.1 s for the prism family.  The geometric search
-takes 2.2-3.0, 0.2, 0.6, 0.6, 1.3 and 1.0-2.1 s of those.  That is too
+a third: 12-14 s for n = 6, 0.9-1.0, 1.3, 0.6 and 3.4-3.5 s for the
+samples with n = 7 to 10, and 0.2 s for the prism family.  The geometric
+search takes 2.6-2.9, 0.2, 0.4, 0.2-0.3, 1.8 and 0.2 s of those; at
+n = 10 the transitive mask, which the pair oracle then reuses, is most of
+it, and 0.3 s is the 2+2 mask of the 13 accepted draws whose first
+ordering fails.  The solver runs 37,743, 2,242, 1,885, 171, 34 and 8
+times, and 7,639, 588, 651, 70, 13 and 8 of those runs fail.  That is too
 slow for the test suite.
 
     PYTHONPATH=src python scripts/check_oracles.py
@@ -32,6 +37,7 @@ import sys
 import time
 from itertools import combinations
 
+import simpletri.oracles
 from simpletri.exhaustive import all_graphs
 from simpletri.graphs import Graph
 from simpletri.oracles import (
@@ -66,10 +72,18 @@ def prism_family():
 
 
 def check(label: str, graphs) -> int:
-    """Cross-check each graph, print the counts and the time of each
-    oracle and of the recognizer, and return the mismatches."""
+    """Cross-check each graph, print the counts, the time of each oracle and
+    of the recognizer and the solver calls, and return the mismatches."""
     start = time.perf_counter()
     times = dict.fromkeys(("recognizer", "geometric", "pair", "extend"), 0.0)
+    solves = {"calls": 0, "infeasible": 0}
+    solve = simpletri.oracles._solve_base_intervals
+
+    def counted(cols):
+        out = solve(cols)
+        solves["calls"] += 1
+        solves["infeasible"] += out is None
+        return out
 
     def timed(part, f, *args):
         t = time.perf_counter()
@@ -77,6 +91,7 @@ def check(label: str, graphs) -> int:
         times[part] += time.perf_counter() - t
         return out
 
+    simpletri.oracles._solve_base_intervals = counted
     count = accepted = mismatches = 0
     for g in graphs:
         count += 1
@@ -96,12 +111,13 @@ def check(label: str, graphs) -> int:
         if not ok:
             mismatches += 1
             print(f"mismatch: n={g.n} edges={sorted(g.edges)} answers={answers}")
+    simpletri.oracles._solve_base_intervals = solve
     print(
         f"{label}: {count} graphs, {accepted} accepted, "
         f"{count - accepted} rejected, {mismatches} mismatches, "
         f"{time.perf_counter() - start:.1f} s ("
         + ", ".join(f"{part} {t:.2f} s" for part, t in times.items())
-        + ")"
+        + f"), {solves['calls']} solver calls, {solves['infeasible']} infeasible"
     )
     return mismatches
 

@@ -10,11 +10,11 @@ disjoint exactly when the line along one side of one of them separates them.
 The oracles judge the n! orderings of 0..n-1 by n!-bit masks: bit k of
 ``P[u][v]`` (:func:`_before_masks`) says that the k-th ordering in
 lexicographic order puts u before v, so each filter (transitive complement
-orientation, alternating orientation, order extension) is O(n³) ANDs per
-input, not one check per ordering.  Every oracle reads only the masks: the
-geometric searches walk the kept orderings straight from theirs, prefix by
-prefix.  Only the last size's masks are kept: 0.1, 0.2 and 0.7 ms and
-4 kB, 30 kB and 0.3 MB at n = 6, 7 and 8, and 6 and 100 ms and 3.4 and
+orientation, alternating orientation, order extension, 2+2 constraint
+cycle) is O(n³) ANDs per input, not one check per ordering.  Every oracle
+reads only the masks, and the geometric searches solve what theirs keep,
+lowest bit first.  Only the last size's masks are kept: 0.1, 0.2 and 0.7 ms
+and 4 kB, 30 kB and 0.3 MB at n = 6, 7 and 8, and 6 and 100 ms and 3.4 and
 43 MB at n = 9 and 10 (2-vCPU x86-64 VM, CPython 3.11).  n = 11 would take
 1.5-1.8 s and a 710 MB peak, so no oracle goes past n = :data:`MAX_N` = 10,
 whatever its limit.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -78,10 +78,8 @@ def _solve_base_intervals(cols: Sequence[int]) -> Optional[list[tuple[int, int]]
     only shrink as t grows.  Either they run out, and each endpoint is 1
     plus the number of values beyond 1 it reaches, or they repeat, and the
     values grow without bound along a positive cycle: the system is
-    infeasible.  Intransitive disjoint pairs make one, but the searches send
-    none: :func:`geometric_search_realization` drops such orderings first,
-    and an order's extensions give the order's own pairs, which are
-    transitive.
+    infeasible.  Intransitive disjoint pairs make one, which the searches
+    never send, and so does a 2+2 (:func:`_two_plus_two_orderings`).
     """
     n = len(cols)
     meet = [(1 << j) - 1 & ~col for j, col in enumerate(cols)]
@@ -149,48 +147,46 @@ def _alternating_orderings(g: Graph) -> int:
     return _outside(g.n, (P[a][b] & P[b][c] | P[c][b] & P[b][a] for a, b, c in _cycle_p3s(g)))
 
 
-def _first_realization(
-    keep: int, n: int, earlier: Sequence[int]
-) -> Optional[TriangleRepresentation]:
-    """Triangles on the first ordering in ``keep`` whose base intervals can
-    be solved, where the base of each vertex of ``earlier[w]`` that comes
-    before w must end before w's base begins.  Column j of an ordering's
-    system holds the positions of those vertices for the w at position j.
-    The orderings that share their first j vertices are one block of
-    (n - j)! bits, so a depth-first walk over prefixes, in label order,
-    meets the kept ones in lexicographic order, enters only the blocks that
-    hold one, and builds column j once per prefix.  A system found
-    infeasible is not solved again."""
-    infeasible: set[tuple[int, ...]] = set()
-    sigma, cols, bit = [0] * n, [0] * n, [0] * n  # bit[v]: 1 << v's position
+def _two_plus_two_orderings(n: int, disjoint: Sequence[int]) -> int:
+    """The orderings that put a before b and c before d on two disjoint
+    pairs, and c before b and a before d on two meeting pairs: the OR of
+    ``P[a][b] & P[c][d] & P[c][b] & P[a][d]`` over the pairs ab and cd in
+    ``disjoint`` and bc and ad not in it, O(n³) ANDs since b and d range
+    independently once a < c is fixed.  None has base intervals:
+    r(a) + 1 <= l(b) <= r(c) and r(c) + 1 <= l(d) <= r(a) sum to 2 <= 0."""
+    P, cycles = _before_masks(n), 0
+    for a, c in combinations(range(n), 2):
+        bs = disjoint[a] & ~disjoint[c] & ~(1 << c)  # disjoint from a, meeting c
+        ds = disjoint[c] & ~disjoint[a] & ~(1 << a)  # disjoint from c, meeting a
+        if bs and ds:
+            before_b = functools.reduce(operator.or_, (P[a][b] & P[c][b] for b in iter_bits(bs)))
+            before_d = functools.reduce(operator.or_, (P[c][d] & P[a][d] for d in iter_bits(ds)))
+            cycles |= before_b & before_d
+    return cycles
 
-    def walk(j: int, block: int, free: int) -> Optional[TriangleRepresentation]:
-        if j == n:
-            key = tuple(cols)
-            if key not in infeasible:
-                base_by_pos = _solve_base_intervals(key)
-                if base_by_pos is not None:
-                    return _assemble(sigma, base_by_pos)
-                infeasible.add(key)
-            return None
-        size = factorial(n - j - 1)
-        whole, left = (1 << size) - 1, free
-        while left:
-            w = (left & -left).bit_length() - 1
-            left &= left - 1
-            if sub := block & whole:
-                col, rest = 0, earlier[w] & ~free
-                while rest:
-                    low = rest & -rest
-                    col |= bit[low.bit_length() - 1]
-                    rest ^= low
-                sigma[j], cols[j], bit[w] = w, col, 1 << j
-                if (t := walk(j + 1, sub, free ^ 1 << w)) is not None:
-                    return t
-            block >>= size
-        return None
 
-    return walk(0, keep, (1 << n) - 1)
+def _first_realization(keep: int, disjoint: Sequence[int]) -> Optional[TriangleRepresentation]:
+    """Triangles on the first ordering in ``keep`` whose base intervals
+    solve, where the base of each vertex of ``disjoint[w]`` that comes before
+    w must end before w's base begins.  Bit k is the ordering spelled by k's
+    factorial-base digits, lowest first.  The first infeasible system drops
+    :func:`_two_plus_two_orderings` from the rest, once, so an input whose
+    first ordering solves never builds that mask."""
+    n, drop = len(disjoint), None
+    while keep:
+        low = keep & -keep
+        k, rest, sigma, cols = low.bit_length() - 1, list(range(n)), [], []
+        for j in range(n - 1, -1, -1):
+            digit, k = divmod(k, factorial(j))
+            w = rest.pop(digit)
+            cols.append(sum(1 << i for i, u in enumerate(sigma) if disjoint[w] >> u & 1))
+            sigma.append(w)
+        if (base_by_pos := _solve_base_intervals(cols)) is not None:
+            return _assemble(sigma, base_by_pos)
+        keep ^= low
+        if drop is None:
+            keep &= ~(drop := _two_plus_two_orderings(n, disjoint))
+    return None
 
 
 def geometric_search_realization(
@@ -204,11 +200,14 @@ def geometric_search_realization(
     dropped before any system is built when the complement orientation it
     induces, each vertex towards its later non-neighbours, is not: with u, v
     and v, w disjoint but not u, w, r(u) + 1 <= l(v), l(v) + 1 <= r(v),
-    r(v) + 1 <= l(w) and l(w) <= r(u) sum to 3 <= 0.  Shares no code with
+    r(v) + 1 <= l(w) and l(w) <= r(u) sum to 3 <= 0.  After the first
+    infeasible system, so is every ordering that puts a and c before b and
+    d, with ab and cd disjoint and bc and ad meeting: r(a) + 1 <= l(b) <=
+    r(c) and r(c) + 1 <= l(d) <= r(a) sum to 2 <= 0.  Shares no code with
     :func:`simpletri.recognition.recognize`.
     """
     _check_size(g.n, limit)
-    t = _first_realization(_transitive_orderings(g), g.n, complement(g).adj)
+    t = _first_realization(_transitive_orderings(g), complement(g).adj)
     assert t is None or verify_representation(g, t)
     return t
 
@@ -226,7 +225,7 @@ def geometric_search_order_realization(
     _check_size(p.n, limit)
     P = _before_masks(p.n)
     extensions = _outside(p.n, (P[v][u] for v in range(p.n) for u in iter_bits(p.pred[v])))
-    t = _first_realization(extensions, p.n, p.pred)
+    t = _first_realization(extensions, [s | q for s, q in zip(p.succ, p.pred)])
     assert t is None or t.induced_order() == p
     return t
 

@@ -587,18 +587,22 @@ class TestCliOracle:
         assert oracles._before_masks.cache_info() == before
 
     def test_limit_ten_runs_every_oracle(self, tmp_path, capsys):
-        # the prism plus four isolated vertices: rejected, with a transitive
-        # complement, so the geometric search walks its kept orderings
-        path = tmp_path / "prism4.graph"
-        path.write_text("10\n0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n0 3\n1 4\n2 5\n")
-        assert main(["--limit", "10", "oracle", "verify", str(path)]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[:3] == [
-            "recognize: reject",
-            "geometric search: none",
-            "alternating/transitive pair: no",
-        ]
-        assert out[-1] == "agreement: ok"
+        # the prism plus four isolated, then four universal vertices: rejected,
+        # with a transitive complement, so the geometric search has kept
+        # orderings to solve; the universal ones keep 483,840 of them
+        prism = "0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n0 3\n1 4\n2 5\n"
+        universal = "".join(f"{u} {v}\n" for v in range(6, 10) for u in range(v))
+        for text in (prism, prism + universal):
+            path = tmp_path / "prism4.graph"
+            path.write_text("10\n" + text)
+            assert main(["--limit", "10", "oracle", "verify", str(path)]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[:3] == [
+                "recognize: reject",
+                "geometric search: none",
+                "alternating/transitive pair: no",
+            ]
+            assert out[-1] == "agreement: ok"
 
     def test_limit_seven_rebuilds_the_masks(self, tmp_path, capsys):
         # the oracles keep one size's masks, so 6, 7, 6 vertices build them three times

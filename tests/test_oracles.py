@@ -28,6 +28,7 @@ from simpletri.oracles import (
     _before_masks,
     _solve_base_intervals,
     _transitive_orderings,
+    _two_plus_two_orderings,
     all_transitive_complements_extend,
     enumerate_orientations,
     exact_triangle_intersection,
@@ -38,10 +39,17 @@ from simpletri.oracles import (
     random_triangle_pair,
     triangle_interiors_intersect,
 )
-from simpletri.orders import make_partial_order, recognize_linear_interval_order
+from simpletri.orders import (
+    find_alternating_anticycle,
+    is_linear_extension,
+    make_partial_order,
+    recognize_linear_interval_order,
+)
+from simpletri.patterns import PATTERN_P1, PATTERN_P2
 from simpletri.recognition import recognize
 from simpletri.triangles import TriangleRepresentation, triangles_disjoint, verify_representation
 
+from references import scan_pattern
 from strategies import partial_orders
 
 C4 = cycle_graph(4)
@@ -125,24 +133,39 @@ class TestGeometricSearch:
             assert (recognize(g) is None) == (geometric_search_realization(g) is None)
 
     def test_same_representation_as_reference_search(self):
-        # filtering and memoizing must not change which ordering is found first
+        # filtering and dropping must not change which ordering is found first
         small = (g for n in range(6) for g in all_graphs(n))
         extra = [PRISM, complement(PRISM), cycle_graph(6)]
         for g in chain(small, extra, sampled_six_vertex_graphs()):
             assert geometric_search_realization(g) == reference_geometric_search(g)
 
-    def test_prism_solves_each_distinct_system_once(self, monkeypatch):
-        # every one of the 720 orderings reached the solver before the
-        # transitivity filter and the infeasible-system memo
+    @staticmethod
+    def counted_solves(monkeypatch):
         calls = []
 
         def counted(cols):
-            calls.append(tuple(cols))
+            calls.append(cols)
             return _solve_base_intervals(cols)
 
         monkeypatch.setattr(simpletri.oracles, "_solve_base_intervals", counted)
+        return calls
+
+    def test_prism_reaches_the_solver_once(self, monkeypatch):
+        # its first kept ordering fails, and the 2+2 drop then empties the mask
+        calls = self.counted_solves(monkeypatch)
         assert geometric_search_realization(PRISM) is None
-        assert len(calls) == len(set(calls)) == 8
+        kept = _transitive_orderings(PRISM)
+        first = list(permutations(range(6)))[(kept & -kept).bit_length() - 1]
+        assert calls == [
+            [sum(1 << i for i in range(j) if not PRISM.adjacent(first[i], first[j])) for j in range(6)]
+        ]
+        assert kept & ~_two_plus_two_orderings(6, complement(PRISM).adj) == 0
+
+    def test_prism_rejected_without_the_drop(self, monkeypatch):
+        calls = self.counted_solves(monkeypatch)
+        monkeypatch.setattr(simpletri.oracles, "_two_plus_two_orderings", lambda n, disjoint: 0)
+        assert geometric_search_realization(PRISM) is None
+        assert len(calls) == bin(_transitive_orderings(PRISM)).count("1") == 96
 
 
 def bellman_ford_base_intervals(separate):
@@ -180,6 +203,46 @@ def test_base_intervals_match_bellman_ford():
                 for j in range(g.n)
             ]
             assert _solve_base_intervals(cols) == bellman_ford_base_intervals(separate)
+
+
+class TestTwoPlusTwoDrop:
+    """Every ordering that ``_two_plus_two_orderings`` drops has no base
+    intervals, and the drop is the 2+2 as the recognizer's patterns and the
+    2+2 rule define it."""
+
+    GRAPHS = [g for n in range(6) for g in all_graphs(n)] + [PRISM]
+
+    def test_dropped_orderings_have_no_base_intervals(self):
+        systems = set()  # the separate rows of each dropped ordering
+        for g in self.GRAPHS:
+            drop = _two_plus_two_orderings(g.n, complement(g).adj)
+            for k, sigma in enumerate(permutations(range(g.n))):
+                if drop >> k & 1:
+                    systems.add(tuple(
+                        sum(1 << j for j in range(i + 1, g.n) if not g.adjacent(sigma[i], sigma[j]))
+                        for i in range(g.n)
+                    ))
+        assert len(systems) > 100
+        for separate in systems:
+            cols = [sum(1 << i for i in range(j) if separate[i] >> j & 1) for j in range(len(separate))]
+            assert _solve_base_intervals(cols) is None
+            assert bellman_ford_base_intervals(separate) is None
+
+    def test_drop_is_p1_or_p2_on_the_transitive_orderings(self):
+        for g in self.GRAPHS:
+            drop, kept = _two_plus_two_orderings(g.n, complement(g).adj), _transitive_orderings(g)
+            for k, sigma in enumerate(permutations(range(g.n))):
+                if kept >> k & 1:
+                    hit = any(scan_pattern(g, sigma, pat) for pat in (PATTERN_P1, PATTERN_P2))
+                    assert (drop >> k & 1) == hit, (sorted(g.edges), sigma)
+
+    def test_drop_is_a_four_anticycle_on_order_extensions(self):
+        for p in (p for n in range(5) for p in all_partial_orders(n)):
+            drop = _two_plus_two_orderings(p.n, [s | q for s, q in zip(p.succ, p.pred)])
+            for k, sigma in enumerate(permutations(range(p.n))):
+                if is_linear_extension(p, sigma):
+                    hit = find_alternating_anticycle(p, sigma) is not None
+                    assert (drop >> k & 1) == hit, (p, sigma)
 
 
 class TestOrderRealization:
