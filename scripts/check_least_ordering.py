@@ -1,11 +1,10 @@
-"""Compare recognize's least apex ordering with the unpruned search, and count its backtracks.
+"""Compare recognize's least apex ordering with the unpruned search, and count its walk.
 
-``recognize`` searches for the lexicographically least apex ordering with a
-rule that prunes by Γ-forcing on the complement and then by the 2-SAT
-relaxation (``recognition`` module doc).  This script checks that its
-answer is the first complete ordering of the unpruned search
-``search_orderings((0,) * n, PatternRule(g.adj, APEX_PATTERNS))``, or None
-with it:
+``recognize`` decides first, then walks the transitive orientations of the
+complement and runs step 2 at each leaf of the walk (``recognition`` module
+doc).  This script checks that its answer is the first complete ordering of
+the unpruned search ``search_orderings((0,) * n, PatternRule(g.adj,
+APEX_PATTERNS))``, or None with it:
 
 - on every labeled graph with at most ``--max-n`` vertices (33,868 with
   n <= 6);
@@ -15,20 +14,23 @@ with it:
 
 The unpruned side stops after ``--cap`` seconds per graph; such a graph is
 counted as capped, not compared, and the cap is printed.  Over the graphs
-above it prints how many ran the decision (``is_simple_triangle``), which
-``recognize`` calls only at its search's first dead branch.  It also counts
-the backtracks of ``recognize``'s search on accepted graphs: refused
-branches off the path to its answer.  The count is printed per graph for
-the draws ``triangle_graph(random.Random(1000·n + s), n)`` with n = 12, 16,
-20 and s = 0-2, and over the graphs above as the number of accepted graphs
-with one or more and the maximum.  Last, it prints what ``recognize`` costs
-over ``apex_ordering`` (the decision alone) on ``triangle_graph`` and
-``permutation_graph`` drawn with ``random.Random(n)``, n = 100 and 300: the
-ratio of the median times of five rounds that call the two in turn.  It
-exits 1 on any mismatch.  The default run takes about 9 s on a 2-vCPU
-x86-64 VM (CPython 3.11).
+above it prints how many leaves the walks reached, how many of those ran
+step 2 (the others are not transitive), and how many accepted graphs had a
+step-2 run that backtracks, with the most backtracks of one graph: refused
+branches off the path to a run's answer.  The decision's own step 2 is not
+counted.  The counts are printed per graph for the draws
+``triangle_graph(random.Random(1000·n + s), n)`` with n = 12, 16, 20 and
+s = 0-2.  Last, it prints what ``recognize`` costs over ``apex_ordering``
+(the decision alone) on ``triangle_graph`` and ``permutation_graph`` drawn
+with ``random.Random(n)``, n = 100 and 300: the ratio of the median times of
+five rounds that call the two in turn; and both totals, with ``recognize``'s
+worst graph, over ``--relabelled`` draws: with ``rng = random.Random(7)``,
+each has n = ``rng.randint(10, 40)``, is a ``triangle_graph`` if its index
+is odd and a ``permutation_graph`` if even, and is relabelled at random
+(``corpora.relabel``).  It exits 1 on any mismatch.  The default run takes
+about 11 s on a 2-vCPU x86-64 VM (CPython 3.11).
 
-    PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1]
+    PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1] [--relabelled 400]
 """
 from __future__ import annotations
 
@@ -38,14 +40,13 @@ import random
 import sys
 import time
 
-from simpletri import recognition
+from simpletri import orders, recognition
 from simpletri.exhaustive import all_graphs, random_partial_order
 from simpletri.graphs import Graph
 from simpletri.patterns import APEX_PATTERNS, PatternRule, search_orderings
-from simpletri.recognition import is_simple_triangle
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
-from corpora import permutation_graph, triangle_graph  # noqa: E402
+from corpora import permutation_graph, relabel, triangle_graph  # noqa: E402
 
 CAPPED = "capped"
 
@@ -62,40 +63,50 @@ def unpruned(g: Graph, cap: float):
     return None
 
 
-def counting_search(tally: dict):
-    """``patterns.search_orderings``, passing on what it yields and setting
-    ``tally["last"]`` to the backtracks made before its first complete
-    ordering."""
+def instrument(tally: dict):
+    """Patch ``recognition`` and ``orders`` so that ``tally`` counts the
+    walk's leaves (``leaves``), the step-2 runs at them (``step2``) and their
+    backtracks (``last``, per ``recognize`` call); the decision's own step 2
+    is not counted.  Returns a function that undoes the patches."""
+    saved = (recognition.apex_ordering, recognition.PartialOrder, orders.search_orderings)
+    decide, partial_order, search = saved
 
-    def search(*args):
+    def apex_ordering(g: Graph):
+        tally["deciding"] = True
+        try:
+            return decide(g)
+        finally:
+            tally["deciding"] = False
+
+    def leaf(n, succ):
+        tally["leaves"] += 1
+        return partial_order(n, succ)
+
+    def counted(*args):
+        tally["step2"] += not tally["deciding"]
         refused = []
-        for ordering, hit in search_orderings(*args):
-            if hit is None:
-                tally["last"] = sum(b[:-1] != ordering[:len(b) - 1] for b in refused)
-            else:
+        for ordering, hit in search(*args):
+            if hit is not None:
                 refused.append(ordering)
+            elif not tally["deciding"]:
+                tally["last"] += sum(b[:-1] != ordering[:len(b) - 1] for b in refused)
             yield ordering, hit
 
-    return search
+    recognition.apex_ordering, recognition.PartialOrder, orders.search_orderings = (
+        apex_ordering, leaf, counted)
 
+    def restore():
+        recognition.apex_ordering, recognition.PartialOrder, orders.search_orderings = saved
 
-def counting_decision(tally: dict):
-    """``recognition.is_simple_triangle``, setting ``tally["decided"]``."""
-
-    def decide(g: Graph) -> bool:
-        tally["decided"] = True
-        return is_simple_triangle(g)
-
-    return decide
+    return restore
 
 
 def compare(g: Graph, cap: float, tally: dict) -> None:
     tally["graphs"] += 1
-    tally["last"], tally["decided"] = 0, False
+    tally["last"] = 0
     got = recognition.recognize(g)
     got = None if got is None else got[0]
     tally["accepted"] += got is not None
-    tally["deciding"] += tally["decided"]
     if got is not None:
         tally["backtracking"] += tally["last"] > 0
         tally["max_backtracks"] = max(tally["max_backtracks"], tally["last"])
@@ -116,8 +127,18 @@ def incomparability_graph(rng: random.Random, n: int) -> Graph:
 def report(label: str, tally: dict, seconds: float) -> None:
     print(f"{label}: {tally['graphs']} graphs, {tally['accepted']} accepted, "
           f"{tally['mismatches']} mismatches, {tally['capped']} capped, "
-          f"{tally['deciding']} ran the decision, {tally['backtracking']} accepted "
-          f"backtracking, at most {tally['max_backtracks']} backtracks, {seconds:.1f} s")
+          f"{tally['leaves']} leaves, {tally['step2']} leaf step-2 runs, "
+          f"{tally['backtracking']} accepted backtracking, at most "
+          f"{tally['max_backtracks']} backtracks, {seconds:.1f} s")
+
+
+def relabelled(count: int):
+    """The ``--relabelled`` draws of the module doc."""
+    rng = random.Random(7)
+    for i in range(count):
+        n = rng.randint(10, 40)
+        inst = triangle_graph(rng, n) if i % 2 else permutation_graph(rng, n)
+        yield Graph.from_edges(n, relabel(inst, rng).items)
 
 
 def main(argv=None) -> int:
@@ -126,17 +147,17 @@ def main(argv=None) -> int:
     parser.add_argument("--random", type=int, default=1000)
     parser.add_argument("--cap", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--relabelled", type=int, default=400)
     args = parser.parse_args(argv)
     print(f"unpruned search capped at {args.cap:g} s per graph")
-    tally: dict = {}
-    recognition.search_orderings = counting_search(tally)
-    recognition.is_simple_triangle = counting_decision(tally)
+    tally: dict = {"deciding": False}
+    restore = instrument(tally)
     bad = 0
 
     def run(label, graphs):
         nonlocal bad
-        keys = ("graphs", "accepted", "mismatches", "capped", "deciding", "backtracking",
-                "max_backtracks")
+        keys = ("graphs", "accepted", "mismatches", "capped", "leaves", "step2",
+                "backtracking", "max_backtracks")
         tally.update(dict.fromkeys(keys, 0))
         t0 = time.perf_counter()
         for g in graphs:
@@ -160,14 +181,15 @@ def main(argv=None) -> int:
     for n in (12, 16, 20):
         for s in range(3):
             g = Graph.from_edges(n, triangle_graph(random.Random(1000 * n + s), n).items)
+            tally.update(leaves=0, step2=0, last=0)
             t0 = time.perf_counter()
             got = recognition.recognize(g)
             print(f"triangle_graph(random.Random({1000 * n + s}), {n}): "
-                  f"{'accepted' if got else 'REJECTED'}, {tally['last']} backtracks, "
+                  f"{'accepted' if got else 'REJECTED'}, {tally['leaves']} leaves, "
+                  f"{tally['step2']} leaf step-2 runs, {tally['last']} backtracks, "
                   f"{(time.perf_counter() - t0) * 1000:.1f} ms")
             bad += got is None
-    # time it without the tallies
-    recognition.search_orderings, recognition.is_simple_triangle = search_orderings, is_simple_triangle
+    restore()  # time it without the tallies
     for make in (triangle_graph, permutation_graph):
         for n in (100, 300):
             g = Graph.from_edges(n, make(random.Random(n), n).items)
@@ -180,6 +202,16 @@ def main(argv=None) -> int:
             least, decision = (sorted(spent)[2] for spent in times.values())
             print(f"{make.__name__}(random.Random({n}), {n}): recognize {least:.3f} s, "
                   f"apex_ordering {decision:.3f} s, ratio {least / decision:.2f}")
+    least = decision = worst = 0.0
+    for g in relabelled(args.relabelled):
+        t0 = time.perf_counter()
+        recognition.recognize(g)
+        t1 = time.perf_counter()
+        recognition.apex_ordering(g)
+        t2 = time.perf_counter()
+        least, decision, worst = least + t1 - t0, decision + t2 - t1, max(worst, t1 - t0)
+    print(f"{args.relabelled} relabelled draws, n = 10-40: recognize {least:.2f} s "
+          f"(worst graph {worst * 1000:.1f} ms), apex_ordering {decision:.2f} s")
     return 1 if bad else 0
 
 

@@ -417,34 +417,20 @@ def triangle_interiors_intersect(t: TriangleRepresentation, u: int, v: int) -> b
     return not (_separated(tu, tv, True) or _separated(tv, tu, True))
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """A uniform integer in 0..n-1, by rejection on ``n.bit_length()`` bits."""
-    if n < 1:
-        raise ValueError(f"empty range 0..{n - 1}")
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
 def random_triangle_pair(
     rng: random.Random, span: int = 40
 ) -> TriangleRepresentation:
     """Two random triangles with distinct apexes and endpoints in 1..span.
 
     Each coordinate is uniform over its range, which is all that correctness
-    needs.  ``_below`` keeps only ``randint``'s empty-range check, so
-    ``span`` < 2 raises ValueError; on CPython it consumes the same bits, so
-    a seed gives the same pairs as ``randint``.
+    needs; ``span`` < 2 raises ValueError.
     """
-    a1 = 1 + _below(rng, span)
-    a2 = 1 + _below(rng, span - 1)
+    a1 = rng.randint(1, span)
+    a2 = rng.randint(1, span - 1)
     if a2 >= a1:
         a2 += 1
     bases = []
     for _ in range(2):
-        lo = 1 + _below(rng, span - 1)
-        hi = lo + 1 + _below(rng, span - lo)
-        bases.append((lo, hi))
+        lo = rng.randint(1, span - 1)
+        bases.append((lo, rng.randint(lo + 1, span)))
     return TriangleRepresentation((a1, a2), tuple(bases))

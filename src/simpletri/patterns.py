@@ -3,13 +3,12 @@
 Both recognizers, the rejection certificates and the linear-extension
 enumeration run on :func:`search_orderings`, and only its *rule* refuses a
 branch: :class:`PatternRule` by checking patterns forward (all three, alone,
-in ``recognition.rejection_certificates``), ``twosat.IntervalFormula`` by
-the 2-SAT relaxation of linear-interval orders, and
-``recognition._LeastOrderingRule`` by Γ-forcing on the complement, with a
-``PatternRule`` on p1 and p2 until it hands over to the 2-SAT.  The rule's
-kernels are also the one matcher of a given ordering: ``graphs.find_pattern``
-and the C4 and 2K2 rules run a ``PatternRule`` along the ordering
-(``recognition.realize`` checks a given ordering by building).
+in ``recognition.rejection_certificates``), and ``twosat.IntervalFormula``
+by the 2-SAT relaxation of linear-interval orders, which is step 2 of both
+recognizers.  The rule's kernels are also the one matcher of a given
+ordering: ``graphs.find_pattern`` and the C4 and 2K2 rules run a
+``PatternRule`` along the ordering (``recognition.realize`` checks a given
+ordering by building).
 """
 from __future__ import annotations
 

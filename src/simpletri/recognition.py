@@ -26,47 +26,37 @@ extension of T avoiding them on Ḡ avoids them on G, and it has no cpc on G
 because T is transitive: it is an apex ordering of G.  :func:`apex_ordering`
 returns that extension, and :func:`is_simple_triangle` is its verdict.
 
-3. :func:`recognize` searches all orderings for the lexicographically
-   least apex ordering σ* (:func:`least_apex_ordering`) and runs the
-   decision of steps 1 and 2 once, at the search's first dead branch: a
-   refusal for any reason but an arc from an unplaced vertex, which is a
-   precedence like the engine's ``pred``, or the first backtrack.  A
-   rejecting decision returns None at once; after an accepting one the
-   search must find σ*, and it raises instead of returning None if it does
-   not.  Until its first dead branch the search only goes deeper, trying at
-   most n vertices at each depth, so a rejection is decided within n² calls
-   of the rule.  Accepting needs no decision: every complete ordering of
-   the search extends a transitive orientation of Ḡ without a 4-anticycle
-   (below), so it is an apex ordering by the argument above.
+3. :func:`recognize` returns the lexicographically least apex ordering σ*
+   (:func:`least_apex_ordering`).  It runs the decision first, so a
+   rejection costs exactly the decision.  σ* is the least of ext(T′) over
+   the transitive orientations T′ of Ḡ, where ext(T′) is step 2's answer on
+   T′: every ext(T′) is an apex ordering by the argument above, and σ* is a
+   linear extension without a 4-anticycle of the orientation T_σ* it
+   induces, so ext(T_σ*) ≤ σ*.  The walk below reaches T_σ* unless its
+   best ordering is already σ*:
 
-   The search's rule (:class:`_LeastOrderingRule`) prunes by the theorem
-   behind step 2: an apex ordering orients Ḡ transitively, without a
-   4-anticycle.  Before the search, each pair of false twins x < y of G
-   (equal neighbourhoods) is oriented x→y in Ḡ.  Placing v orients Ḡ's
-   edges from v to the unplaced vertices as v→w, so an arc w→v from an
-   unplaced w refuses v.  Each new arc is closed under Γ-forcing in the
-   whole of Ḡ (``graphs._force_arcs``), and an arc whose reverse is set
-   refuses v.  Until then it also asks a ``patterns.PatternRule`` on p1 and
-   p2; cpc is implied, as Γ-forcing sets z→v from x→v for a cpc (x, v, z).
-   Once every edge of Ḡ is oriented, the orientation is fixed: the rule
-   refuses it if it is not transitive, and otherwise builds its 2-SAT
-   relaxation, replays the prefix into it, and refuses as step 2 does below
-   that depth, asking no pattern: unit propagation of the prefix's literals
-   meets every 2+2 clause that a p1 or p2 would violate.
+   - it starts from the arcs x→y in Ḡ for each pair of false twins x < y of
+     G (equal neighbourhoods).  σ* puts false twins in label order, since
+     swapping two out of order gives a smaller apex ordering, so T_σ*
+     holds these arcs;
+   - it closes every arc under Γ-forcing in the whole of Ḡ
+     (``graphs._force_arcs``).  A forced arc lies in every transitive
+     orientation that holds the arc forcing it, so the closure of arcs of
+     T_σ* stays in T_σ*;
+   - at each node it orients the least free edge u–v of Ḡ both ways, u→v
+     first, each closed as above, so some branch keeps to T_σ*;
+   - it cuts a node whose least topological order is not below the best
+     ordering found so far, starting from the decision's answer, or in
+     which it meets a cycle of arcs.  ext(T′) is a topological order of
+     every arc of T′, so it is never below the least one of the node's
+     arcs, and the cut drops no ordering below the best;
+   - at a leaf Ḡ is fully oriented; a leaf that is not transitive is
+     dropped, and otherwise step 2 runs on it.  It finds an ordering on
+     every transitive orientation of an accepted graph (the theorem behind
+     step 2), so finding none raises RuntimeError.
 
-   The rule refuses only branches that hold no apex ordering with false
-   twins in label order, and σ* is one: swapping two twins out of order
-   would give a smaller apex ordering.  Along such an ordering's path every
-   arc the rule sets is an arc of its orientation of Ḡ: the twin arcs, the
-   placed ones, and what Γ-forcing derives from them, since that
-   orientation is transitive.  When all are set, the orientation is that
-   one, and the ordering satisfies every literal of its formula.  So the
-   first complete ordering is σ*, as it is without the rule.  Without the
-   twin arcs no refused branch would hold an apex ordering, but an edge of
-   Ḡ between two false twins is forced by no other arc: it stays
-   unoriented until one of them is placed, and the 2-SAT waits for it (the
-   n = 16 draw of the README).  :func:`rejection_certificates` runs the
-   search without the decision and without the rule.
+   :func:`rejection_certificates` runs the search over all orderings by a
+   ``PatternRule`` on the three patterns alone.
 
 An accepted ordering is turned into a triangle representation by orienting
 the complement along it and building interval bases for the resulting
@@ -76,7 +66,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from ._bits import clear_rows
+from ._bits import clear_rows, lowest_bit
 from .errors import NotApexOrdering, NotComparabilityOrdering
 from .graphs import (
     Graph,
@@ -92,9 +82,8 @@ from .orders import (
     _first_interval_extension,
     build_interval_representation,
 )
-from .patterns import APEX_PATTERNS, PATTERN_P1, PATTERN_P2, PatternRule, search_orderings
+from .patterns import APEX_PATTERNS, PatternRule, search_orderings
 from .triangles import TriangleRepresentation, order_to_triangles
-from .twosat import IntervalFormula
 
 __all__ = [
     "apex_ordering",
@@ -134,24 +123,72 @@ def least_apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
     """The lexicographically least apex ordering of g, or None (step 3 of the
     module doc).
 
-    Searches first, and calls :func:`is_simple_triangle` once, at the
-    search's first dead branch, within n² calls of the rule: None comes only
-    from that call.  Raises RuntimeError if it accepts and the search finds
-    no apex ordering.
+    Runs :func:`apex_ordering` first, and None comes only from it.  Then
+    walks the transitive orientations of the complement from the false-twin
+    arcs, and raises RuntimeError if step 2 finds nothing on one of them.
     """
-    rule = _LeastOrderingRule(g)
-    search = search_orderings((0,) * g.n, rule)
-    for ordering, hit in search:
-        if hit is None:
-            return ordering
-        if rule.dead:
-            break
-    if not is_simple_triangle(g):
+    best = apex_ordering(g)
+    if best is None:
         return None
-    ordering = next((o for o, hit in search if hit is None), None)
-    if ordering is None:
-        raise RuntimeError(f"accepted graph has no apex ordering: {sorted(g.edges)}")
-    return ordering
+    n, cadj = g.n, complement(g).adj
+    out, into = [0] * n, [0] * n
+    # false twins of g, each before its twins with larger labels
+    later: dict[int, int] = {}  # per neighbourhood, the vertices after v
+    twins = []
+    for v in reversed(range(n)):
+        heads = later.get(g.adj[v], 0)
+        twins.append((v, heads))
+        later[g.adj[v]] = heads | 1 << v
+    # the walk, by an explicit stack: it can go as deep as Ḡ has implication
+    # classes; each entry is the depth of its node and the arcs to set there
+    pending = [(0, twins)]
+    path: list[list] = []  # the rows set at each depth down to the node
+    while pending:
+        depth, arcs = pending.pop()
+        while len(path) > depth:
+            clear_rows(path.pop())
+        rows = _force_arcs(cadj, out, into, arcs)
+        if rows is None:
+            continue
+        path.append(rows)
+        if not _can_beat(out, best):
+            continue
+        for u in range(n):
+            if free := cadj[u] & ~(out[u] | into[u]):  # u–v, the least free edge
+                v = lowest_bit(free)
+                pending += [(depth + 1, [(v, 1 << u)]), (depth + 1, [(u, 1 << v)])]
+                break
+        else:  # every edge of Ḡ is oriented: a leaf
+            try:
+                order = PartialOrder(n, tuple(out))
+            except ValueError:  # the orientation is not transitive
+                continue
+            ext = _first_interval_extension(order)
+            if ext is None:
+                raise RuntimeError(f"accepted graph has no apex ordering: {sorted(g.edges)}")
+            best = min(best, ext)
+    return best
+
+
+def _can_beat(out: list[int], best: tuple[int, ...]) -> bool:
+    """Whether the least ordering that puts each vertex before its heads in
+    ``out`` can be below ``best``.  It is built along ``best`` up to their
+    first difference: the vertices left at position i are ``best[i:]``, so
+    those with a tail among them are the heads ``after[i]`` of ``best[i:]``.
+    False when it is not below, or when every vertex left there has a tail
+    left (the arcs hold a cycle); a cycle among the vertices left after the
+    first difference is not looked for."""
+    after = [0] * (len(best) + 1)
+    for i in reversed(range(len(best))):
+        after[i] = after[i + 1] | out[best[i]]
+    left = (1 << len(best)) - 1
+    for i, b in enumerate(best):
+        ready = left & ~after[i]
+        least = ready & -ready
+        if least != 1 << b:
+            return 0 < least < 1 << b
+        left ^= least
+    return False
 
 
 def recognize(
@@ -159,89 +196,10 @@ def recognize(
 ) -> Optional[tuple[tuple[int, ...], TriangleRepresentation]]:
     """:func:`least_apex_ordering` with its realization, or None.
 
-    Returns None exactly when :func:`is_simple_triangle` rejects, but runs
-    that decision only where the search meets a dead branch.
+    Returns None exactly when :func:`is_simple_triangle` rejects.
     """
     ordering = least_apex_ordering(g)
     return None if ordering is None else (ordering, realize(g, ordering))
-
-
-class _LeastOrderingRule:
-    """The rule of :func:`recognize`'s search (step 3 of the module doc).
-
-    ``out``/``into`` hold the arcs of the complement Ḡ oriented so far, as
-    heads and tails masks.  Once every edge of Ḡ is oriented, ``formula`` is
-    the 2-SAT relaxation of that orientation, built when the ``handoff``-th
-    vertex of ``prefix`` was placed; ``patterns`` is asked only before then.
-    ``dead`` is set at the first dead branch: a refusal other than by
-    ``into``, which is a precedence, or the first ``undo``.
-    """
-
-    def __init__(self, g: Graph):
-        n = g.n
-        full = (1 << n) - 1
-        self.cadj = [full & ~adj & ~(1 << v) for v, adj in enumerate(g.adj)]
-        self.out, self.into = [0] * n, [0] * n
-        self.prefix: list[int] = []
-        self.patterns = PatternRule(g.adj, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
-        self.formula: Optional[IntervalFormula] = None
-        self.handoff = -1
-        self.dead = False
-        # false twins of g, each before its twins with larger labels; this
-        # sets nothing only if Ḡ has no transitive orientation
-        later: dict[int, int] = {}  # per neighbourhood, the vertices after v
-        twins = []
-        for v in reversed(range(n)):
-            heads = later.get(g.adj[v], 0)
-            twins.append((v, heads))
-            later[g.adj[v]] = heads | 1 << v
-        _force_arcs(self.cadj, self.out, self.into, twins)
-
-    def place(self, v: int, unplaced: int) -> Optional[list]:
-        """The rows set for v, or None when v is refused (module doc)."""
-        if self.into[v] & unplaced:
-            return None
-        if self.formula is not None:
-            rows = self.formula.place(v, unplaced)
-        elif self.patterns.place(v, unplaced) is None:
-            rows = None
-        else:
-            rows = _force_arcs(self.cadj, self.out, self.into, [(v, self.cadj[v] & unplaced)])
-            if rows is not None and all(
-                o | i == c for o, i, c in zip(self.out, self.into, self.cadj)
-            ):
-                self.formula = self._formula(v, unplaced)
-                self.handoff = len(self.prefix)
-                if self.formula is None:
-                    clear_rows(rows)
-                    rows = None
-        if rows is None:
-            self.dead = True
-        else:
-            self.prefix.append(v)
-        return rows
-
-    def undo(self, rows: list) -> None:
-        self.dead = True
-        self.prefix.pop()
-        if len(self.prefix) == self.handoff:
-            self.formula = None
-        clear_rows(rows)
-
-    def _formula(self, v: int, unplaced: int) -> Optional[IntervalFormula]:
-        """The 2-SAT relaxation of the complete orientation with the prefix,
-        v last, replayed into it, or None if either refuses the branch."""
-        try:
-            order = PartialOrder(len(self.out), tuple(self.out))
-        except ValueError:  # the orientation is not transitive
-            return None
-        formula = IntervalFormula(order)
-        rest = (1 << order.n) - 1
-        for x in (*self.prefix, v):
-            rest ^= 1 << x
-            if formula.place(x, rest) is None:
-                return None
-        return formula
 
 
 def rejection_certificates(

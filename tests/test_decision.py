@@ -3,12 +3,13 @@
 ``transitive_orientation`` is pinned to the orientation enumeration of the
 oracles, to its own loop from before the forcing step moved into
 ``graphs._force_arcs``, and must orient every comparability graph; the
-theorem step 2 rests on is checked at n = 6.  ``recognize``, whose search
-runs with the rule of step 3, is pinned to the first complete ordering of
-the ungated engine search, its search to no backtrack on the graphs with
-n <= 5, and to well under a second on a triangle graph that took the
-unpruned search more than 30 s.  Its decision runs at most once, at the
-first dead branch of the search, and never where the search meets none.
+theorem step 2 rests on is checked at n = 6.  ``recognize``, which walks the
+transitive orientations of Ḡ (step 3 of the ``recognition`` module doc), is
+pinned to the first complete ordering of the ungated engine search.  Its
+decision runs exactly once, before the walk, and a rejection calls nothing
+after it.  The step-2 runs at the walk's leaves never backtrack on the
+graphs with n <= 5, a leaf that is not transitive runs no step 2, and two
+graphs that took earlier searches seconds are recognized well within one.
 """
 import os
 import random
@@ -27,7 +28,6 @@ from simpletri.graphs import (
     Orientation,
     complement,
     cycle_graph,
-    empty_graph,
     is_transitive_orientation,
     transitive_orientation,
 )
@@ -40,6 +40,10 @@ from simpletri.recognition import check_apex_ordering, is_simple_triangle, recog
 from strategies import graphs
 
 SEED = 20261018
+
+
+def fixture(name):
+    return os.path.join(os.path.dirname(__file__), "fixtures", name)
 
 
 def ungated_search(g):
@@ -150,9 +154,17 @@ def test_recognize_is_the_ungated_search_on_random_graphs():
 
 
 def test_recognize_raises_when_an_acceptance_finds_no_ordering(monkeypatch):
-    monkeypatch.setattr(recognition, "is_simple_triangle", lambda g: True)
+    # step 2 answers the decision, then finds nothing at the walk's one leaf
+    step2, calls = recognition._first_interval_extension, []
+
+    def leaf_finds_nothing(order):
+        calls.append(order)
+        return step2(order) if len(calls) == 1 else None
+
+    monkeypatch.setattr(recognition, "_first_interval_extension", leaf_finds_nothing)
     with pytest.raises(RuntimeError):
-        recognize(cycle_graph(5))
+        recognize(load_graph(fixture("triangles-n20-s0.edges")))
+    assert len(calls) == 2
 
 
 # Rejected by the decision: the prism at step 2 (its complement C6 orients,
@@ -189,147 +201,123 @@ def test_recognize_is_the_ungated_search_on_hypothesis_graphs(g):
 
 @pytest.fixture
 def spied(monkeypatch):
-    """Counts of the rule's ``place`` calls and of its refusals by ``into``,
-    and the ``place`` count at each call of the decision in ``recognize``."""
-    counts = {"place": 0, "into": 0, "decided_at": []}
+    """The calls that ``recognize`` makes, in order: ``"decided"`` when the
+    decision returns, and the name of each helper of the walk and of step 2
+    when it is called."""
+    calls = []
+    for name in ("_force_arcs", "_can_beat", "PartialOrder", "_first_interval_extension"):
+        monkeypatch.setattr(recognition, name, spy(calls, name, getattr(recognition, name)))
+    decide = recognition.apex_ordering
 
-    class Spied(recognition._LeastOrderingRule):
-        def place(self, v, unplaced):
-            counts["place"] += 1
-            counts["into"] += self.into[v] & unplaced != 0
-            return super().place(v, unplaced)
+    def apex_ordering(g):
+        result = decide(g)
+        calls.append("decided")
+        return result
 
-    def decide(g):
-        counts["decided_at"].append(counts["place"])
-        return is_simple_triangle(g)
-
-    monkeypatch.setattr(recognition, "_LeastOrderingRule", Spied)
-    monkeypatch.setattr(recognition, "is_simple_triangle", decide)
-    return counts
+    monkeypatch.setattr(recognition, "apex_ordering", apex_ordering)
+    return calls
 
 
-def recognize_spied(g, counts):
-    counts.update(place=0, into=0, decided_at=[])
-    return recognize(g)
+def spy(calls, name, fn):
+    def wrapper(*args):
+        calls.append(name)
+        return fn(*args)
+
+    return wrapper
+
+
+def after_decision(calls):
+    return calls[calls.index("decided") + 1:]
 
 
 def test_recognize_decides_at_most_once_and_rejects_by_the_decision_up_to_six(spied):
-    """Rejections are decided within n² placements; a search that refuses
-    only by ``into``, a precedence, runs no decision."""
-    undecided_with_into = 0
+    """The decision runs exactly once, before the walk; a rejection calls
+    nothing after it."""
+    walked = 0
     for n in range(7):
         for g in all_graphs(n):
-            got = recognize_spied(g, spied)
-            assert (got is None) == (not is_simple_triangle(g)), sorted(g.edges)
-            assert len(spied["decided_at"]) <= 1, sorted(g.edges)
+            accepted = is_simple_triangle(g)
+            spied.clear()
+            got = recognize(g)
+            assert (got is not None) == accepted, sorted(g.edges)
+            assert spied.count("decided") == 1, sorted(g.edges)
+            assert set(spied[:spied.index("decided")]) <= {"_first_interval_extension"}
             if got is None:
-                assert spied["decided_at"] and spied["decided_at"][0] <= n * n, sorted(g.edges)
+                assert after_decision(spied) == [], sorted(g.edges)
             else:
-                undecided_with_into += spied["into"] > 0 and not spied["decided_at"]
-    assert undecided_with_into > 0
+                walked += "_force_arcs" in after_decision(spied)
+    assert walked > 0
 
 
 @pytest.mark.parametrize("g", [
     Graph.from_edges(12, [*NAMED["prism"].edges, *((u, v) for v in range(6, 12) for u in range(v))]),
     Graph.from_edges(11, cycle_graph(5).edges),
 ], ids=["prism-6-universal", "c5-6-isolated"])
-def test_recognize_rejects_within_n_squared_placements(g, spied):
-    assert recognize_spied(g, spied) is None
-    assert len(spied["decided_at"]) == 1 and spied["decided_at"][0] <= g.n ** 2
+def test_recognize_rejects_by_the_decision_alone(g, spied):
+    assert recognize(g) is None
+    assert spied.count("decided") == 1 and after_decision(spied) == []
 
 
-def test_recognize_never_decides_on_permutation_graphs(spied):
+def test_recognize_runs_no_leaf_on_permutation_graphs(spied):
     """The inversion graphs of ``bench/corpora.permutation_graph``, naturally
-    labelled: the search places n vertices and meets no dead branch."""
+    labelled: the cut ends the walk before Ḡ is fully oriented, so the
+    decision's ordering is the least."""
     for n in range(16, 25):
         pi = list(range(n))
         random.Random(n).shuffle(pi)
         g = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if pi[u] > pi[v]])
-        assert recognize_spied(g, spied) is not None
-        assert spied["decided_at"] == [], n
+        spied.clear()
+        assert recognize(g) is not None
+        assert "_can_beat" in spied and "PartialOrder" not in spied, n
+
+
+def test_walk_drops_an_intransitive_leaf(spied):
+    """A leaf whose orientation of Ḡ is not transitive runs no step 2, and
+    the answer is still the least apex ordering."""
+    g = Graph.from_edges(8, [(0, 2), (0, 7), (1, 6), (2, 4), (4, 7)])
+    got = recognize(g)
+    assert got is not None and got[0] == ungated_search(g)
+    walk = after_decision(spied)
+    assert walk.count("PartialOrder") > walk.count("_first_interval_extension")
+
+
+def test_walk_goes_deeper_than_the_recursion_limit():
+    """A perfect matching on 100 vertices, relabelled: Ḡ is complete
+    multipartite with 50 parts of two, so it has 1,225 implication classes,
+    and the walk orients them one level each.  The least apex ordering takes
+    the parts by their least label, each part in label order."""
+    n = 100
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    parts = sorted(tuple(sorted(perm[2 * i:2 * i + 2])) for i in range(n // 2))
+    g = Graph.from_edges(n, parts)
+    assert recognize(g)[0] == tuple(v for part in parts for v in part)
 
 
 def test_least_search_never_backtracks_up_to_five(small_graphs, least_backtracks):
     for n in range(6):
         for g in small_graphs[n]:
             recognize(g)
-    assert least_backtracks["refused"] > 0
+    assert least_backtracks["searches"] > 0 and least_backtracks["refused"] > 0
     assert least_backtracks["backtracks"] == 0
 
 
 def test_least_search_is_fast_on_a_triangle_graph_with_20_vertices(least_backtracks):
     # the unpruned search takes more than 30 s on this graph
-    g = load_graph(os.path.join(os.path.dirname(__file__), "fixtures", "triangles-n20-s0.edges"))
+    g = load_graph(fixture("triangles-n20-s0.edges"))
     start = time.perf_counter()
     got = recognize(g)
     assert time.perf_counter() - start < 1.0
     assert got is not None and check_apex_ordering(g, got[0])
-    assert least_backtracks["searches"] == 1
+    assert least_backtracks["searches"] <= 1
     assert least_backtracks["backtracks"] == 0
 
 
-def test_least_search_pattern_check_never_hits_cpc(small_graphs, recognition_results, monkeypatch):
-    """The least search checks p1 and p2 only: asked for cpc too, its
-    pattern rule records no cpc hit on any graph with n <= 5, since
-    Γ-forcing has already refused the middle vertex of every cpc.  No
-    pattern refuses anything there, so a graph with n = 6 on which p1 and
-    p2 do shows that the check is live."""
-    hits = []
-
-    class AllThree(PatternRule):
-        def __init__(self, adj, patterns):
-            super().__init__(adj, APEX_PATTERNS)
-
-        def place(self, v, unplaced):
-            token = super().place(v, unplaced)
-            if token is None:
-                hits.append(self.hit[0])
-            return token
-
-    monkeypatch.setattr(recognition, "PatternRule", AllThree)
-    for n in range(6):
-        for g, rec in zip(small_graphs[n], recognition_results[n]):
-            assert recognize(g) == rec, sorted(g.edges)
-    assert hits == []
-    pruned = Graph.from_edges(6, [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (2, 3), (2, 4),
-                                  (2, 5), (3, 4)])
-    recognize(pruned)
-    assert hits and "cpc" not in hits
-
-
-def test_least_search_asks_no_pattern_past_the_handoff(small_graphs, monkeypatch):
-    """Once the rule holds a 2-SAT formula, it never asks its pattern rule."""
-    asked = {"placements past the hand-off": 0, "patterns": 0, "patterns past it": 0}
-
-    class Spied(recognition._LeastOrderingRule):
-        def __init__(self, g):
-            super().__init__(g)
-            check = self.patterns.place
-
-            def spy(v, unplaced):
-                asked["patterns"] += 1
-                asked["patterns past it"] += self.formula is not None
-                return check(v, unplaced)
-
-            self.patterns.place = spy
-
-        def place(self, v, unplaced):
-            asked["placements past the hand-off"] += self.formula is not None
-            return super().place(v, unplaced)
-
-    monkeypatch.setattr(recognition, "_LeastOrderingRule", Spied)
-    for n in range(6):
-        for g in small_graphs[n]:
-            recognize(g)
-    recognize(load_graph(os.path.join(os.path.dirname(__file__), "fixtures", "triangles-n20-s0.edges")))
-    assert asked["placements past the hand-off"] > 0 and asked["patterns"] > 0
-    assert asked["patterns past it"] == 0
-
-
-def test_rule_refuses_an_intransitive_complete_orientation():
-    # no search checked so far has reached one, so the orientation is set by
-    # hand: the complement of the empty graph on three vertices, oriented as
-    # the cycle 0 -> 1 -> 2 -> 0
-    rule = recognition._LeastOrderingRule(empty_graph(3))
-    rule.out[:], rule.into[:] = [0b010, 0b100, 0b001], [0b100, 0b001, 0b010]
-    assert rule._formula(0, 0b110) is None
+def test_recognize_is_fast_on_a_relabelled_permutation_graph():
+    # the rule search that the walk replaced took 2.6-3.8 s on this graph
+    g = load_graph(fixture("permutation-n33-relabelled.edges"))
+    start = time.perf_counter()
+    got = recognize(g)
+    assert time.perf_counter() - start < 1.0
+    assert got[0] == (10, 17, 9, 20, 32, 14, 29, 4, 3, 8, 12, 22, 13, 0, 6, 19, 21, 2, 24, 5,
+                      18, 30, 15, 25, 11, 26, 27, 31, 7, 16, 28, 1, 23)
