@@ -14,17 +14,32 @@ the same ordering σ:
   incomparability graph of ``exhaustive.random_partial_order``, and that of
   a random order holding a 3-crown (``crown_in_random_order``), which is
   rejected; that draw redraws until the crown stays induced, which takes
-  seconds per draw past n = 40, so it stops there.  Each is asked under ``apex_ordering``, ``least_apex_ordering``
-  (when there is one), ``--extensions`` random linear extensions of
-  ``transitive_orientation`` of Ḡ, and each of these with one random pair
-  of neighbours swapped.
+  seconds per draw past n = 40, so it stops there.  Each is asked under
+  ``apex_ordering``, ``least_apex_ordering`` (when there is one),
+  ``--extensions`` random linear extensions of ``transitive_orientation``
+  of Ḡ, and each of these with one random pair of neighbours swapped;
+- the triangle draws ``triangle_graph(random.Random(n), n)`` with n = 100
+  and 300, under ``apex_ordering`` and under it with one random pair of
+  vertices swapped.
 
-The left side is ``check_apex_ordering``, the right side
+Up to n = 60 the left side is the paper's definition, the three
+``find_pattern`` scans for cpc, p1 and p2, and ``check_apex_ordering``,
+which decides by building a realization, must give the same answer.  The
+scans cost O(n³) mask steps, so the large draws take their left side from
+``check_apex_ordering`` alone.  The right side is
 ``is_alternating_orientation`` and ``is_transitive_orientation`` on the
 orientations of G and Ḡ along σ.  Per group it prints the orderings
 checked, how many satisfy both sides, and the time, and it prints each
-disagreement with its graph and ordering and exits 1.  The default run
-takes about 12 s on a 2-vCPU x86-64 VM (CPython 3.11).
+disagreement with its graph and ordering and exits 1.
+
+With ``--random 22`` the run takes about 10 s on a 2-vCPU x86-64 VM
+(CPython 3.11), 2 s of it the n = 300 draw, nearly all in
+``is_alternating_orientation``.  The default run does not finish:
+``least_apex_ordering`` had not returned on the 23rd seeded graph (n = 54,
+25 edges) after 5 minutes.  n = 1,000 does not fit either: building
+judges its apex ordering in 0.1 s, but ``is_alternating_orientation``
+lists the induced paths on chordless cycles, and held 1.9 GB after about
+a minute there.
 
     PYTHONPATH=src python scripts/check_ordering_theorem.py [--max-n 5] [--random 400] [--extensions 3] [--seed 1]
 """
@@ -39,8 +54,10 @@ from itertools import permutations
 
 from simpletri.exhaustive import all_graphs, random_linear_extension, random_partial_order
 from simpletri.graphs import (
+    APEX_PATTERNS,
     Graph,
     complement,
+    find_pattern,
     is_alternating_orientation,
     is_transitive_orientation,
     orientation_from_ordering,
@@ -57,29 +74,40 @@ from corpora import (  # noqa: E402
 )
 
 
-def theorem_sides(g: Graph, gc: Graph, sigma) -> tuple[bool, bool]:
-    """(σ avoids cpc, p1 and p2; σ orients g alternately and gc transitively)."""
-    orients = is_alternating_orientation(g, orientation_from_ordering(g, sigma)) and (
+def scanned_and_built(g: Graph, sigma) -> dict[str, bool]:
+    """Whether σ avoids cpc, p1 and p2, by the three scans and by building."""
+    return {
+        "scans": all(find_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS),
+        "built": check_apex_ordering(g, sigma),
+    }
+
+
+def built(g: Graph, sigma) -> dict[str, bool]:
+    """Whether σ avoids cpc, p1 and p2, by building alone."""
+    return {"built": check_apex_ordering(g, sigma)}
+
+
+def orients(g: Graph, gc: Graph, sigma) -> bool:
+    """Whether σ orients g alternately and gc transitively."""
+    return is_alternating_orientation(g, orientation_from_ordering(g, sigma)) and (
         is_transitive_orientation(gc, orientation_from_ordering(gc, sigma))
     )
-    return check_apex_ordering(g, sigma), orients
 
 
-def check(label: str, cases) -> int:
-    """Ask both sides of every (graph, ordering) in ``cases``; the number of
-    disagreements."""
+def check(label: str, cases, avoids=scanned_and_built) -> int:
+    """Ask both sides of every (graph, ordering) in ``cases``, the left one by
+    ``avoids``; the number of orderings on which the answers disagree."""
     checked = both = bad = 0
     t0 = time.perf_counter()
     for g, orderings in cases:
         gc = complement(g)
         for sigma in orderings:
-            avoids, orients = theorem_sides(g, gc, sigma)
+            answers = {**avoids(g, sigma), "orients": orients(g, gc, sigma)}
             checked += 1
-            both += avoids and orients
-            if avoids != orients:
+            both += all(answers.values())
+            if len(set(answers.values())) > 1:
                 bad += 1
-                print(f"DISAGREE n={g.n} edges={sorted(g.edges)} ordering={sigma}: "
-                      f"avoids patterns {avoids}, orients {orients}")
+                print(f"DISAGREE n={g.n} edges={sorted(g.edges)} ordering={sigma}: {answers}")
     print(f"{label}: {checked} orderings, {both} on both sides, {bad} disagreements, "
           f"{time.perf_counter() - t0:.1f} s")
     return bad
@@ -98,6 +126,13 @@ def seeded_graph(rng: random.Random, i: int, n: int) -> Graph:
 def swapped(rng: random.Random, sigma) -> tuple[int, ...]:
     k = rng.randrange(len(sigma) - 1)
     return (*sigma[:k], sigma[k + 1], sigma[k], *sigma[k + 2:])
+
+
+def pair_swapped(rng: random.Random, sigma) -> tuple[int, ...]:
+    i, j = rng.sample(range(len(sigma)), 2)
+    out = list(sigma)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
 
 
 def main(argv=None) -> int:
@@ -122,6 +157,11 @@ def main(argv=None) -> int:
             yield g, orderings + [swapped(rng, sigma) for sigma in orderings]
 
     bad += check(f"seeded graphs, n = 7-60, seed {args.seed}", seeded())
+    for n in (100, 300):
+        g = Graph(n, triangle_graph(random.Random(n), n).items)
+        sigma = apex_ordering(g)
+        bad += check(f"triangle draw, n = {n}, apex ordering and a swap",
+                     [(g, [sigma, pair_swapped(rng, sigma)])], avoids=built)
     return 1 if bad else 0
 
 

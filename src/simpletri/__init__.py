@@ -41,7 +41,6 @@ from .graphs import (
     orient_complement_by_ordering,
     orientation_from_ordering,
     transitive_orientation,
-    union_is_acyclic,
 )
 from .orders import (
     Anticycle,
@@ -51,7 +50,6 @@ from .orders import (
     enumerate_linear_extensions,
     find_alternating_anticycle,
     intersect_orders,
-    is_interval_order,
     is_linear_extension,
     linear_order,
     make_partial_order,

@@ -3,11 +3,13 @@
 Vertex orderings are plain permutations of ``0..n-1``.  The ordered patterns
 of :mod:`simpletri.patterns` are re-exported here: the three-vertex ones
 characterize comparability and cocomparability orderings, and the four-vertex
-ones are the extra obstructions of an apex ordering.  Every pattern check of
-one given ordering, the C4 and 2K2 rules included, runs the search engine's
-:class:`~simpletri.patterns.PatternRule` along the ordering, on the graph
-relabelled by position.  Rules and predicates here are all pure functions
-over immutable values.
+ones are the extra obstructions of an apex ordering.  Whether an ordering is
+a (co)comparability ordering is decided by building from it: orienting the
+non-edges along it, which is transitive exactly when no cpc lies along it.
+:func:`find_pattern` and the C4 and 2K2 rules, which name a witness, run the
+search engine's :class:`~simpletri.patterns.PatternRule` along the ordering,
+on the graph relabelled by position.  Rules and predicates here are all pure
+functions over immutable values.
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ __all__ = [
     "orientation_from_ordering",
     "is_transitive_orientation",
     "is_alternating_orientation",
-    "union_is_acyclic",
     "cycle_graph",
     "path_graph",
     "complete_graph",
@@ -169,10 +170,6 @@ def _instances(g: Graph, ordering: Sequence[int], patterns):
             yield rule.hit[1]
 
 
-def _avoids(g: Graph, ordering: Sequence[int], patterns) -> bool:
-    return next(_instances(g, ordering, patterns), None) is None
-
-
 def find_pattern(
     g: Graph, ordering: Sequence[int], pattern: OrderedPattern
 ) -> Optional[tuple[int, ...]]:
@@ -187,13 +184,19 @@ def find_pattern(
 
 
 def is_comparability_ordering(g: Graph, ordering: Sequence[int]) -> bool:
-    """No two adjacent pairs u < v < w with uv, vw edges but uw a non-edge."""
-    return _avoids(g, ordering, [("cp", PATTERN_CP)])
+    """No two adjacent pairs u < v < w with uv, vw edges but uw a non-edge:
+    :func:`is_cocomparability_ordering` on the complement."""
+    return is_cocomparability_ordering(complement(g), ordering)
 
 
 def is_cocomparability_ordering(g: Graph, ordering: Sequence[int]) -> bool:
-    """Every edge uw spanning a middle vertex v has uv or vw present."""
-    return _avoids(g, ordering, [("cpc", PATTERN_CPC)])
+    """Every edge uw spanning a middle vertex v has uv or vw present, that is,
+    :func:`orient_complement_by_ordering` does not raise."""
+    try:
+        orient_complement_by_ordering(g, ordering)
+    except NotComparabilityOrdering:
+        return False
+    return True
 
 
 def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
@@ -208,7 +211,7 @@ def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
     ordering that meets it is an apex ordering, the paper's lemma that
     acceptance test 04 checks.
     """
-    return _avoids(g, ordering, C4_PATTERNS)
+    return next(_instances(g, ordering, C4_PATTERNS), None) is None
 
 
 def fulfills_2k2_rule(g: Graph, ordering: Sequence[int]) -> bool:
@@ -403,28 +406,3 @@ def is_alternating_orientation(g: Graph, o: Orientation) -> bool:
     _check_orients(g, o)
     out = o.out
     return all(out[a] >> b & 1 == out[c] >> b & 1 for a, b, c in _cycle_p3s(g))
-
-
-def union_is_acyclic(g: Graph, o_g: Orientation, o_gc: Orientation) -> bool:
-    """No directed cycle in the union of the two orientations.
-
-    ``o_g`` must orient exactly the edges of g and ``o_gc`` exactly the edges
-    of its complement, so the union orients the complete graph.
-    """
-    _check_orients(g, o_g)
-    _check_orients(complement(g), o_gc)
-    indeg = [0] * g.n
-    out: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for u, v in o_g.arcs | o_gc.arcs:
-        out[u].append(v)
-        indeg[v] += 1
-    queue = [v for v in range(g.n) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == g.n

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import operator
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -45,7 +45,6 @@ from .triangles import TriangleRepresentation, verify_representation
 __all__ = [
     "geometric_search_realization",
     "geometric_search_order_realization",
-    "grid_search_realization",
     "enumerate_orientations",
     "has_alternating_transitive_pair",
     "all_transitive_complements_extend",
@@ -240,55 +239,6 @@ def _assemble(
         apex[v] = i + 1
         base[v] = base_by_pos[i]
     return TriangleRepresentation(tuple(apex), tuple(base))
-
-
-def grid_search_realization(
-    g: Graph, limit: int = 4
-) -> Optional[TriangleRepresentation]:
-    """Assumption-free exhaustive search over the endpoint grid 1..2n.
-
-    Enumerates apex orderings times all base assignments with endpoints on
-    the grid, pruning a partial assignment as soon as two placed triangles
-    contradict the required adjacency.  Far slower than the constraint
-    solver; used to cross-validate it on tiny instances.
-    """
-    if g.n > limit:
-        raise LimitExceeded(f"n={g.n} exceeds grid search limit {limit}")
-    n = g.n
-    if n == 0:
-        return TriangleRepresentation((), ())
-    pool = [
-        (lo, hi) for lo in range(1, 2 * n + 1) for hi in range(lo + 1, 2 * n + 1)
-    ]
-    adj = g.adj
-    for sigma in permutations(range(n)):
-        bases: list[tuple[int, int]] = []
-
-        def dfs() -> bool:
-            idx = len(bases)
-            if idx == n:
-                return True
-            v = sigma[idx]
-            for cand in pool:
-                ok = True
-                for jdx in range(idx):
-                    u = sigma[jdx]
-                    disjoint = bases[jdx][1] < cand[0]
-                    if disjoint == (adj[u] >> v & 1 == 1):
-                        ok = False
-                        break
-                if ok:
-                    bases.append(cand)
-                    if dfs():
-                        return True
-                    bases.pop()
-            return False
-
-        if dfs():
-            t = _assemble(sigma, bases)
-            assert verify_representation(g, t)
-            return t
-    return None
 
 
 def enumerate_orientations(

@@ -38,7 +38,6 @@ __all__ = [
     "is_valid_anticycle",
     "build_interval_representation",
     "intersect_orders",
-    "is_interval_order",
     "recognize_linear_interval_order",
 ]
 
@@ -344,18 +343,6 @@ def intersect_orders(p1: PartialOrder, p2: PartialOrder) -> PartialOrder:
     if p1.n != p2.n:
         raise SizeMismatch(f"ground sets differ: {p1.n} vs {p2.n}")
     return PartialOrder(p1.n, tuple(a & b for a, b in zip(p1.succ, p2.succ)))
-
-
-def is_interval_order(p: PartialOrder) -> bool:
-    """True iff the predecessor sets of ``p`` form a chain under inclusion.
-
-    Two relations a < b and c < d with neither a < d nor c < b, an induced
-    2+2 on {a, b, c, d} and the one obstruction to interval orders, are
-    exactly a in pred(b) but not pred(d) and c in pred(d) but not pred(b).
-    Sorted by size, the sets form a chain iff each lies in the next.
-    """
-    pred = sorted(p.pred, key=int.bit_count)
-    return all(not a & ~b for a, b in zip(pred, pred[1:]))
 
 
 def _first_interval_extension(p: PartialOrder) -> Optional[tuple[int, ...]]:

@@ -5,10 +5,10 @@ enumeration run on :func:`search_orderings`, and only its *rule* refuses a
 branch: :class:`PatternRule` by checking patterns forward (all three, alone,
 in ``recognition.rejection_certificates``), and ``twosat.IntervalFormula``
 by the 2-SAT relaxation of linear-interval orders, which is step 2 of both
-recognizers.  The rule's kernels are also the one matcher of a given
-ordering: ``graphs.find_pattern`` and the C4 and 2K2 rules run a
-``PatternRule`` along the ordering (``recognition.realize`` checks a given
-ordering by building).
+recognizers.  Whether a given ordering is an apex ordering is decided by
+building from it (``recognition.realize``); the rule's kernels are the one
+matcher that names a witness in it: ``graphs.find_pattern`` and the C4 and
+2K2 rules run a ``PatternRule`` along the ordering.
 """
 from __future__ import annotations
 

@@ -58,9 +58,11 @@ returns that extension, and :func:`is_simple_triangle` is its verdict.
    :func:`rejection_certificates` runs the search over all orderings by a
    ``PatternRule`` on the three patterns alone.
 
-An accepted ordering is turned into a triangle representation by orienting
-the complement along it and building interval bases for the resulting
-order.
+A given ordering is judged by building from it: :func:`realize` orients the
+complement along it and builds interval bases for the resulting order, and a
+cpc, p1 or p2 stops one of the two steps, so :func:`check_apex_ordering` is
+"``realize`` does not raise".  ``graphs.find_pattern`` only names a witness
+in an ordering found wanting.
 """
 from __future__ import annotations
 
@@ -72,10 +74,10 @@ from .graphs import (
     Graph,
     _force_arcs,
     complement,
-    find_pattern,
     orient_complement_by_ordering,
     transitive_orientation,
 )
+from .graphs import find_pattern  # noqa: F401  (bench/tracing.py wraps recognition.find_pattern)
 from .orders import (
     Anticycle,
     PartialOrder,
@@ -97,8 +99,13 @@ __all__ = [
 
 
 def check_apex_ordering(g: Graph, ordering: Sequence[int]) -> bool:
-    """True iff the ordering avoids all three forbidden patterns."""
-    return all(find_pattern(g, ordering, pat) is None for _, pat in APEX_PATTERNS)
+    """True iff the ordering avoids all three forbidden patterns, that is,
+    :func:`realize` does not raise :class:`NotApexOrdering`."""
+    try:
+        realize(g, ordering)
+    except NotApexOrdering:
+        return False
+    return True
 
 
 def apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:

@@ -1,11 +1,20 @@
-"""Plain reference definitions that the library's pattern matcher is pinned to.
+"""Plain reference definitions that the library is pinned to.
 
-The library checks a given ordering with the search engine's bitmask kernels
-(``graphs.find_pattern``, ``graphs.fulfills_c4_rule``).  These references
-share no code with them: a scan of every tuple of positions, and the C4 rule
-read off the list of induced 4-cycles, as the rule is defined.
+The library checks a given ordering by building from it
+(``recognition.check_apex_ordering``), and names witnesses with the search
+engine's bitmask kernels (``graphs.find_pattern``,
+``graphs.fulfills_c4_rule``).  These references share no code with either: a
+scan of every tuple of positions, and the C4 rule read off the list of
+induced 4-cycles, as the rule is defined.  The helpers below them are the
+brute-force definitions that only tests use: an acyclic union of two
+orientations, interval orders by their predecessor sets, and realizations
+found on the endpoint grid.
 """
-from itertools import combinations
+from itertools import combinations, permutations
+
+from simpletri.errors import LimitExceeded
+from simpletri.graphs import _check_orients, complement
+from simpletri.triangles import TriangleRepresentation, verify_representation
 
 
 def scan_pattern(g, ordering, pattern):
@@ -44,3 +53,91 @@ def c4_rule_by_cycles(g, ordering):
         len({pos[u] < pos[v], pos[w] < pos[v], pos[w] < pos[x], pos[u] < pos[x]}) == 1
         for u, v, w, x in induced_four_cycles(g)
     )
+
+
+def union_is_acyclic(g, o_g, o_gc):
+    """No directed cycle in the union of the two orientations.
+
+    ``o_g`` must orient exactly the edges of g and ``o_gc`` exactly the edges
+    of its complement, so the union orients the complete graph.
+    """
+    _check_orients(g, o_g)
+    _check_orients(complement(g), o_gc)
+    indeg = [0] * g.n
+    out = {v: [] for v in range(g.n)}
+    for u, v in o_g.arcs | o_gc.arcs:
+        out[u].append(v)
+        indeg[v] += 1
+    queue = [v for v in range(g.n) if indeg[v] == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == g.n
+
+
+def is_interval_order(p):
+    """True iff the predecessor sets of ``p`` form a chain under inclusion.
+
+    Two relations a < b and c < d with neither a < d nor c < b, an induced
+    2+2 on {a, b, c, d} and the one obstruction to interval orders, are
+    exactly a in pred(b) but not pred(d) and c in pred(d) but not pred(b).
+    Sorted by size, the sets form a chain iff each lies in the next.
+    """
+    pred = sorted(p.pred, key=int.bit_count)
+    return all(not a & ~b for a, b in zip(pred, pred[1:]))
+
+
+def grid_search_realization(g, limit=4):
+    """Assumption-free exhaustive search over the endpoint grid 1..2n.
+
+    Enumerates apex orderings times all base assignments with endpoints on
+    the grid, pruning a partial assignment as soon as two placed triangles
+    contradict the required adjacency.  Far slower than the constraint
+    solver of ``oracles.geometric_search_realization``; used to
+    cross-validate it on tiny instances.
+    """
+    if g.n > limit:
+        raise LimitExceeded(f"n={g.n} exceeds grid search limit {limit}")
+    n = g.n
+    if n == 0:
+        return TriangleRepresentation((), ())
+    pool = [
+        (lo, hi) for lo in range(1, 2 * n + 1) for hi in range(lo + 1, 2 * n + 1)
+    ]
+    adj = g.adj
+    for sigma in permutations(range(n)):
+        bases = []
+
+        def dfs():
+            idx = len(bases)
+            if idx == n:
+                return True
+            v = sigma[idx]
+            for cand in pool:
+                ok = True
+                for jdx in range(idx):
+                    u = sigma[jdx]
+                    disjoint = bases[jdx][1] < cand[0]
+                    if disjoint == (adj[u] >> v & 1 == 1):
+                        ok = False
+                        break
+                if ok:
+                    bases.append(cand)
+                    if dfs():
+                        return True
+                    bases.pop()
+            return False
+
+        if dfs():
+            apex, base = [0] * n, [(0, 0)] * n
+            for i, v in enumerate(sigma):
+                apex[v], base[v] = i + 1, bases[i]
+            t = TriangleRepresentation(tuple(apex), tuple(base))
+            assert verify_representation(g, t)
+            return t
+    return None

@@ -10,7 +10,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from simpletri.errors import NotSimpleTriangle
+from simpletri.errors import NotApexOrdering, NotSimpleTriangle
 from simpletri.exhaustive import (
     all_graphs,
     naturally_ordered_relations,
@@ -53,7 +53,7 @@ from simpletri.orders import (
     linear_order,
     recognize_linear_interval_order,
 )
-from simpletri.recognition import check_apex_ordering, realize, recognize
+from simpletri.recognition import realize, recognize
 from simpletri.triangles import triangles_disjoint, verify_representation
 
 RANDOM_SEED = 20260808
@@ -63,6 +63,12 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 @pytest.fixture(scope="module")
 def ordering_corpus(small_graphs):
     """Per (graph, ordering): the four acceptance conditions plus realizations.
+
+    The conditions are cocomparability and the C4 rule (b2), building a
+    realization from the ordering (b3, ``realize`` does not raise, which is
+    ``check_apex_ordering``), the complement's comparability and 2K2 rule
+    (b4), and no cp, p1 or p2 on the complement (b5).  Each accepted pair
+    is built once, and b3 keeps what it built.
 
     cond_mismatch collects tuples where the four formulations disagree,
     realizations holds (graph, ordering, representation) for every accepted
@@ -83,7 +89,11 @@ def ordering_corpus(small_graphs):
                 comp_c = is_comparability_ordering(gc, sigma)
                 k22_c = fulfills_2k2_rule(gc, sigma)
                 b2 = cocomp and c4
-                b3 = check_apex_ordering(g, sigma)
+                try:
+                    rep = realize(g, sigma)
+                except NotApexOrdering:
+                    rep = None
+                b3 = rep is not None
                 b4 = comp_c and k22_c
                 b5 = all(
                     find_pattern(gc, sigma, pat) is None
@@ -95,7 +105,6 @@ def ordering_corpus(small_graphs):
                     duality_mismatch.append((g, sigma))
                 if b3:
                     accepted_any = True
-                    rep = realize(g, sigma)
                     if not verify_representation(g, rep):
                         verify_failures.append((g, sigma))
                     realizations.append((g, sigma, rep))

@@ -31,13 +31,12 @@ from simpletri.graphs import (
     orient_complement_by_ordering,
     orientation_from_ordering,
     path_graph,
-    union_is_acyclic,
 )
 from simpletri.oracles import enumerate_orientations
 from simpletri.orders import find_alternating_anticycle, is_linear_extension
 from simpletri.patterns import C4_PATTERNS
 
-from references import c4_rule_by_cycles, scan_pattern
+from references import c4_rule_by_cycles, scan_pattern, union_is_acyclic
 from strategies import edge_sets, graphs
 
 C4 = cycle_graph(4)
@@ -155,6 +154,20 @@ class TestOrderingPredicates:
         assert is_cocomparability_ordering(P3, (0, 1, 2))
         assert not is_cocomparability_ordering(TWO_K2, (0, 1, 2, 3))
         assert is_cocomparability_ordering(complete_graph(4), (0, 1, 2, 3))
+
+    def test_build_says_what_the_tuple_scan_says(self, small_graphs):
+        """The predicates orient along the ordering; on every ordering of
+        every graph with n <= 5 they hold exactly when the scan over all
+        position triples finds no cpc, respectively no cp."""
+        for n in range(6):
+            for g in small_graphs[n]:
+                for sigma in permutations(range(n)):
+                    assert is_cocomparability_ordering(g, sigma) == (
+                        scan_pattern(g, sigma, PATTERN_CPC) is None
+                    ), (sorted(g.edges), sigma)
+                    assert is_comparability_ordering(g, sigma) == (
+                        scan_pattern(g, sigma, PATTERN_CP) is None
+                    ), (sorted(g.edges), sigma)
 
     @given(graphs(max_n=6), st.integers(0, 719))
     def test_cocomparability_is_complement_comparability(self, g, pick):

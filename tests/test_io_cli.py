@@ -2,7 +2,7 @@ import argparse
 import json
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 import hypothesis.strategies as st
@@ -410,21 +410,22 @@ class TestCliCheckOrdering:
     def test_bad_ordering(self, c4_file, capsys):
         assert main(["check-ordering", c4_file, "0,1,2"]) == 2
 
-    def test_prints_what_the_reference_scans_give(self, tmp_path, capsys):
-        """Seeded graphs with n = 6-12, every other one the intersection
-        graph of random triangles so that it has apex orderings, each under
-        the identity, its ``apex_ordering`` when it has one, and one
-        adjacent swap of the last of these: the command prints and exits as
-        the tuple scan and the C4 rule's cycle definition say."""
+    def test_prints_what_the_reference_scans_give(self, small_graphs, tmp_path, capsys):
+        """Every ordering of every graph with n <= 4, then seeded graphs with
+        n = 6-12, every other one the intersection graph of random triangles
+        so that it has apex orderings, each under the identity, its
+        ``apex_ordering`` when it has one, and one adjacent swap of the last
+        of these: the command prints and exits as the tuple scan and the C4
+        rule's cycle definition say, though it scans only what building
+        rejects."""
         rng = random.Random(20261019)
         path = tmp_path / "g.graph"
-        exits, seen = [], set()
+        cases = [(g, permutations(range(n))) for n in range(5) for g in small_graphs[n]]
         for i in range(30):
             n = rng.randint(6, 12)
             g = triangle_graph(rng, n) if i % 2 else Graph.from_edges(
                 n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]
             )
-            path.write_text(graph_to_text(g))
             orderings = [tuple(range(n))]
             apex = recognition.apex_ordering(g)
             if apex is not None:
@@ -432,6 +433,10 @@ class TestCliCheckOrdering:
             k = rng.randrange(n - 1)
             last = orderings[-1]
             orderings.append((*last[:k], last[k + 1], last[k], *last[k + 2:]))
+            cases.append((g, orderings))
+        exits, seen = [], set()
+        for g, orderings in cases:
+            path.write_text(graph_to_text(g))
             for sigma in orderings:
                 witnesses = {name: scan_pattern(g, sigma, pat) for name, pat in APEX_PATTERNS}
                 accepted = all(w is None for w in witnesses.values())

@@ -20,7 +20,6 @@ from simpletri.graphs import (
     is_alternating_orientation,
     is_transitive_orientation,
     orientation_from_ordering,
-    union_is_acyclic,
 )
 from simpletri.oracles import (
     _alternating_orderings,
@@ -34,7 +33,6 @@ from simpletri.oracles import (
     exact_triangle_intersection,
     geometric_search_order_realization,
     geometric_search_realization,
-    grid_search_realization,
     has_alternating_transitive_pair,
     random_triangle_pair,
     triangle_interiors_intersect,
@@ -49,7 +47,7 @@ from simpletri.patterns import PATTERN_P1, PATTERN_P2
 from simpletri.recognition import recognize
 from simpletri.triangles import TriangleRepresentation, triangles_disjoint, verify_representation
 
-from references import scan_pattern
+from references import grid_search_realization, scan_pattern, union_is_acyclic
 from strategies import partial_orders
 
 C4 = cycle_graph(4)

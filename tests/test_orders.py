@@ -14,7 +14,6 @@ from simpletri.orders import (
     enumerate_linear_extensions,
     find_alternating_anticycle,
     intersect_orders,
-    is_interval_order,
     is_linear_extension,
     is_valid_anticycle,
     linear_order,
@@ -22,6 +21,7 @@ from simpletri.orders import (
     recognize_linear_interval_order,
 )
 
+from references import is_interval_order
 from strategies import orders_with_extension, partial_orders
 
 CHAIN3 = make_partial_order(3, [(0, 1), (1, 2)])
