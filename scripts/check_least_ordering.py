@@ -27,10 +27,17 @@ five rounds that call the two in turn; and both totals, with ``recognize``'s
 worst graph, over ``--relabelled`` draws: with ``rng = random.Random(7)``,
 each has n = ``rng.randint(10, 40)``, is a ``triangle_graph`` if its index
 is odd and a ``permutation_graph`` if even, and is relabelled at random
-(``corpora.relabel``).  It exits 1 on any mismatch.  The default run takes
-about 11 s on a 2-vCPU x86-64 VM (CPython 3.11).
+(``corpora.relabel``).  Then it checks the component split: that
+``least_apex_ordering``, which walks each component of G apart, returns
+what the walk over the whole of G returns (``recognition._walk`` from the
+decision's ordering), on the perfect matchings with n = 20, 40, ..., 200
+relabelled by ``random.Random(n)`` and on ``--unions`` disjoint unions of
+2-5 ``triangle_graph`` draws with n = 6-12 each, relabelled, drawn from
+``random.Random(11)``; it prints both times.  It exits 1 on any mismatch.
+The default run takes about 17 s on a 2-vCPU x86-64 VM (CPython 3.11),
+5 s of it the whole walks on the unions.
 
-    PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1] [--relabelled 400]
+    PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1] [--relabelled 400] [--unions 100]
 """
 from __future__ import annotations
 
@@ -141,6 +148,55 @@ def relabelled(count: int):
         yield Graph.from_edges(n, relabel(inst, rng).items)
 
 
+def relabelled_graph(rng: random.Random, n: int, edges) -> Graph:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def matchings():
+    """Perfect matchings with n = 20, 40, ..., 200, relabelled by
+    ``random.Random(n)``."""
+    for n in range(20, 201, 20):
+        yield relabelled_graph(random.Random(n), n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+
+
+def triangle_unions(count: int):
+    """``count`` disjoint unions of 2-5 ``triangle_graph`` draws with n = 6-12
+    each, relabelled, all drawn from ``random.Random(11)``."""
+    rng = random.Random(11)
+    for _ in range(count):
+        n, edges = 0, []
+        for _ in range(rng.randint(2, 5)):
+            m = rng.randint(6, 12)
+            edges += [(n + u, n + v) for u, v in triangle_graph(rng, m).items]
+            n += m
+        yield relabelled_graph(rng, n, edges)
+
+
+def split_against_whole(label: str, graphs) -> int:
+    """Compare ``least_apex_ordering``, which walks each component of G
+    apart, with the walk over the whole of G; prints the number of
+    mismatches, which it returns, and both times."""
+    count = mismatches = 0
+    split = whole = 0.0
+    for g in graphs:
+        t0 = time.perf_counter()
+        got = recognition.least_apex_ordering(g)
+        t1 = time.perf_counter()
+        best = recognition.apex_ordering(g)
+        expected = None if best is None else recognition._walk(g, best)
+        t2 = time.perf_counter()
+        count += 1
+        split, whole = split + t1 - t0, whole + t2 - t1
+        if got != expected:
+            mismatches += 1
+            print(f"mismatch on n={g.n} edges={sorted(g.edges)}: whole {expected}, split {got}")
+    print(f"{label}: {count} graphs, {mismatches} mismatches between the split and the "
+          f"whole walk, split {split:.2f} s, whole {whole:.2f} s")
+    return mismatches
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=6)
@@ -148,6 +204,7 @@ def main(argv=None) -> int:
     parser.add_argument("--cap", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--relabelled", type=int, default=400)
+    parser.add_argument("--unions", type=int, default=100)
     args = parser.parse_args(argv)
     print(f"unpruned search capped at {args.cap:g} s per graph")
     tally: dict = {"deciding": False}
@@ -212,6 +269,9 @@ def main(argv=None) -> int:
         least, decision, worst = least + t1 - t0, decision + t2 - t1, max(worst, t1 - t0)
     print(f"{args.relabelled} relabelled draws, n = 10-40: recognize {least:.2f} s "
           f"(worst graph {worst * 1000:.1f} ms), apex_ordering {decision:.2f} s")
+    bad += split_against_whole("relabelled perfect matchings, n = 20-200", matchings())
+    bad += split_against_whole("relabelled unions of 2-5 triangle draws, n = 6-12 each",
+                               triangle_unions(args.unions))
     return 1 if bad else 0
 
 

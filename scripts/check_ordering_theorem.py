@@ -18,9 +18,9 @@ the same ordering σ:
   ``apex_ordering``, ``least_apex_ordering`` (when there is one),
   ``--extensions`` random linear extensions of ``transitive_orientation``
   of Ḡ, and each of these with one random pair of neighbours swapped;
-- the triangle draws ``triangle_graph(random.Random(n), n)`` with n = 100
-  and 300, under ``apex_ordering`` and under it with one random pair of
-  vertices swapped.
+- the triangle draws ``triangle_graph(random.Random(n), n)`` with n = 100,
+  300 and 1,000, under ``apex_ordering`` and under it with one random pair
+  of vertices swapped.
 
 Up to n = 60 the left side is the paper's definition, the three
 ``find_pattern`` scans for cpc, p1 and p2, and ``check_apex_ordering``,
@@ -30,16 +30,13 @@ scans cost O(n³) mask steps, so the large draws take their left side from
 ``is_alternating_orientation`` and ``is_transitive_orientation`` on the
 orientations of G and Ḡ along σ.  Per group it prints the orderings
 checked, how many satisfy both sides, and the time, and it prints each
-disagreement with its graph and ordering and exits 1.
+disagreement with its graph and ordering and exits 1.  Each group's line
+ends with the peak RSS of the process so far.
 
-With ``--random 22`` the run takes about 10 s on a 2-vCPU x86-64 VM
-(CPython 3.11), 2 s of it the n = 300 draw, nearly all in
-``is_alternating_orientation``.  The default run does not finish:
-``least_apex_ordering`` had not returned on the 23rd seeded graph (n = 54,
-25 edges) after 5 minutes.  n = 1,000 does not fit either: building
-judges its apex ordering in 0.1 s, but ``is_alternating_orientation``
-lists the induced paths on chordless cycles, and held 1.9 GB after about
-a minute there.
+The default run takes about 15 s on a 2-vCPU x86-64 VM (CPython 3.11):
+5 s each for the orderings with n <= 5 and the seeded graphs, and 1.5 s
+to judge the two orderings of the n = 1,000 draw, after which the process
+has peaked at about 145 MB.
 
     PYTHONPATH=src python scripts/check_ordering_theorem.py [--max-n 5] [--random 400] [--extensions 3] [--seed 1]
 """
@@ -48,6 +45,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import resource
 import sys
 import time
 from itertools import permutations
@@ -108,8 +106,9 @@ def check(label: str, cases, avoids=scanned_and_built) -> int:
             if len(set(answers.values())) > 1:
                 bad += 1
                 print(f"DISAGREE n={g.n} edges={sorted(g.edges)} ordering={sigma}: {answers}")
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{label}: {checked} orderings, {both} on both sides, {bad} disagreements, "
-          f"{time.perf_counter() - t0:.1f} s")
+          f"{time.perf_counter() - t0:.1f} s, peak RSS so far {peak:.0f} MB")
     return bad
 
 
@@ -157,7 +156,7 @@ def main(argv=None) -> int:
             yield g, orderings + [swapped(rng, sigma) for sigma in orderings]
 
     bad += check(f"seeded graphs, n = 7-60, seed {args.seed}", seeded())
-    for n in (100, 300):
+    for n in (100, 300, 1000):
         g = Graph(n, triangle_graph(random.Random(n), n).items)
         sigma = apex_ordering(g)
         bad += check(f"triangle draw, n = {n}, apex ordering and a swap",

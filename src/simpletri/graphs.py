@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._bits import clear_rows, iter_bits, set_row
 from .errors import EdgeSetMismatch, NotComparabilityOrdering, SizeMismatch
@@ -56,15 +56,12 @@ class Graph:
 
     ``adj`` holds a neighbour bitmask per vertex, and it and ``n`` alone are
     compared and hashed.  ``edges``, the normalized pairs ``(u, v)`` with
-    u < v, is derived from ``adj`` on first use, and ``_derived`` caches the
-    induced structures computed on demand, so both live and die with the
-    instance.  ``Graph(n, edges)`` takes normalized pairs and
-    :meth:`from_edges` any pairs.
+    u < v, is derived from ``adj`` on first use.  ``Graph(n, edges)`` takes
+    normalized pairs and :meth:`from_edges` any pairs.
     """
 
     n: int
     adj: tuple[int, ...] = field(repr=False)
-    _derived: dict = field(repr=False, compare=False)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         adj = [0] * n
@@ -73,7 +70,7 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) is not normalized or out of range")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.__dict__.update(n=n, adj=tuple(adj), _derived={})
+        self.__dict__.update(n=n, adj=tuple(adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -82,10 +79,11 @@ class Graph:
     @classmethod
     def _from_adj(cls, n: int, adj: Iterable[int]) -> "Graph":
         """The graph with neighbour masks ``adj``, unchecked: its callers,
-        ``io.parse_graph`` and :func:`complement`, build them symmetric,
+        ``io.parse_graph``, :func:`complement` and the component split of
+        ``recognition.least_apex_ordering``, build them symmetric,
         irreflexive and below ``1 << n``."""
         g = cls.__new__(cls)
-        g.__dict__.update(n=n, adj=tuple(adj), _derived={})
+        g.__dict__.update(n=n, adj=tuple(adj))
         return g
 
     @functools.cached_property
@@ -126,17 +124,20 @@ def complement(g: Graph) -> Graph:
     return Graph._from_adj(g.n, (full & ~adj & ~(1 << u) for u, adj in enumerate(g.adj)))
 
 
-def _cached_on_graph(fn):
-    """Memoize ``fn(g)`` in ``g._derived``: the predicates that loop over
-    many orderings or orientations of one graph compute it once."""
-
-    @functools.wraps(fn)
-    def cached(g: Graph):
-        if fn not in g._derived:
-            g._derived[fn] = fn(g)
-        return g._derived[fn]
-
-    return cached
+def _components(adj: Sequence[int], left: int) -> Iterator[tuple[int, int]]:
+    """The components of the graph ``adj`` induced on the mask ``left``, in
+    the order of their least vertex, each as its mask and the union of its
+    vertices' neighbourhoods; flood-filled on bitmasks."""
+    while left:
+        comp = frontier = left & -left
+        reach = 0
+        while frontier:
+            for x in iter_bits(frontier):
+                reach |= adj[x]
+            frontier = reach & left & ~comp
+            comp |= frontier
+        left &= ~comp
+        yield comp, reach
 
 
 def _check_ordering(g: Graph, ordering: Sequence[int]) -> None:
@@ -366,30 +367,36 @@ def is_transitive_orientation(g: Graph, o: Orientation) -> bool:
     return not any(out[v] & ~heads for heads in out for v in iter_bits(heads))
 
 
-@_cached_on_graph
-def _cycle_p3s(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    """Induced paths (a, b, c), a < c, that lie on a chordless cycle of
-    length >= 4, sorted.
+@functools.lru_cache(maxsize=1)
+def _touching_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Per vertex b, a mask per component C of G - N[b]: the neighbours of b
+    with a neighbour in C, kept when it has two or more.
 
-    a and c are non-adjacent neighbours of b with a neighbour each in one
-    component of G - N[b]; a shortest path through that component closes the
-    cycle.  The components are flood-filled on bitmasks, one b at a time.
+    Two non-adjacent a and c in one mask are the ends of an induced path
+    a-b-c on a chordless cycle of length >= 4: a shortest path from a's
+    neighbourhood to c's through C closes it.  Conversely the rest of such a
+    cycle avoids N[b] and is connected, so it lies in one component.  A
+    component's mask is the union of its vertices' neighbourhoods in N(b).
     """
     adj = g.adj
-    found: set[tuple[int, int, int]] = set()
+    masks = []
     for b in range(g.n):
-        left = (1 << g.n) - 1 & ~adj[b] & ~(1 << b)
-        while left:
-            comp = frontier = left & -left
-            while frontier:
-                reach = 0
-                for x in iter_bits(frontier):
-                    reach |= adj[x]
-                frontier = reach & left & ~comp
-                comp |= frontier
-            left &= ~comp
-            touching = [a for a in iter_bits(adj[b]) if adj[a] & comp]
-            for a, c in combinations(touching, 2):
+        per_b = []
+        for _, reach in _components(adj, (1 << g.n) - 1 & ~adj[b] & ~(1 << b)):
+            if (touching := reach & adj[b]) & touching - 1:
+                per_b.append(touching)
+        masks.append(tuple(per_b))
+    return tuple(masks)
+
+
+def _cycle_p3s(g: Graph) -> tuple[tuple[int, int, int], ...]:
+    """Induced paths (a, b, c), a < c, that lie on a chordless cycle of
+    length >= 4, sorted: the non-adjacent pairs of :func:`_touching_masks`."""
+    adj = g.adj
+    found: set[tuple[int, int, int]] = set()
+    for b, masks in enumerate(_touching_masks(g)):
+        for touching in masks:
+            for a, c in combinations(iter_bits(touching), 2):
                 if not adj[a] >> c & 1:
                     found.add((a, b, c))
     return tuple(sorted(found))
@@ -401,8 +408,16 @@ def is_alternating_orientation(g: Graph, o: Orientation) -> bool:
 
     Equivalently, directions alternate around every such cycle: no two
     consecutive cycle edges form a directed path, which is what transitivity
-    can possibly mean on a chordless cycle.
+    can possibly mean on a chordless cycle.  It fails at b exactly when one
+    mask of :func:`_touching_masks` holds an a with a→b and a c with b→c
+    that are not adjacent, so the paths are never listed.
     """
     _check_orients(g, o)
-    out = o.out
-    return all(out[a] >> b & 1 == out[c] >> b & 1 for a, b, c in _cycle_p3s(g))
+    adj, out = g.adj, o.out
+    for b, masks in enumerate(_touching_masks(g)):
+        for touching in masks:
+            if heads := touching & out[b]:
+                for a in iter_bits(touching & ~heads):
+                    if heads & ~adj[a]:
+                        return False
+    return True

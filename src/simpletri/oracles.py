@@ -33,7 +33,6 @@ from .errors import LimitExceeded, NotSimpleTriangle
 from .graphs import (
     Graph,
     Orientation,
-    _cached_on_graph,
     _cycle_p3s,
     complement,
     is_alternating_orientation,
@@ -128,7 +127,7 @@ def _outside(n: int, masks: Iterable[int]) -> int:
     return (1 << factorial(n)) - 1 & ~functools.reduce(operator.or_, masks, 0)
 
 
-@_cached_on_graph
+@functools.lru_cache(maxsize=1)
 def _transitive_orderings(g: Graph) -> int:
     """The orderings whose complement orientation is transitive: none puts a
     before b before c on a path a-b-c of the complement with a, c apart."""

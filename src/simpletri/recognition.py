@@ -32,8 +32,23 @@ returns that extension, and :func:`is_simple_triangle` is its verdict.
    the transitive orientations T′ of Ḡ, where ext(T′) is step 2's answer on
    T′: every ext(T′) is an apex ordering by the argument above, and σ* is a
    linear extension without a 4-anticycle of the orientation T_σ* it
-   induces, so ext(T_σ*) ≤ σ*.  The walk below reaches T_σ* unless its
-   best ordering is already σ*:
+   induces, so ext(T_σ*) ≤ σ*.
+
+   The walk runs per component of G.  An induced subsequence of an apex
+   ordering avoids the patterns on the induced subgraph, so it is an apex
+   ordering there.  In an apex ordering each component C is contiguous:
+   the ordering has no cpc, so it orients Ḡ transitively, and a vertex y of
+   another component between the ends of an edge ab of C, a first, would
+   give the arcs a→y→b of Ḡ, which force a→b, yet ab is no edge of Ḡ; C is
+   connected, so its edges cover the span of its positions.  Conversely,
+   realizations of the components placed side by side, each to the right
+   of the last on both lines, realize any concatenation of their apex
+   orderings.  So the apex orderings of G are these concatenations, and σ*
+   takes the least one of each component, relabelled back, with the blocks
+   sorted by their first vertex.  The walk of C starts from the decision's
+   ordering restricted to C.  A component with one vertex needs no walk,
+   and a connected G is walked whole.  On G or C the walk reaches T_σ* unless
+   its best ordering is already σ*:
 
    - it starts from the arcs x→y in Ḡ for each pair of false twins x < y of
      G (equal neighbourhoods).  σ* puts false twins in label order, since
@@ -68,10 +83,11 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from ._bits import clear_rows, lowest_bit
+from ._bits import clear_rows, iter_bits, lowest_bit
 from .errors import NotApexOrdering, NotComparabilityOrdering
 from .graphs import (
     Graph,
+    _components,
     _force_arcs,
     complement,
     orient_complement_by_ordering,
@@ -131,12 +147,32 @@ def least_apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
     module doc).
 
     Runs :func:`apex_ordering` first, and None comes only from it.  Then
-    walks the transitive orientations of the complement from the false-twin
-    arcs, and raises RuntimeError if step 2 finds nothing on one of them.
+    walks each component of g with two or more vertices, from the
+    decision's ordering restricted to it, and concatenates the components'
+    least orderings, sorted by their first vertex.
     """
     best = apex_ordering(g)
     if best is None:
         return None
+    blocks, full = [], (1 << g.n) - 1
+    for comp, _ in _components(g.adj, full):
+        if comp == full:
+            return _walk(g, best)
+        vs = list(iter_bits(comp))
+        if len(vs) > 1:
+            label = {v: i for i, v in enumerate(vs)}
+            sub = Graph._from_adj(len(vs), (
+                sum(1 << label[u] for u in iter_bits(g.adj[v])) for v in vs))
+            vs = [vs[i] for i in _walk(sub, tuple(label[v] for v in best if comp >> v & 1))]
+        blocks.append(vs)
+    return tuple(v for block in sorted(blocks) for v in block)
+
+
+def _walk(g: Graph, best: tuple[int, ...]) -> tuple[int, ...]:
+    """The least apex ordering of g, by walking the transitive orientations
+    of the complement from the false-twin arcs, with ``best``, an apex
+    ordering of g, as the bound to beat.  Raises RuntimeError if step 2
+    finds nothing on one of them."""
     n, cadj = g.n, complement(g).adj
     out, into = [0] * n, [0] * n
     # false twins of g, each before its twins with larger labels

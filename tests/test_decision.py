@@ -273,8 +273,10 @@ def test_recognize_runs_no_leaf_on_permutation_graphs(spied):
 
 def test_walk_drops_an_intransitive_leaf(spied):
     """A leaf whose orientation of Ḡ is not transitive runs no step 2, and
-    the answer is still the least apex ordering."""
-    g = Graph.from_edges(8, [(0, 2), (0, 7), (1, 6), (2, 4), (4, 7)])
+    the answer is still the least apex ordering.  The graph is connected,
+    so the walk runs on the whole of it."""
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (1, 3), (2, 3), (3, 4),
+                             (3, 5), (3, 6), (5, 6)])
     got = recognize(g)
     assert got is not None and got[0] == ungated_search(g)
     walk = after_decision(spied)
@@ -282,16 +284,44 @@ def test_walk_drops_an_intransitive_leaf(spied):
 
 
 def test_walk_goes_deeper_than_the_recursion_limit():
-    """A perfect matching on 100 vertices, relabelled: Ḡ is complete
-    multipartite with 50 parts of two, so it has 1,225 implication classes,
-    and the walk orients them one level each.  The least apex ordering takes
-    the parts by their least label, each part in label order."""
+    """A perfect matching on 100 vertices, relabelled, plus vertex 0 joined
+    to all of them, so the walk runs on the whole graph: Ḡ is complete
+    multipartite with 50 parts of two, plus 0 isolated, so it has 1,225
+    implication classes, and the walk orients them one level each.  The
+    least apex ordering takes 0 first, then the parts by their least label,
+    each part in label order."""
     n = 100
+    perm = list(range(1, n + 1))
+    random.Random(n).shuffle(perm)
+    parts = sorted(tuple(sorted(perm[2 * i:2 * i + 2])) for i in range(n // 2))
+    g = Graph.from_edges(n + 1, parts + [(0, v) for v in range(1, n + 1)])
+    assert recognize(g)[0] == (0, *(v for part in parts for v in part))
+
+
+def test_recognize_walks_each_part_of_a_relabelled_matching_apart():
+    """A perfect matching on 200 vertices, relabelled: each part is a
+    component of its own, so no walk goes past one level; over the whole
+    graph the walk took 0.41 s (2-vCPU x86-64 VM)."""
+    n = 200
     perm = list(range(n))
     random.Random(n).shuffle(perm)
     parts = sorted(tuple(sorted(perm[2 * i:2 * i + 2])) for i in range(n // 2))
     g = Graph.from_edges(n, parts)
-    assert recognize(g)[0] == tuple(v for part in parts for v in part)
+    start = time.perf_counter()
+    got = recognize(g)
+    assert time.perf_counter() - start < 0.1
+    assert got[0] == tuple(v for part in parts for v in part)
+
+
+def test_recognize_is_fast_on_a_sparse_graph_with_many_components():
+    """The walk over the whole graph had not returned after 5 minutes on
+    this graph (54 vertices, 25 edges, 29 components); walked per
+    component it takes a few milliseconds."""
+    g = load_graph(fixture("sparse-n54.edges"))
+    start = time.perf_counter()
+    got = recognize(g)
+    assert time.perf_counter() - start < 1.0
+    assert got is not None and check_apex_ordering(g, got[0])
 
 
 def test_least_search_never_backtracks_up_to_five(small_graphs, least_backtracks):

@@ -355,6 +355,27 @@ class TestOrientations:
                     assert is_transitive_orientation(g, o) == transitive
                     assert is_alternating_orientation(g, o) == alternating
 
+    def test_alternation_matches_cycle_p3_rule_on_seeded_orientations(self):
+        # seeded G(n, p) with n = 5-8, each under random arc flips and along
+        # random orderings, against the rule read off brute_cycle_p3s; both
+        # answers come up on graphs that have cycle P3s
+        rng = random.Random(20261020)
+        outcomes = set()
+        for _ in range(200):
+            n, p = rng.randint(5, 8), rng.choice((0.3, 0.5, 0.7))
+            g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            p3s = brute_cycle_p3s(g)
+            for flip in (0.0, 0.5, 0.5, 0.5):
+                order = rng.sample(range(n), n)
+                arcs = frozenset(
+                    (v, u) if rng.random() < flip else (u, v)
+                    for u, v in orientation_from_ordering(g, order).arcs
+                )
+                expected = all(((a, b) in arcs) == ((c, b) in arcs) for a, b, c in p3s)
+                assert is_alternating_orientation(g, Orientation(n, arcs)) == expected
+                outcomes.add((bool(p3s), expected))
+        assert {(True, False), (True, True)} <= outcomes
+
     def test_alternation_on_8x8_grid_is_fast(self):
         # the 7x7 grid already has 65,772 chordless cycles; this one has
         # 292 cycle P3s
