@@ -31,13 +31,13 @@ is odd and a ``permutation_graph`` if even, and is relabelled at random
 ``least_apex_ordering``, which walks each component of G apart, returns
 what the walk over the whole of G returns (``recognition._walk`` from the
 decision's ordering), on the perfect matchings with n = 20, 40, ..., 200
-relabelled by ``random.Random(n)`` and on ``--unions`` disjoint unions of
+relabelled by ``random.Random(n)`` and on 100 disjoint unions of
 2-5 ``triangle_graph`` draws with n = 6-12 each, relabelled, drawn from
 ``random.Random(11)``; it prints both times.  It exits 1 on any mismatch.
 The default run takes about 17 s on a 2-vCPU x86-64 VM (CPython 3.11),
 5 s of it the whole walks on the unions.
 
-    PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1] [--relabelled 400] [--unions 100]
+    PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1] [--relabelled 400]
 """
 from __future__ import annotations
 
@@ -161,11 +161,11 @@ def matchings():
         yield relabelled_graph(random.Random(n), n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
 
 
-def triangle_unions(count: int):
-    """``count`` disjoint unions of 2-5 ``triangle_graph`` draws with n = 6-12
+def triangle_unions():
+    """100 disjoint unions of 2-5 ``triangle_graph`` draws with n = 6-12
     each, relabelled, all drawn from ``random.Random(11)``."""
     rng = random.Random(11)
-    for _ in range(count):
+    for _ in range(100):
         n, edges = 0, []
         for _ in range(rng.randint(2, 5)):
             m = rng.randint(6, 12)
@@ -204,7 +204,6 @@ def main(argv=None) -> int:
     parser.add_argument("--cap", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--relabelled", type=int, default=400)
-    parser.add_argument("--unions", type=int, default=100)
     args = parser.parse_args(argv)
     print(f"unpruned search capped at {args.cap:g} s per graph")
     tally: dict = {"deciding": False}
@@ -271,7 +270,7 @@ def main(argv=None) -> int:
           f"(worst graph {worst * 1000:.1f} ms), apex_ordering {decision:.2f} s")
     bad += split_against_whole("relabelled perfect matchings, n = 20-200", matchings())
     bad += split_against_whole("relabelled unions of 2-5 triangle draws, n = 6-12 each",
-                               triangle_unions(args.unions))
+                               triangle_unions())
     return 1 if bad else 0
 
 
