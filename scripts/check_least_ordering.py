@@ -1,10 +1,11 @@
 """Compare recognize's least apex ordering with the unpruned search, and count its walk.
 
-``recognize`` decides first, then walks the transitive orientations of the
-complement and runs step 2 at each leaf of the walk (``recognition`` module
-doc).  This script checks that its answer is the first complete ordering of
-the unpruned search ``search_orderings((0,) * n, PatternRule(g.adj,
-APEX_PATTERNS))``, or None with it:
+``recognize`` decides each component first, then walks the transitive
+orientations of its complement and runs step 2 at each leaf of the walk but
+the decision's own orientation T (``recognition`` module doc).  This script
+checks that its answer is the first complete ordering of the unpruned
+search ``search_orderings((0,) * n, PatternRule(g.adj, APEX_PATTERNS))``,
+or None with it:
 
 - on every labeled graph with at most ``--max-n`` vertices (33,868 with
   n <= 6);
@@ -14,13 +15,13 @@ APEX_PATTERNS))``, or None with it:
 
 The unpruned side stops after ``--cap`` seconds per graph; such a graph is
 counted as capped, not compared, and the cap is printed.  Over the graphs
-above it prints how many leaves the walks reached, how many of those ran
-step 2 (the others are not transitive), and how many accepted graphs had a
-step-2 run that backtracks, with the most backtracks of one graph: refused
-branches off the path to a run's answer.  The decision's own step 2 is not
-counted.  The counts are printed per graph for the draws
-``triangle_graph(random.Random(1000·n + s), n)`` with n = 12, 16, 20 and
-s = 0-2.  Last, it prints what ``recognize`` costs over ``apex_ordering``
+above it prints how many leaves other than T the walks reached, how many
+of those ran step 2 (the others are not transitive), and how many accepted
+graphs had a step-2 run that backtracks, with the most backtracks of one
+graph: refused branches off the path to a run's answer.  The step 2 of the
+decisions (``recognition._decide``) is not counted.  The counts are printed
+per graph for the draws ``triangle_graph(random.Random(1000·n + s), n)``
+with n = 12, 16, 20 and s = 0-2.  Last, it prints what ``recognize`` costs over ``apex_ordering``
 (the decision alone) on ``triangle_graph`` and ``permutation_graph`` drawn
 with ``random.Random(n)``, n = 100 and 300: the ratio of the median times of
 five rounds that call the two in turn; and both totals, with ``recognize``'s
@@ -29,13 +30,19 @@ each has n = ``rng.randint(10, 40)``, is a ``triangle_graph`` if its index
 is odd and a ``permutation_graph`` if even, and is relabelled at random
 (``corpora.relabel``).  Then it checks the component split: that
 ``least_apex_ordering``, which walks each component of G apart, returns
-what the walk over the whole of G returns (``recognition._walk`` from the
-decision's ordering), on the perfect matchings with n = 20, 40, ..., 200
-relabelled by ``random.Random(n)`` and on 100 disjoint unions of
+what the walk over the whole of G returns (``recognition._walk`` from
+``recognition._decide`` of G), on the perfect matchings with n = 20, 40,
+..., 200 relabelled by ``random.Random(n)`` and on 100 disjoint unions of
 2-5 ``triangle_graph`` draws with n = 6-12 each, relabelled, drawn from
 ``random.Random(11)``; it prints both times.  It exits 1 on any mismatch.
 The default run takes about 17 s on a 2-vCPU x86-64 VM (CPython 3.11),
-5 s of it the whole walks on the unions.
+5 s of it the whole walks on the unions.  There it reported 0 mismatches;
+2,544 leaves on the graphs with n <= 6 and 90 on the seeded graphs, none on
+the nine draws with n = 12-20; ``recognize`` at 2.20 and 2.24 times
+``apex_ordering`` on the triangle draws with n = 100 and 300, and 1.2 times
+on the permutation draws; 0.50 s against 0.25 s on the relabelled draws;
+and the split 0.01 and 0.04 s against the whole walk's 1.25 and 4.59 s on
+the matchings and the unions.
 
     PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1] [--relabelled 400]
 """
@@ -73,12 +80,13 @@ def unpruned(g: Graph, cap: float):
 def instrument(tally: dict):
     """Patch ``recognition`` and ``orders`` so that ``tally`` counts the
     walk's leaves (``leaves``), the step-2 runs at them (``step2``) and their
-    backtracks (``last``, per ``recognize`` call); the decision's own step 2
-    is not counted.  Returns a function that undoes the patches."""
-    saved = (recognition.apex_ordering, recognition.PartialOrder, orders.search_orderings)
+    backtracks (``last``, per ``recognize`` call); the step 2 of the
+    decisions (``recognition._decide``) is not counted.  Returns a function
+    that undoes the patches."""
+    saved = (recognition._decide, recognition.PartialOrder, orders.search_orderings)
     decide, partial_order, search = saved
 
-    def apex_ordering(g: Graph):
+    def decided(g: Graph):
         tally["deciding"] = True
         try:
             return decide(g)
@@ -99,11 +107,11 @@ def instrument(tally: dict):
                 tally["last"] += sum(b[:-1] != ordering[:len(b) - 1] for b in refused)
             yield ordering, hit
 
-    recognition.apex_ordering, recognition.PartialOrder, orders.search_orderings = (
-        apex_ordering, leaf, counted)
+    recognition._decide, recognition.PartialOrder, orders.search_orderings = (
+        decided, leaf, counted)
 
     def restore():
-        recognition.apex_ordering, recognition.PartialOrder, orders.search_orderings = saved
+        recognition._decide, recognition.PartialOrder, orders.search_orderings = saved
 
     return restore
 
@@ -184,8 +192,8 @@ def split_against_whole(label: str, graphs) -> int:
         t0 = time.perf_counter()
         got = recognition.least_apex_ordering(g)
         t1 = time.perf_counter()
-        best = recognition.apex_ordering(g)
-        expected = None if best is None else recognition._walk(g, best)
+        decided = recognition._decide(g)
+        expected = None if decided is None else recognition._walk(g, *decided)
         t2 = time.perf_counter()
         count += 1
         split, whole = split + t1 - t0, whole + t2 - t1

@@ -34,9 +34,9 @@ disagreement with its graph and ordering and exits 1.  Each group's line
 ends with the peak RSS of the process so far.
 
 The default run takes about 15 s on a 2-vCPU x86-64 VM (CPython 3.11):
-5 s each for the orderings with n <= 5 and the seeded graphs, and 1.5 s
+6 s each for the orderings with n <= 5 and the seeded graphs, and 0.6 s
 to judge the two orderings of the n = 1,000 draw, after which the process
-has peaked at about 145 MB.
+has peaked at about 91 MB.
 
     PYTHONPATH=src python scripts/check_ordering_theorem.py [--max-n 5] [--random 400] [--extensions 3] [--seed 1]
 """

@@ -318,45 +318,42 @@ def _force_arcs(adj: Sequence[int], out: list[int], into: list[int], arcs) -> Op
 
 @dataclass(frozen=True)
 class Orientation:
-    """A direction per edge, stored as arcs (tail, head).
-
-    ``out[v]`` masks the heads of v's arcs and ``adj[v]`` its neighbours, as
-    ``Graph.adj`` does; equality and hashing read ``n`` and ``arcs`` only.
-    """
+    """A direction per edge: ``out[v]`` masks the heads of v's arcs, as
+    ``PartialOrder.succ`` does, and it and ``n`` alone are compared and
+    hashed.  ``into[v]`` masks the tails of the arcs into v, derived from
+    ``out``."""
 
     n: int
-    arcs: frozenset[tuple[int, int]]
-    out: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    adj: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    out: tuple[int, ...]
+    into: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        out, adj = [0] * self.n, [0] * self.n
-        for u, v in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
-                raise ValueError(f"arc ({u}, {v}) invalid for n={self.n}")
-            if out[v] >> u & 1:
-                raise ValueError(f"edge {{{u}, {v}}} oriented both ways")
-            out[u] |= 1 << v
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        object.__setattr__(self, "out", tuple(out))
-        object.__setattr__(self, "adj", tuple(adj))
+        n, out = self.n, tuple(self.out)
+        if len(out) != n:
+            raise ValueError(f"{len(out)} head masks for n={n}")
+        into = [0] * n
+        for u, heads in enumerate(out):
+            if heads < 0 or heads >> n or heads >> u & 1:
+                raise ValueError(f"head mask of {u} out of range or holding {u} for n={n}")
+            if both := heads & into[u]:  # the tails into u seen so far
+                raise ValueError(f"edge {{{u}, {both.bit_length() - 1}}} oriented both ways")
+            for v in iter_bits(heads):
+                into[v] |= 1 << u
+        object.__setattr__(self, "out", out)
+        object.__setattr__(self, "into", tuple(into))
 
 
 def orientation_from_ordering(g: Graph, ordering: Sequence[int]) -> Orientation:
     """Direct every edge of g from the earlier to the later endpoint."""
     _check_ordering(g, ordering)
-    pos = _positions(ordering)
-    arcs = frozenset(
-        (u, v) if pos[u] < pos[v] else (v, u) for u, v in g.edges
-    )
-    return Orientation(g.n, arcs)
+    heads = (later & adj for later, adj in zip(_later_masks(ordering), g.adj))
+    return Orientation(g.n, tuple(heads))
 
 
 def _check_orients(g: Graph, o: Orientation) -> None:
     if o.n != g.n:
         raise EdgeSetMismatch(f"orientation is on {o.n} vertices, graph on {g.n}")
-    if o.adj != g.adj:
+    if any(out | into != adj for out, into, adj in zip(o.out, o.into, g.adj)):
         raise EdgeSetMismatch("orientation does not cover exactly the graph's edges")
 
 

@@ -255,11 +255,12 @@ def enumerate_orientations(
         raise LimitExceeded(f"|E|={len(edge_list)} exceeds orientation limit {limit}")
     check = is_transitive_orientation if mode == "transitive" else is_alternating_orientation
     for flips in range(1 << len(edge_list)):
-        arcs = frozenset(
-            (v, u) if flips >> i & 1 else (u, v)
-            for i, (u, v) in enumerate(edge_list)
-        )
-        o = Orientation(g.n, arcs)
+        out = [0] * g.n
+        for i, (u, v) in enumerate(edge_list):
+            if flips >> i & 1:
+                u, v = v, u
+            out[u] |= 1 << v
+        o = Orientation(g.n, tuple(out))
         if check(g, o):
             yield o
 

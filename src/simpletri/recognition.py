@@ -27,28 +27,26 @@ because T is transitive: it is an apex ordering of G.  :func:`apex_ordering`
 returns that extension, and :func:`is_simple_triangle` is its verdict.
 
 3. :func:`recognize` returns the lexicographically least apex ordering σ*
-   (:func:`least_apex_ordering`).  It runs the decision first, so a
-   rejection costs exactly the decision.  σ* is the least of ext(T′) over
-   the transitive orientations T′ of Ḡ, where ext(T′) is step 2's answer on
-   T′: every ext(T′) is an apex ordering by the argument above, and σ* is a
+   (:func:`least_apex_ordering`).  σ* is the least of ext(T′) over the
+   transitive orientations T′ of Ḡ, where ext(T′) is step 2's answer on T′:
+   every ext(T′) is an apex ordering by the argument above, and σ* is a
    linear extension without a 4-anticycle of the orientation T_σ* it
    induces, so ext(T_σ*) ≤ σ*.
 
-   The walk runs per component of G.  An induced subsequence of an apex
-   ordering avoids the patterns on the induced subgraph, so it is an apex
-   ordering there.  In an apex ordering each component C is contiguous:
-   the ordering has no cpc, so it orients Ḡ transitively, and a vertex y of
-   another component between the ends of an edge ab of C, a first, would
-   give the arcs a→y→b of Ḡ, which force a→b, yet ab is no edge of Ḡ; C is
-   connected, so its edges cover the span of its positions.  Conversely,
-   realizations of the components placed side by side, each to the right
-   of the last on both lines, realize any concatenation of their apex
-   orderings.  So the apex orderings of G are these concatenations, and σ*
-   takes the least one of each component, relabelled back, with the blocks
-   sorted by their first vertex.  The walk of C starts from the decision's
-   ordering restricted to C.  A component with one vertex needs no walk,
-   and a connected G is walked whole.  On G or C the walk reaches T_σ* unless
-   its best ordering is already σ*:
+   An induced subsequence of an apex ordering avoids the patterns on the
+   induced subgraph, so it is an apex ordering there.  In an apex ordering
+   each component C is contiguous: the ordering has no cpc, so it orients Ḡ
+   transitively, and a vertex y of another component between the ends of an
+   edge ab of C, a first, would give the arcs a→y→b of Ḡ, which force a→b,
+   yet ab is no edge of Ḡ; C is connected, so its edges cover the span of
+   its positions.  Conversely, realizations of the components placed side by
+   side, each to the right of the last on both lines, realize any
+   concatenation of their apex orderings.  So the apex orderings of G are
+   these concatenations: G is accepted iff each component is, and σ* takes
+   the least one of each, relabelled back, with the blocks sorted by their
+   first vertex.  Each component C with two or more vertices is decided,
+   giving its T and ext(T), before any is walked, and the walk of C (G when
+   connected) reaches T_σ* unless its best ordering is already σ*:
 
    - it starts from the arcs x→y in Ḡ for each pair of false twins x < y of
      G (equal neighbourhoods).  σ* puts false twins in label order, since
@@ -61,14 +59,14 @@ returns that extension, and :func:`is_simple_triangle` is its verdict.
    - at each node it orients the least free edge u–v of Ḡ both ways, u→v
      first, each closed as above, so some branch keeps to T_σ*;
    - it cuts a node whose least topological order is not below the best
-     ordering found so far, starting from the decision's answer, or in
-     which it meets a cycle of arcs.  ext(T′) is a topological order of
-     every arc of T′, so it is never below the least one of the node's
-     arcs, and the cut drops no ordering below the best;
-   - at a leaf Ḡ is fully oriented; a leaf that is not transitive is
-     dropped, and otherwise step 2 runs on it.  It finds an ordering on
-     every transitive orientation of an accepted graph (the theorem behind
-     step 2), so finding none raises RuntimeError.
+     ordering found so far, starting from ext(T), or in which it meets a
+     cycle of arcs.  ext(T′) is a topological order of every arc of T′, so
+     it is never below the least one of the node's arcs, and the cut drops
+     no ordering below the best;
+   - at a leaf Ḡ is fully oriented.  One that is not transitive is dropped,
+     T is skipped (step 2 gave ext(T) on it, the first best, and the best
+     only falls), and step 2 runs on the rest.  By the theorem behind step
+     2 it finds an ordering on each, so finding none raises RuntimeError.
 
    :func:`rejection_certificates` runs the search over all orderings by a
    ``PatternRule`` on the three patterns alone.
@@ -133,8 +131,15 @@ def apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
     returns.  None means g is not a simple-triangle graph; the 0-vertex
     graph's ordering is ``()``, so test the result with ``is not None``.
     """
+    decided = _decide(g)
+    return None if decided is None else decided[1]
+
+
+def _decide(g: Graph) -> Optional[tuple[PartialOrder, tuple[int, ...]]]:
+    """``(T, ext(T))`` of steps 1 and 2 of the module doc, or None when either rejects."""
     t = transitive_orientation(complement(g))
-    return None if t is None else _first_interval_extension(t)
+    ext = None if t is None else _first_interval_extension(t)
+    return None if ext is None else (t, ext)
 
 
 def is_simple_triangle(g: Graph) -> bool:
@@ -143,36 +148,28 @@ def is_simple_triangle(g: Graph) -> bool:
 
 
 def least_apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
-    """The lexicographically least apex ordering of g, or None (step 3 of the
-    module doc).
-
-    Runs :func:`apex_ordering` first, and None comes only from it.  Then
-    walks each component of g with two or more vertices, from the
-    decision's ordering restricted to it, and concatenates the components'
-    least orderings, sorted by their first vertex.
-    """
-    best = apex_ordering(g)
-    if best is None:
-        return None
-    blocks, full = [], (1 << g.n) - 1
+    """The lexicographically least apex ordering of g, or None: step 3 of
+    the module doc, which decides every component before it walks any."""
+    full, blocks, walks = (1 << g.n) - 1, [], []
     for comp, _ in _components(g.adj, full):
-        if comp == full:
-            return _walk(g, best)
         vs = list(iter_bits(comp))
+        blocks.append(vs)
         if len(vs) > 1:
             label = {v: i for i, v in enumerate(vs)}
-            sub = Graph._from_adj(len(vs), (
+            sub = g if comp == full else Graph._from_adj(len(vs), (
                 sum(1 << label[u] for u in iter_bits(g.adj[v])) for v in vs))
-            vs = [vs[i] for i in _walk(sub, tuple(label[v] for v in best if comp >> v & 1))]
-        blocks.append(vs)
+            decided = _decide(sub)
+            if decided is None:
+                return None
+            walks.append((vs, sub, decided))
+    for vs, sub, decided in walks:
+        vs[:] = [vs[i] for i in _walk(sub, *decided)]
     return tuple(v for block in sorted(blocks) for v in block)
 
 
-def _walk(g: Graph, best: tuple[int, ...]) -> tuple[int, ...]:
-    """The least apex ordering of g, by walking the transitive orientations
-    of the complement from the false-twin arcs, with ``best``, an apex
-    ordering of g, as the bound to beat.  Raises RuntimeError if step 2
-    finds nothing on one of them."""
+def _walk(g: Graph, t: PartialOrder, best: tuple[int, ...]) -> tuple[int, ...]:
+    """The least apex ordering of g, by the walk of step 3 of the module doc
+    from g's decision ``t, best`` (:func:`_decide`)."""
     n, cadj = g.n, complement(g).adj
     out, into = [0] * n, [0] * n
     # false twins of g, each before its twins with larger labels
@@ -202,6 +199,8 @@ def _walk(g: Graph, best: tuple[int, ...]) -> tuple[int, ...]:
                 pending += [(depth + 1, [(v, 1 << u)]), (depth + 1, [(u, 1 << v)])]
                 break
         else:  # every edge of Ḡ is oriented: a leaf
+            if tuple(out) == t.succ:  # step 2 on t gave the first best
+                continue
             try:
                 order = PartialOrder(n, tuple(out))
             except ValueError:  # the orientation is not transitive

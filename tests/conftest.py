@@ -62,11 +62,11 @@ def backtracks(monkeypatch):
 @pytest.fixture
 def least_backtracks(monkeypatch):
     """:func:`count_backtracks` for the step-2 searches that
-    ``recognition.recognize`` runs at the leaves of its walk.  The decision's
-    own step 2 is not counted, so ``searches`` is the number of leaves that
-    reach step 2."""
+    ``recognition.recognize`` runs at the leaves of its walk.  The step 2 of
+    its decisions (``recognition._decide``) is not counted, so ``searches``
+    is the number of leaves that reach step 2."""
     counts = count_backtracks(monkeypatch, orders)
-    decide = recognition.apex_ordering
+    decide = recognition._decide
 
     def uncounted(g):
         before = dict(counts)
@@ -74,5 +74,5 @@ def least_backtracks(monkeypatch):
         counts.update(before)
         return result
 
-    monkeypatch.setattr(recognition, "apex_ordering", uncounted)
+    monkeypatch.setattr(recognition, "_decide", uncounted)
     return counts

@@ -6,14 +6,15 @@ engine's bitmask kernels (``graphs.find_pattern``,
 ``graphs.fulfills_c4_rule``).  These references share no code with either: a
 scan of every tuple of positions, and the C4 rule read off the list of
 induced 4-cycles, as the rule is defined.  The helpers below them are the
-brute-force definitions that only tests use: an acyclic union of two
-orientations, interval orders by their predecessor sets, and realizations
-found on the endpoint grid.
+brute-force definitions that only tests use: orientations built from and
+read as arc sets, an acyclic union of two orientations, interval orders by
+their predecessor sets, and realizations found on the endpoint grid.
 """
 from itertools import combinations, permutations
 
+from simpletri._bits import iter_bits
 from simpletri.errors import LimitExceeded
-from simpletri.graphs import _check_orients, complement
+from simpletri.graphs import Orientation, _check_orients, complement
 from simpletri.triangles import TriangleRepresentation, verify_representation
 
 
@@ -55,6 +56,19 @@ def c4_rule_by_cycles(g, ordering):
     )
 
 
+def from_arcs(n, arcs):
+    """The ``Orientation`` on n vertices with the arcs (tail, head) given."""
+    out = [0] * n
+    for u, v in arcs:
+        out[u] |= 1 << v
+    return Orientation(n, tuple(out))
+
+
+def arcs_of(o):
+    """The arcs (tail, head) of the orientation ``o``, as a frozenset."""
+    return frozenset((u, v) for u, heads in enumerate(o.out) for v in iter_bits(heads))
+
+
 def union_is_acyclic(g, o_g, o_gc):
     """No directed cycle in the union of the two orientations.
 
@@ -65,7 +79,7 @@ def union_is_acyclic(g, o_g, o_gc):
     _check_orients(complement(g), o_gc)
     indeg = [0] * g.n
     out = {v: [] for v in range(g.n)}
-    for u, v in o_g.arcs | o_gc.arcs:
+    for u, v in arcs_of(o_g) | arcs_of(o_gc):
         out[u].append(v)
         indeg[v] += 1
     queue = [v for v in range(g.n) if indeg[v] == 0]

@@ -5,11 +5,13 @@ oracles, to its own loop from before the forcing step moved into
 ``graphs._force_arcs``, and must orient every comparability graph; the
 theorem step 2 rests on is checked at n = 6.  ``recognize``, which walks the
 transitive orientations of Ḡ (step 3 of the ``recognition`` module doc), is
-pinned to the first complete ordering of the ungated engine search.  Its
-decision runs exactly once, before the walk, and a rejection calls nothing
-after it.  The step-2 runs at the walk's leaves never backtrack on the
-graphs with n <= 5, a leaf that is not transitive runs no step 2, and two
-graphs that took earlier searches seconds are recognized well within one.
+pinned to the first complete ordering of the ungated engine search.  It
+decides each component with two or more vertices once, all before any
+walk, and a rejecting decision calls nothing after it.  The step-2 runs at
+the walk's leaves never backtrack on the graphs with n <= 5, a leaf that is
+not transitive runs no step 2, nor does the decision's own orientation, and
+two graphs that took earlier searches seconds are recognized well within
+one.
 """
 import os
 import random
@@ -26,6 +28,7 @@ from simpletri.graphs import (
     APEX_PATTERNS,
     Graph,
     Orientation,
+    _components,
     complement,
     cycle_graph,
     is_transitive_orientation,
@@ -107,7 +110,7 @@ def test_transitive_orientation_matches_enumeration(small_graphs):
             if t is not None:
                 found += 1
                 assert len(t.pairs) == len(g.edges)
-                assert is_transitive_orientation(g, Orientation(g.n, t.pairs))
+                assert is_transitive_orientation(g, Orientation(g.n, t.succ))
     assert 0 < found < sum(len(graphs) for graphs in small_graphs.values())
     rng = random.Random(SEED)
     for _ in range(200):
@@ -115,7 +118,7 @@ def test_transitive_orientation_matches_enumeration(small_graphs):
         g = Graph.from_edges(p.n, p.pairs)
         t = transitive_orientation(g)
         assert t is not None, sorted(g.edges)
-        assert is_transitive_orientation(g, Orientation(g.n, t.pairs))
+        assert is_transitive_orientation(g, Orientation(g.n, t.succ))
 
 
 def test_every_transitive_complement_orientation_extends_at_six():
@@ -153,8 +156,16 @@ def test_recognize_is_the_ungated_search_on_random_graphs():
     assert outcomes == {False, True}
 
 
+# A connected graph whose walk reaches a leaf that is not transitive, found
+# among seeded G(7, 0.4); no connected graph with n <= 6 has one.
+INTRANSITIVE_LEAF_EDGES = [(0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (1, 3), (2, 3), (3, 4),
+                           (3, 5), (3, 6), (5, 6)]
+
+
 def test_recognize_raises_when_an_acceptance_finds_no_ordering(monkeypatch):
-    # step 2 answers the decision, then finds nothing at the walk's one leaf
+    # step 2 answers the decision, then finds nothing at the walk's first
+    # leaf that runs it; this connected graph has such a leaf besides T
+    g = Graph.from_edges(7, INTRANSITIVE_LEAF_EDGES)
     step2, calls = recognition._first_interval_extension, []
 
     def leaf_finds_nothing(order):
@@ -163,7 +174,7 @@ def test_recognize_raises_when_an_acceptance_finds_no_ordering(monkeypatch):
 
     monkeypatch.setattr(recognition, "_first_interval_extension", leaf_finds_nothing)
     with pytest.raises(RuntimeError):
-        recognize(load_graph(fixture("triangles-n20-s0.edges")))
+        recognize(g)
     assert len(calls) == 2
 
 
@@ -201,20 +212,23 @@ def test_recognize_is_the_ungated_search_on_hypothesis_graphs(g):
 
 @pytest.fixture
 def spied(monkeypatch):
-    """The calls that ``recognize`` makes, in order: ``"decided"`` when the
-    decision returns, and the name of each helper of the walk and of step 2
-    when it is called."""
+    """The calls that ``recognize`` makes, in order: ``"decided"`` when a
+    decision (``recognition._decide``) returns, ``"rejected"`` after it when
+    it rejects, and the name of each helper of the walk and of step 2 when
+    it is called."""
     calls = []
     for name in ("_force_arcs", "_can_beat", "PartialOrder", "_first_interval_extension"):
         monkeypatch.setattr(recognition, name, spy(calls, name, getattr(recognition, name)))
-    decide = recognition.apex_ordering
+    decide = recognition._decide
 
-    def apex_ordering(g):
+    def decided(g):
         result = decide(g)
         calls.append("decided")
+        if result is None:
+            calls.append("rejected")
         return result
 
-    monkeypatch.setattr(recognition, "apex_ordering", apex_ordering)
+    monkeypatch.setattr(recognition, "_decide", decided)
     return calls
 
 
@@ -227,26 +241,33 @@ def spy(calls, name, fn):
 
 
 def after_decision(calls):
-    return calls[calls.index("decided") + 1:]
+    """The calls after the last decision."""
+    last = max((i for i, call in enumerate(calls) if call == "decided"), default=-1)
+    return calls[last + 1:]
 
 
 def test_recognize_decides_at_most_once_and_rejects_by_the_decision_up_to_six(spied):
-    """The decision runs exactly once, before the walk; a rejection calls
-    nothing after it."""
-    walked = 0
+    """Each component with two or more vertices is decided once, all before
+    the walk; a rejecting decision is the last and calls nothing after it."""
+    walked = split = 0
     for n in range(7):
         for g in all_graphs(n):
+            parts = sum(comp & comp - 1 != 0 for comp, _ in _components(g.adj, (1 << n) - 1))
             accepted = is_simple_triangle(g)
             spied.clear()
             got = recognize(g)
             assert (got is not None) == accepted, sorted(g.edges)
-            assert spied.count("decided") == 1, sorted(g.edges)
-            assert set(spied[:spied.index("decided")]) <= {"_first_interval_extension"}
+            walk = after_decision(spied)
+            assert set(spied[:len(spied) - len(walk)]) <= {
+                "_first_interval_extension", "decided"}, sorted(g.edges)
             if got is None:
-                assert after_decision(spied) == [], sorted(g.edges)
+                assert 1 <= spied.count("decided") <= parts, sorted(g.edges)
+                assert walk == ["rejected"], sorted(g.edges)
             else:
-                walked += "_force_arcs" in after_decision(spied)
-    assert walked > 0
+                assert spied.count("decided") == parts, sorted(g.edges)
+                walked += "_force_arcs" in walk
+                split += parts > 1
+    assert walked > 0 and split > 0
 
 
 @pytest.mark.parametrize("g", [
@@ -255,7 +276,7 @@ def test_recognize_decides_at_most_once_and_rejects_by_the_decision_up_to_six(sp
 ], ids=["prism-6-universal", "c5-6-isolated"])
 def test_recognize_rejects_by_the_decision_alone(g, spied):
     assert recognize(g) is None
-    assert spied.count("decided") == 1 and after_decision(spied) == []
+    assert spied.count("decided") == 1 and after_decision(spied) == ["rejected"]
 
 
 def test_recognize_runs_no_leaf_on_permutation_graphs(spied):
@@ -275,8 +296,7 @@ def test_walk_drops_an_intransitive_leaf(spied):
     """A leaf whose orientation of Ḡ is not transitive runs no step 2, and
     the answer is still the least apex ordering.  The graph is connected,
     so the walk runs on the whole of it."""
-    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (1, 3), (2, 3), (3, 4),
-                             (3, 5), (3, 6), (5, 6)])
+    g = Graph.from_edges(7, INTRANSITIVE_LEAF_EDGES)
     got = recognize(g)
     assert got is not None and got[0] == ungated_search(g)
     walk = after_decision(spied)
@@ -345,7 +365,7 @@ def test_least_search_is_fast_on_a_triangle_graph_with_20_vertices(least_backtra
     got = recognize(g)
     assert time.perf_counter() - start < 1.0
     assert got is not None and check_apex_ordering(g, got[0])
-    assert least_backtracks["searches"] <= 1
+    assert least_backtracks["searches"] == 0  # its one leaf is the decision's T
     assert least_backtracks["backtracks"] == 0
 
 

@@ -36,7 +36,7 @@ from simpletri.oracles import enumerate_orientations
 from simpletri.orders import find_alternating_anticycle, is_linear_extension
 from simpletri.patterns import C4_PATTERNS
 
-from references import c4_rule_by_cycles, scan_pattern, union_is_acyclic
+from references import arcs_of, c4_rule_by_cycles, from_arcs, scan_pattern, union_is_acyclic
 from strategies import edge_sets, graphs
 
 C4 = cycle_graph(4)
@@ -276,24 +276,24 @@ class TestOrientComplement:
 class TestOrientations:
     def test_acyclic_triangle_is_transitive(self):
         k3 = complete_graph(3)
-        o = Orientation(3, frozenset([(0, 1), (0, 2), (1, 2)]))
+        o = from_arcs(3, [(0, 1), (0, 2), (1, 2)])
         assert is_transitive_orientation(k3, o)
 
     def test_cyclic_triangle_is_not(self):
         k3 = complete_graph(3)
-        o = Orientation(3, frozenset([(0, 1), (1, 2), (2, 0)]))
+        o = from_arcs(3, [(0, 1), (1, 2), (2, 0)])
         assert not is_transitive_orientation(k3, o)
 
     def test_directed_path_not_transitive(self):
-        o = Orientation(3, frozenset([(0, 1), (1, 2)]))
+        o = from_arcs(3, [(0, 1), (1, 2)])
         assert not is_transitive_orientation(P3, o)
 
     def test_c4_alternating(self):
-        o = Orientation(4, frozenset([(0, 1), (2, 1), (2, 3), (0, 3)]))
+        o = from_arcs(4, [(0, 1), (2, 1), (2, 3), (0, 3)])
         assert is_alternating_orientation(C4, o)
 
     def test_c4_directed_cycle_not_alternating(self):
-        o = Orientation(4, frozenset([(0, 1), (1, 2), (2, 3), (3, 0)]))
+        o = from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert not is_alternating_orientation(C4, o)
 
     def test_chordal_graph_vacuous(self):
@@ -302,12 +302,12 @@ class TestOrientations:
         assert is_alternating_orientation(k4, o)
 
     def test_edge_set_mismatch(self):
-        o = Orientation(4, frozenset([(0, 1)]))
+        o = from_arcs(4, [(0, 1)])
         with pytest.raises(EdgeSetMismatch):
             is_transitive_orientation(C4, o)
 
     def test_edge_set_mismatch_with_equal_edge_count(self):
-        o = Orientation(4, frozenset([(0, 1), (1, 2), (2, 3), (0, 2)]))
+        o = from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
         with pytest.raises(EdgeSetMismatch):
             is_transitive_orientation(C4, o)
         with pytest.raises(EdgeSetMismatch):
@@ -318,20 +318,23 @@ class TestOrientations:
     )
     def test_both_ways_rejected(self, arcs):
         with pytest.raises(ValueError):
-            Orientation(3, frozenset(arcs))
+            from_arcs(3, arcs)
+
+    @pytest.mark.parametrize("out", [(2, 0), (8, 0, 0), (1, 0, 0), (-1, 0, 0)],
+                             ids=["length", "range", "reflexive", "negative"])
+    def test_invalid_masks_rejected(self, out):
+        with pytest.raises(ValueError):
+            Orientation(3, out)
 
     @pytest.mark.parametrize("g", [C4, complete_graph(4)], ids=["C4", "K4"])
     @pytest.mark.parametrize("mode", ["transitive", "alternating"])
     def test_masks_match_arcs(self, g, mode):
         for o in enumerate_orientations(g, mode):
-            out = [0] * g.n
-            adj = [0] * g.n
-            for u, v in o.arcs:
-                out[u] |= 1 << v
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            assert o.out == tuple(out)
-            assert o.adj == tuple(adj) == g.adj
+            into = [0] * g.n
+            for u, v in arcs_of(o):
+                into[v] |= 1 << u
+            assert o.into == tuple(into)
+            assert tuple(out | into for out, into in zip(o.out, o.into)) == g.adj
 
     def test_predicates_match_arc_references(self):
         # every orientation of every graph with n <= 4, against the
@@ -344,7 +347,7 @@ class TestOrientations:
                         (v, u) if flips >> i & 1 else (u, v)
                         for i, (u, v) in enumerate(edges)
                     )
-                    o = Orientation(n, arcs)
+                    o = from_arcs(n, arcs)
                     transitive = all(
                         (u, w) in arcs for u, v in arcs for x, w in arcs if x == v
                     )
@@ -369,10 +372,10 @@ class TestOrientations:
                 order = rng.sample(range(n), n)
                 arcs = frozenset(
                     (v, u) if rng.random() < flip else (u, v)
-                    for u, v in orientation_from_ordering(g, order).arcs
+                    for u, v in arcs_of(orientation_from_ordering(g, order))
                 )
                 expected = all(((a, b) in arcs) == ((c, b) in arcs) for a, b, c in p3s)
-                assert is_alternating_orientation(g, Orientation(n, arcs)) == expected
+                assert is_alternating_orientation(g, from_arcs(n, arcs)) == expected
                 outcomes.add((bool(p3s), expected))
         assert {(True, False), (True, True)} <= outcomes
 
@@ -387,9 +390,8 @@ class TestOrientations:
         )
         start = time.perf_counter()
         # every arc from the even colour class to the odd one
-        bipartition = Orientation(
-            k * k,
-            frozenset((u, v) if (u // k + u % k) % 2 == 0 else (v, u) for u, v in grid.edges),
+        bipartition = from_arcs(
+            k * k, ((u, v) if (u // k + u % k) % 2 == 0 else (v, u) for u, v in grid.edges)
         )
         assert is_alternating_orientation(grid, bipartition)
         row_major = orientation_from_ordering(grid, tuple(range(k * k)))
@@ -406,8 +408,8 @@ class TestUnionAcyclic:
 
     def test_directed_triangle_split_across_graphs(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
-        o_g = Orientation(3, frozenset([(0, 1), (1, 2)]))
-        o_gc = Orientation(3, frozenset([(2, 0)]))
+        o_g = from_arcs(3, [(0, 1), (1, 2)])
+        o_gc = from_arcs(3, [(2, 0)])
         assert not union_is_acyclic(g, o_g, o_gc)
 
     def test_edge_set_mismatch(self):

@@ -310,7 +310,8 @@ def brute_all_extend(g):
 
 
 def reference_pair_exists(g):
-    """The ordering scan with arc-set orientations and the public predicates."""
+    """The ordering scan with the orientations along each ordering and the
+    public predicates."""
     gc = complement(g)
     return any(
         is_transitive_orientation(gc, orientation_from_ordering(gc, sigma))
@@ -320,8 +321,8 @@ def reference_pair_exists(g):
 
 
 def reference_all_extend(g):
-    """Same scan as ``reference_pair_exists``, keyed by arc sets; raises
-    NotSimpleTriangle where the oracle must."""
+    """Same scan as ``reference_pair_exists``, keyed by the orientation of
+    the complement; raises NotSimpleTriangle where the oracle must."""
     gc = complement(g)
     outcome = {}
     for sigma in permutations(range(g.n)):
@@ -329,7 +330,7 @@ def reference_all_extend(g):
         if is_transitive_orientation(gc, o_gc):
             o_g = orientation_from_ordering(g, sigma)
             alternating = is_alternating_orientation(g, o_g)
-            outcome[o_gc.arcs] = outcome.get(o_gc.arcs, False) or alternating
+            outcome[o_gc] = outcome.get(o_gc, False) or alternating
     if not any(outcome.values()):
         raise NotSimpleTriangle("reference: no alternating/transitive pair")
     return all(outcome.values())
