@@ -21,28 +21,32 @@ graphs had a step-2 run that backtracks, with the most backtracks of one
 graph: refused branches off the path to a run's answer.  The step 2 of the
 decisions (``recognition._decide``) is not counted.  The counts are printed
 per graph for the draws ``triangle_graph(random.Random(1000·n + s), n)``
-with n = 12, 16, 20 and s = 0-2.  Last, it prints what ``recognize`` costs over ``apex_ordering``
+with n = 12, 16, 20 and s = 0-2.  Then it prints what ``recognize`` costs over ``apex_ordering``
 (the decision alone) on ``triangle_graph`` and ``permutation_graph`` drawn
 with ``random.Random(n)``, n = 100 and 300: the ratio of the median times of
 five rounds that call the two in turn; and both totals, with ``recognize``'s
 worst graph, over ``--relabelled`` draws: with ``rng = random.Random(7)``,
 each has n = ``rng.randint(10, 40)``, is a ``triangle_graph`` if its index
 is odd and a ``permutation_graph`` if even, and is relabelled at random
-(``corpora.relabel``).  Then it checks the component split: that
-``least_apex_ordering``, which walks each component of G apart, returns
-what the walk over the whole of G returns (``recognition._walk`` from
-``recognition._decide`` of G), on the perfect matchings with n = 20, 40,
-..., 200 relabelled by ``random.Random(n)`` and on 100 disjoint unions of
-2-5 ``triangle_graph`` draws with n = 6-12 each, relabelled, drawn from
-``random.Random(11)``; it prints both times.  It exits 1 on any mismatch.
-The default run takes about 17 s on a 2-vCPU x86-64 VM (CPython 3.11),
-5 s of it the whole walks on the unions.  There it reported 0 mismatches;
-2,544 leaves on the graphs with n <= 6 and 90 on the seeded graphs, none on
-the nine draws with n = 12-20; ``recognize`` at 2.20 and 2.24 times
+(``corpora.relabel``).  Then it checks the component split against the
+whole graph: that ``least_apex_ordering`` returns what the walk over the
+whole of G returns (``recognition._walk`` from ``recognition._decide`` of
+G), that ``apex_ordering`` rejects exactly when the decision of the whole of
+G (``recognition._decide(g) is None``) does, and that each of its orderings
+passes ``check_apex_ordering``.  It does so on the seeded graphs above, on
+the perfect matchings with n = 20, 40, ..., 200 relabelled by
+``random.Random(n)`` and on 100 disjoint unions of 2-5 ``triangle_graph``
+draws with n = 6-12 each, relabelled, drawn from ``random.Random(11)``; it
+prints the four times.  It exits 1 on any mismatch.  The default run takes
+about 16 s on a 2-vCPU x86-64 VM (CPython 3.11), 6 s of it the whole walks
+on the matchings and the unions.  There it reported 0 mismatches; 2,544
+leaves on the graphs with n <= 6 and 90 on the seeded graphs, none on the
+nine draws with n = 12-20; ``recognize`` at 2.13 and 2.24 times
 ``apex_ordering`` on the triangle draws with n = 100 and 300, and 1.2 times
-on the permutation draws; 0.50 s against 0.25 s on the relabelled draws;
-and the split 0.01 and 0.04 s against the whole walk's 1.25 and 4.59 s on
-the matchings and the unions.
+on the permutation draws; 0.49 s against 0.25 s on the relabelled draws;
+the split walk 0.011 and 0.039 s against the whole walk's 1.29 and 4.69 s
+on the matchings and the unions, and the split decision 0.009 and 0.029 s
+against the whole decision's 0.116 and 0.078 s.
 
     PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1] [--relabelled 400]
 """
@@ -183,25 +187,34 @@ def triangle_unions():
 
 
 def split_against_whole(label: str, graphs) -> int:
-    """Compare ``least_apex_ordering``, which walks each component of G
-    apart, with the walk over the whole of G; prints the number of
-    mismatches, which it returns, and both times."""
+    """Compare ``least_apex_ordering`` and ``apex_ordering``, which split G
+    into its components, with the walk and the decision over the whole of G:
+    the least orderings must be equal, the verdicts equal, and each
+    ``apex_ordering`` answer an apex ordering (``check_apex_ordering``).
+    Prints the number of mismatches, which it returns, and the four times."""
     count = mismatches = 0
-    split = whole = 0.0
+    spent = [0.0] * 4  # split and whole walk, split and whole decision
     for g in graphs:
-        t0 = time.perf_counter()
-        got = recognition.least_apex_ordering(g)
-        t1 = time.perf_counter()
+        t = [time.perf_counter()]
+        least = recognition.least_apex_ordering(g)
+        t.append(time.perf_counter())
         decided = recognition._decide(g)
-        expected = None if decided is None else recognition._walk(g, *decided)
-        t2 = time.perf_counter()
+        whole = None if decided is None else recognition._walk(g, *decided)
+        t.append(time.perf_counter())
+        apex = recognition.apex_ordering(g)
+        t.append(time.perf_counter())
+        rejected = recognition._decide(g) is None
+        t.append(time.perf_counter())
         count += 1
-        split, whole = split + t1 - t0, whole + t2 - t1
-        if got != expected:
+        spent = [s + b - a for s, a, b in zip(spent, t, t[1:])]
+        if least != whole or (apex is None) != rejected or not (
+                apex is None or recognition.check_apex_ordering(g, apex)):
             mismatches += 1
-            print(f"mismatch on n={g.n} edges={sorted(g.edges)}: whole {expected}, split {got}")
-    print(f"{label}: {count} graphs, {mismatches} mismatches between the split and the "
-          f"whole walk, split {split:.2f} s, whole {whole:.2f} s")
+            print(f"mismatch on n={g.n} edges={sorted(g.edges)}: whole walk {whole}, "
+                  f"split {least}; whole decision rejects: {rejected}, split {apex}")
+    print(f"{label}: {count} graphs, {mismatches} mismatches between the split and the whole; "
+          f"walk split {spent[0]:.3f} s, whole {spent[1]:.3f} s; "
+          f"decision split {spent[2]:.3f} s, whole {spent[3]:.3f} s")
     return mismatches
 
 
@@ -231,9 +244,8 @@ def main(argv=None) -> int:
 
     run(f"all graphs, n <= {args.max_n}",
         (g for n in range(args.max_n + 1) for g in all_graphs(n)))
-    rng = random.Random(args.seed)
-
     def seeded():
+        rng = random.Random(args.seed)
         for i in range(args.random):
             n = rng.randint(7, 10)
             if i % 2:
@@ -276,6 +288,7 @@ def main(argv=None) -> int:
         least, decision, worst = least + t1 - t0, decision + t2 - t1, max(worst, t1 - t0)
     print(f"{args.relabelled} relabelled draws, n = 10-40: recognize {least:.2f} s "
           f"(worst graph {worst * 1000:.1f} ms), apex_ordering {decision:.2f} s")
+    bad += split_against_whole(f"seeded graphs, n = 7-10, seed {args.seed}", seeded())
     bad += split_against_whole("relabelled perfect matchings, n = 20-200", matchings())
     bad += split_against_whole("relabelled unions of 2-5 triangle draws, n = 6-12 each",
                                triangle_unions())

@@ -112,9 +112,11 @@ def parse_order(text: str) -> PartialOrder:
 
 
 def _read_source(path: str) -> str:
+    """The text of ``path``, '-' for standard input, less one leading
+    byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+        return sys.stdin.read().removeprefix("\ufeff")
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:

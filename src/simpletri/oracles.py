@@ -138,6 +138,7 @@ def _transitive_orderings(g: Graph) -> int:
     ))
 
 
+@functools.lru_cache(maxsize=1)
 def _alternating_orderings(g: Graph) -> int:
     """The orderings whose orientation of g is alternating: none puts b
     between a and c for a path (a, b, c) of ``graphs._cycle_p3s``."""

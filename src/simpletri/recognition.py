@@ -2,7 +2,21 @@
 
 A vertex ordering is an apex ordering iff it avoids the three forbidden
 patterns (cpc, p1, p2), and G is a simple-triangle graph iff it has one.
-:func:`is_simple_triangle` decides this without searching all orderings:
+
+Every entry point that decides G works one component at a time.  An
+induced subsequence of an apex ordering is one of the induced subgraph.
+In an apex ordering each component C is contiguous: the ordering has no
+cpc, so it orients Ḡ transitively, and a vertex y of another component
+between the ends of an edge ab of C, a first, would give the arcs a→y→b of
+Ḡ, which force a→b, yet ab is no edge of Ḡ; C is connected, so its edges
+cover the span of its positions.  Conversely, realizations of the
+components placed side by side, each right of the last on both lines,
+realize any concatenation of their apex orderings.  So these
+concatenations are the apex orderings of G, and G is accepted iff each
+component is.  Each component with two or more vertices, relabelled (G
+itself when connected), is decided before any is ordered, by ext(T) or by
+the walk of step 3, and the blocks are concatenated sorted by their first
+vertex.  Steps 1 and 2 decide one component G without a search:
 
 1. Orient the complement Ḡ transitively (``graphs.transitive_orientation``,
    polynomial), and reject when that fails.  This step is unconditional: an
@@ -23,30 +37,16 @@ patterns (cpc, p1, p2), and G is a simple-triangle graph iff it has one.
 
 Accepting is self-checking.  p1 and p2 are each other's complement, so an
 extension of T avoiding them on Ḡ avoids them on G, and it has no cpc on G
-because T is transitive: it is an apex ordering of G.  :func:`apex_ordering`
-returns that extension, and :func:`is_simple_triangle` is its verdict.
+because T is transitive: it is an apex ordering of G, the block that
+:func:`apex_ordering` takes, and :func:`is_simple_triangle` is its verdict.
 
 3. :func:`recognize` returns the lexicographically least apex ordering σ*
    (:func:`least_apex_ordering`).  σ* is the least of ext(T′) over the
    transitive orientations T′ of Ḡ, where ext(T′) is step 2's answer on T′:
    every ext(T′) is an apex ordering by the argument above, and σ* is a
    linear extension without a 4-anticycle of the orientation T_σ* it
-   induces, so ext(T_σ*) ≤ σ*.
-
-   An induced subsequence of an apex ordering avoids the patterns on the
-   induced subgraph, so it is an apex ordering there.  In an apex ordering
-   each component C is contiguous: the ordering has no cpc, so it orients Ḡ
-   transitively, and a vertex y of another component between the ends of an
-   edge ab of C, a first, would give the arcs a→y→b of Ḡ, which force a→b,
-   yet ab is no edge of Ḡ; C is connected, so its edges cover the span of
-   its positions.  Conversely, realizations of the components placed side by
-   side, each to the right of the last on both lines, realize any
-   concatenation of their apex orderings.  So the apex orderings of G are
-   these concatenations: G is accepted iff each component is, and σ* takes
-   the least one of each, relabelled back, with the blocks sorted by their
-   first vertex.  Each component C with two or more vertices is decided,
-   giving its T and ext(T), before any is walked, and the walk of C (G when
-   connected) reaches T_σ* unless its best ordering is already σ*:
+   induces, so ext(T_σ*) ≤ σ*.  The walk of G from its decision reaches
+   T_σ* unless its best ordering is already σ*:
 
    - it starts from the arcs x→y in Ḡ for each pair of false twins x < y of
      G (equal neighbourhoods).  σ* puts false twins in label order, since
@@ -123,16 +123,15 @@ def check_apex_ordering(g: Graph, ordering: Sequence[int]) -> bool:
 
 
 def apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
-    """An apex ordering of g found by the two steps of the module doc, or None.
+    """An apex ordering of g, decided per component by the module doc, or None.
 
-    It is the first linear extension of the transitive orientation of the
-    complement without a 4-anticycle.  It is deterministic, but in general
-    not the lexicographically least apex ordering that :func:`recognize`
-    returns.  None means g is not a simple-triangle graph; the 0-vertex
-    graph's ordering is ``()``, so test the result with ``is not None``.
+    Each component's block is its ext(T), the first linear extension of T
+    without a 4-anticycle.  It is deterministic, but in general not the
+    lexicographically least apex ordering that :func:`recognize` returns.
+    None means g is not a simple-triangle graph; the 0-vertex graph's
+    ordering is ``()``, so test the result with ``is not None``.
     """
-    decided = _decide(g)
-    return None if decided is None else decided[1]
+    return _by_components(g, lambda sub, t, ext: ext)
 
 
 def _decide(g: Graph) -> Optional[tuple[PartialOrder, tuple[int, ...]]]:
@@ -143,14 +142,20 @@ def _decide(g: Graph) -> Optional[tuple[PartialOrder, tuple[int, ...]]]:
 
 
 def is_simple_triangle(g: Graph) -> bool:
-    """True iff g is a simple-triangle graph, by the two steps of the module doc."""
+    """True iff g is a simple-triangle graph, decided per component (module doc)."""
     return apex_ordering(g) is not None
 
 
 def least_apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
-    """The lexicographically least apex ordering of g, or None: step 3 of
-    the module doc, which decides every component before it walks any."""
-    full, blocks, walks = (1 << g.n) - 1, [], []
+    """The lexicographically least apex ordering of g, or None: the walk of
+    step 3 of the module doc on each component."""
+    return _by_components(g, _walk)
+
+
+def _by_components(g: Graph, order) -> Optional[tuple[int, ...]]:
+    """None at the first component of g that :func:`_decide` rejects, else the
+    blocks ordered by ``order(sub, T, ext(T))`` on each relabelled ``sub``."""
+    full, blocks, parts = (1 << g.n) - 1, [], []
     for comp, _ in _components(g.adj, full):
         vs = list(iter_bits(comp))
         blocks.append(vs)
@@ -158,12 +163,11 @@ def least_apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
             label = {v: i for i, v in enumerate(vs)}
             sub = g if comp == full else Graph._from_adj(len(vs), (
                 sum(1 << label[u] for u in iter_bits(g.adj[v])) for v in vs))
-            decided = _decide(sub)
-            if decided is None:
+            if (decided := _decide(sub)) is None:
                 return None
-            walks.append((vs, sub, decided))
-    for vs, sub, decided in walks:
-        vs[:] = [vs[i] for i in _walk(sub, *decided)]
+            parts.append((vs, sub, decided))
+    for vs, sub, decided in parts:
+        vs[:] = [vs[i] for i in order(sub, *decided)]
     return tuple(v for block in sorted(blocks) for v in block)
 
 

@@ -7,7 +7,9 @@ theorem step 2 rests on is checked at n = 6.  ``recognize``, which walks the
 transitive orientations of Ḡ (step 3 of the ``recognition`` module doc), is
 pinned to the first complete ordering of the ungated engine search.  It
 decides each component with two or more vertices once, all before any
-walk, and a rejecting decision calls nothing after it.  The step-2 runs at
+walk, and a rejecting decision calls nothing after it; ``apex_ordering``
+decides per component too, and on a connected graph returns its decision's
+ordering.  The step-2 runs at
 the walk's leaves never backtrack on the graphs with n <= 5, a leaf that is
 not transitive runs no step 2, nor does the decision's own orientation, and
 two graphs that took earlier searches seconds are recognized well within
@@ -318,6 +320,24 @@ def test_walk_goes_deeper_than_the_recursion_limit():
     assert recognize(g)[0] == (0, *(v for part in parts for v in part))
 
 
+def relabelled_matching(n):
+    """A perfect matching on n vertices relabelled by ``random.Random(n)``,
+    and its parts, each sorted, in the order of their least vertex."""
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    parts = sorted(tuple(sorted(perm[2 * i:2 * i + 2])) for i in range(n // 2))
+    return Graph.from_edges(n, parts), parts
+
+
+def best_of_three(call, g):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        call(g)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def test_recognize_walks_each_part_of_a_relabelled_matching_apart(spied):
     """A perfect matching on 200 vertices, relabelled: each part is a
     component of its own, walked at a single node, so the walk forces arcs
@@ -325,18 +345,36 @@ def test_recognize_walks_each_part_of_a_relabelled_matching_apart(spied):
     takes about 0.03 s (2-vCPU x86-64 VM), timed here without the
     realization, best of three."""
     n = 200
-    perm = list(range(n))
-    random.Random(n).shuffle(perm)
-    parts = sorted(tuple(sorted(perm[2 * i:2 * i + 2])) for i in range(n // 2))
-    g = Graph.from_edges(n, parts)
+    g, parts = relabelled_matching(n)
     assert recognize(g)[0] == tuple(v for part in parts for v in part)
     assert after_decision(spied).count("_force_arcs") == n // 2
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        recognition.least_apex_ordering(g)
-        times.append(time.perf_counter() - start)
-    assert min(times) < 0.1
+    assert best_of_three(recognition.least_apex_ordering, g) < 0.1
+
+
+def test_apex_ordering_decides_each_part_of_a_relabelled_matching_apart(spied):
+    """The same matching: ``apex_ordering`` decides each part on its own, one
+    decision per part, where deciding the whole graph took 0.036 s.  The
+    split takes about 0.0015 s (2-vCPU x86-64 VM), best of three."""
+    n = 200
+    g, _ = relabelled_matching(n)
+    got = recognition.apex_ordering(g)
+    assert spied.count("decided") == n // 2
+    assert check_apex_ordering(g, got)
+    assert best_of_three(recognition.apex_ordering, g) < 0.1
+
+
+def test_apex_ordering_of_a_connected_graph_is_its_decision_up_to_six():
+    """A connected graph is decided whole, without relabelling, so its apex
+    ordering is the ext(T) of its own decision."""
+    connected = 0
+    for n in range(7):
+        for g in all_graphs(n):
+            if len(list(_components(g.adj, (1 << n) - 1))) == 1:
+                decided = recognition._decide(g)
+                assert recognition.apex_ordering(g) == (
+                    None if decided is None else decided[1]), sorted(g.edges)
+                connected += 1
+    assert connected == 27_476  # OEIS A001187, n = 1-6
 
 
 def test_recognize_is_fast_on_a_sparse_graph_with_many_components():

@@ -331,6 +331,35 @@ class TestCliRecognize:
         assert main([*command, str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command, text", [
+        (["recognize"], C4_TEXT), (["order", "recognize"], CROWN_TEXT)])
+    def test_leading_byte_order_mark_is_dropped(self, command, text, tmp_path, capsys,
+                                                monkeypatch):
+        import io as _io
+
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        code = main([*command, str(plain)])
+        expected = capsys.readouterr()
+        assert main([*command, str(marked)]) == code
+        assert capsys.readouterr() == expected
+        monkeypatch.setattr("sys.stdin", _io.StringIO("\ufeff" + text))
+        assert main([*command, "-"]) == code
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("load, text", [
+        (simpletri.io.load_graph, "\ufeff\ufeff2\n0 1\n"),
+        (simpletri.io.load_graph, "\ufeff2\n\ufeff0 1\n"),
+        (simpletri.io.load_order, "\ufeff# a mark after this one\n2\n0 < 1\ufeff\n"),
+    ])
+    def test_byte_order_mark_elsewhere_is_a_parse_error(self, load, text, tmp_path):
+        path = tmp_path / "marks.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load(str(path))
+        assert info.value.line == text.count("\n", 0, text.rindex("\ufeff")) + 1
+
 
 class TestCliRepresent:
     def test_structured_stdout(self, c4_file, capsys):
@@ -608,6 +637,17 @@ class TestCliOracle:
                 "alternating/transitive pair: no",
             ]
             assert out[-1] == "agreement: ok"
+
+    def test_alternating_mask_is_built_once_per_verify(self, c4_file, capsys, monkeypatch):
+        # the pair oracle and the extend oracle both read the alternating
+        # orderings, which an accepted verify builds once from the cycle P3s
+        calls = []
+        cycle_p3s = oracles._cycle_p3s
+        monkeypatch.setattr(oracles, "_cycle_p3s", lambda g: calls.append(g) or cycle_p3s(g))
+        oracles._alternating_orderings.cache_clear()
+        assert main(["oracle", "verify", c4_file]) == 0
+        assert "complement orientations extend: yes" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_limit_seven_rebuilds_the_masks(self, tmp_path, capsys):
         # the oracles keep one size's masks, so 6, 7, 6 vertices build them three times
