@@ -6,8 +6,6 @@ disagreement), 2 input error.
 from __future__ import annotations
 
 import argparse
-import functools
-import random
 import sys
 from typing import Optional, Sequence
 
@@ -16,10 +14,8 @@ from .graphs import APEX_PATTERNS, find_pattern, fulfills_c4_rule
 from .io import emit_representation, load_graph, load_order
 from .oracles import (
     all_transitive_complements_extend,
-    exact_triangle_intersection,
     geometric_search_realization,
     has_alternating_transitive_pair,
-    random_triangle_pair,
 )
 from .orders import (
     Anticycle,
@@ -35,11 +31,11 @@ from .recognition import (
     realize,
     rejection_certificates,
 )
-from .recognition import recognize  # noqa: F401  (bench/tracing.py wraps cli.recognize)
-from .triangles import triangles_disjoint
+# bench/tracing.py wraps these three cli names, which no command calls
+from .oracles import exact_triangle_intersection, random_triangle_pair  # noqa: F401
+from .recognition import recognize  # noqa: F401
 
 REJECT_MESSAGE = "not a simple-triangle graph"
-GEOMETRY_PAIRS = 2000
 
 
 def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
@@ -146,24 +142,9 @@ def cmd_order_intervals(args, say) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=1)
-def _geometry_mismatches(seed: int) -> int:
-    """How many of the ``GEOMETRY_PAIRS`` random triangle pairs drawn from
-    ``seed`` make ``triangles_disjoint`` disagree with the exact test.
-
-    The check does not depend on the graph, so a process runs it once per
-    seed; the cache keeps only the last seed's count.
-    """
-    rng = random.Random(seed)
-    mismatches = 0
-    for _ in range(GEOMETRY_PAIRS):
-        t = random_triangle_pair(rng)
-        if (not triangles_disjoint(t, 0, 1)) != exact_triangle_intersection(t, 0, 1):
-            mismatches += 1
-    return mismatches
-
-
 def cmd_oracle_verify(args, say) -> int:
+    """Report the recognizer and the three oracles on the input graph, and
+    agree only if each oracle answers as the recognizer's verdict implies."""
     g = load_graph(args.graph)
     # first, so that a graph over the limit fails before a line is printed
     oracle_rep = geometric_search_realization(g, limit=args.limit)
@@ -179,9 +160,6 @@ def cmd_oracle_verify(args, say) -> int:
         extend = all_transitive_complements_extend(g, limit=args.limit)
         say(f"complement orientations extend: {'yes' if extend else 'no'}")
         agree = agree and extend
-    mismatches = _geometry_mismatches(args.seed)
-    say(f"geometry cross-check: {GEOMETRY_PAIRS - mismatches}/{GEOMETRY_PAIRS} agree")
-    agree = agree and mismatches == 0
     say("agreement: " + ("ok" if agree else "MISMATCH"))
     return 0 if agree else 1
 
@@ -191,7 +169,6 @@ def cmd_oracle_verify(args, say) -> int:
 # both builds the parser and dispatches, through the ``handler`` default.
 ROOT = ("Recognize simple-triangle graphs and linear-interval orders.", {
     "--limit": dict(type=int, default=6, help="oracle size cap"),
-    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
     "--quiet": dict(action="store_true", help="suppress output"),
 }, {
     "recognize": ("test a graph file", {

@@ -556,15 +556,6 @@ class TestCliOrder:
         assert capsys.readouterr().err == ""
 
 
-@pytest.fixture
-def fresh_geometry_cache():
-    """Clear the per-seed geometry check before and after a test, so a seed
-    counted by an earlier test cannot hide a patched name."""
-    cli._geometry_mismatches.cache_clear()
-    yield cli._geometry_mismatches
-    cli._geometry_mismatches.cache_clear()
-
-
 class TestCliOracle:
     def test_verify_accepted(self, c4_file, capsys):
         assert main(["oracle", "verify", c4_file]) == 0
@@ -596,7 +587,6 @@ class TestCliOracle:
             "recognize: reject",
             "geometric search: none",
             "alternating/transitive pair: no",
-            "geometry cross-check: 2000/2000 agree",
             "agreement: ok",
         ]
 
@@ -610,7 +600,7 @@ class TestCliOracle:
     def test_limit_raised(self, tmp_path, capsys):
         path = tmp_path / "p2.graph"
         path.write_text("2\n0 1\n")
-        assert main(["--limit", "2", "--seed", "7", "oracle", "verify", str(path)]) == 0
+        assert main(["--limit", "2", "oracle", "verify", str(path)]) == 0
 
     def test_limit_eleven_is_refused_before_any_mask(self, tmp_path, capsys):
         path = tmp_path / "eleven.graph"
@@ -659,7 +649,6 @@ class TestCliOracle:
             "geometric search: realizable",
             "alternating/transitive pair: yes",
             "complement orientations extend: yes",
-            "geometry cross-check: 2000/2000 agree",
             "agreement: ok",
         ]
         oracles._before_masks.cache_clear()
@@ -667,25 +656,6 @@ class TestCliOracle:
             assert main(["--limit", "7", "oracle", "verify", str(path)]) == 0
             assert capsys.readouterr().out.splitlines() == accepted
         assert oracles._before_masks.cache_info().misses == 3
-
-    def test_geometry_mismatch_fails_the_verdict(
-        self, c4_file, capsys, monkeypatch, fresh_geometry_cache
-    ):
-        exact = cli.exact_triangle_intersection
-        monkeypatch.setattr(
-            cli, "exact_triangle_intersection", lambda t, u, v: not exact(t, u, v)
-        )
-        assert main(["oracle", "verify", c4_file]) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert "geometry cross-check: 0/2000 agree" in out
-        assert out[-1] == "agreement: MISMATCH"
-
-    def test_geometry_check_cached_per_seed(self, c4_file, capsys, fresh_geometry_cache):
-        for seed in ("3", "4"):
-            assert main(["--seed", seed, "oracle", "verify", c4_file]) == 0
-            assert "geometry cross-check: 2000/2000 agree" in capsys.readouterr().out
-            assert fresh_geometry_cache.cache_info().currsize <= 1
-        assert fresh_geometry_cache.cache_info().misses == 2
 
 
 def _outcome(argv, capsys):
@@ -738,6 +708,7 @@ class TestParserNarrowing:
             ["--limit", "x", "recognize", GRAPH],
             ["--quiet", "recognize", GRAPH],
             ["--limit=7", "oracle", "verify", GRAPH],
+            ["--limit", "3", "order", "recognize", ORDER],
             ["--seed", "3", "order", "recognize", ORDER],
             ["--lim", "5", "recognize", GRAPH],
             ["--limit", "-h", "recognize", GRAPH],
@@ -746,6 +717,7 @@ class TestParserNarrowing:
             ["--quiet=1", "recognize", GRAPH],
             ["--", "recognize", GRAPH],
             ["recognize", GRAPH, "--limit", "5"],
+            ["recognize", GRAPH, "--seed", "3"],
             ["order", "recognize", ORDER, "extra"],
         ],
         ids=lambda argv: " ".join(argv) or "no arguments",
@@ -771,10 +743,29 @@ class TestParserNarrowing:
 
     def test_console_script_reads_sys_argv(self, c4_file, c5_file, parsers_built, capsys, monkeypatch):
         for path, code in ((c4_file, 0), (c5_file, 1)):
-            assert main(["--seed", "2", "recognize", path]) == code
+            assert main(["--limit", "2", "recognize", path]) == code
             expected = capsys.readouterr()
             parsers_built.clear()
-            monkeypatch.setattr(sys, "argv", ["simpletri", "--seed", "2", "recognize", path])
+            monkeypatch.setattr(sys, "argv", ["simpletri", "--limit", "2", "recognize", path])
             assert main() == code
             assert capsys.readouterr() == expected
             assert len(parsers_built) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed", "3", "recognize", GRAPH], "argument command: invalid choice: '3'"),
+            (["recognize", GRAPH, "--seed", "3"], "unrecognized arguments: --seed 3"),
+        ],
+        ids=["before the command", "after the command"],
+    )
+    def test_seed_is_no_option(self, argv, message, c4_file, capsys):
+        (out, err), code = _outcome([{GRAPH: c4_file}.get(token, token) for token in argv], capsys)
+        assert (code, out) == (2, "")
+        assert f"simpletri: error: {message}" in err
+
+    def test_help_lists_only_limit_and_quiet(self, capsys):
+        (out, _), code = _outcome(["--help"], capsys)
+        assert code == 0
+        options = out.split("options:\n", 1)[1].splitlines()
+        assert [line.split()[0] for line in options] == ["-h,", "--limit", "--quiet"]
