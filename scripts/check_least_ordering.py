@@ -19,12 +19,13 @@ above it prints how many leaves other than T the walks reached, how many
 of those ran step 2 (the others are not transitive), and how many accepted
 graphs had a step-2 run that backtracks, with the most backtracks of one
 graph: refused branches off the path to a run's answer.  The step 2 of the
-decisions (``recognition._decide``) is not counted.  The counts are printed
-per graph for the draws ``triangle_graph(random.Random(1000·n + s), n)``
-with n = 12, 16, 20 and s = 0-2.  Then it prints what ``recognize`` costs over ``apex_ordering``
+decisions (``recognition._decide``), which runs in ``orders``, is not
+counted.  The counts are printed per graph for the draws
+``triangle_graph(random.Random(1000·n + s), n)`` with n = 12, 16, 20 and
+s = 0-2.  Then it prints what ``recognize`` costs over ``apex_ordering``
 (the decision alone) on ``triangle_graph`` and ``permutation_graph`` drawn
-with ``random.Random(n)``, n = 100 and 300: the ratio of the median times of
-five rounds that call the two in turn; and both totals, with ``recognize``'s
+with ``random.Random(n)``, n = 100, 300 and 1,000: the ratio of the median
+times of five rounds that call the two in turn; and both totals, with ``recognize``'s
 worst graph, over ``--relabelled`` draws: with ``rng = random.Random(7)``,
 each has n = ``rng.randint(10, 40)``, is a ``triangle_graph`` if its index
 is odd and a ``permutation_graph`` if even, and is relabelled at random
@@ -38,15 +39,16 @@ the perfect matchings with n = 20, 40, ..., 200 relabelled by
 ``random.Random(n)`` and on 100 disjoint unions of 2-5 ``triangle_graph``
 draws with n = 6-12 each, relabelled, drawn from ``random.Random(11)``; it
 prints the four times.  It exits 1 on any mismatch.  The default run takes
-about 16 s on a 2-vCPU x86-64 VM (CPython 3.11), 6 s of it the whole walks
-on the matchings and the unions.  There it reported 0 mismatches; 2,544
-leaves on the graphs with n <= 6 and 90 on the seeded graphs, none on the
-nine draws with n = 12-20; ``recognize`` at 2.13 and 2.24 times
-``apex_ordering`` on the triangle draws with n = 100 and 300, and 1.2 times
-on the permutation draws; 0.49 s against 0.25 s on the relabelled draws;
-the split walk 0.011 and 0.039 s against the whole walk's 1.29 and 4.69 s
-on the matchings and the unions, and the split decision 0.009 and 0.029 s
-against the whole decision's 0.116 and 0.078 s.
+about 48 s on a 2-vCPU x86-64 VM (CPython 3.11), about 30 s of it the ten
+rounds at n = 1,000 and 5 s the whole walks on the matchings and the
+unions.  There it reported 0 mismatches; 2,544 leaves on the graphs with
+n <= 6 and 90 on the seeded graphs, none on the nine draws with n = 12-20;
+``recognize`` at 1.79, 1.83 and 1.80 times ``apex_ordering`` on the
+triangle draws with n = 100, 300 and 1,000, and 1.14-1.20 times on the
+permutation draws; 0.53 s against 0.30 s on the relabelled draws; the
+split walk 0.011 and 0.046 s against the whole walk's 1.50 and 3.78 s on
+the matchings and the unions, and the split decision 0.009 and 0.035 s
+against the whole decision's 0.132 and 0.096 s.
 
     PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1] [--relabelled 400]
 """
@@ -58,7 +60,7 @@ import random
 import sys
 import time
 
-from simpletri import orders, recognition
+from simpletri import recognition
 from simpletri.exhaustive import all_graphs, random_partial_order
 from simpletri.graphs import Graph
 from simpletri.patterns import APEX_PATTERNS, PatternRule, search_orderings
@@ -82,40 +84,32 @@ def unpruned(g: Graph, cap: float):
 
 
 def instrument(tally: dict):
-    """Patch ``recognition`` and ``orders`` so that ``tally`` counts the
-    walk's leaves (``leaves``), the step-2 runs at them (``step2``) and their
-    backtracks (``last``, per ``recognize`` call); the step 2 of the
-    decisions (``recognition._decide``) is not counted.  Returns a function
-    that undoes the patches."""
-    saved = (recognition._decide, recognition.PartialOrder, orders.search_orderings)
-    decide, partial_order, search = saved
-
-    def decided(g: Graph):
-        tally["deciding"] = True
-        try:
-            return decide(g)
-        finally:
-            tally["deciding"] = False
+    """Patch ``recognition`` so that ``tally`` counts the walk's leaves
+    (``leaves``), the step-2 searches at them (``step2``) and their
+    backtracks (``last``, per ``recognize`` call); the decisions
+    (``recognition._decide``) run step 2 in ``orders`` and are not counted.
+    Returns a function that undoes the patches."""
+    saved = (recognition.PartialOrder, recognition.search_orderings)
+    partial_order, search = saved
 
     def leaf(n, succ):
         tally["leaves"] += 1
         return partial_order(n, succ)
 
     def counted(*args):
-        tally["step2"] += not tally["deciding"]
+        tally["step2"] += 1
         refused = []
         for ordering, hit in search(*args):
             if hit is not None:
                 refused.append(ordering)
-            elif not tally["deciding"]:
+            else:
                 tally["last"] += sum(b[:-1] != ordering[:len(b) - 1] for b in refused)
             yield ordering, hit
 
-    recognition._decide, recognition.PartialOrder, orders.search_orderings = (
-        decided, leaf, counted)
+    recognition.PartialOrder, recognition.search_orderings = leaf, counted
 
     def restore():
-        recognition._decide, recognition.PartialOrder, orders.search_orderings = saved
+        recognition.PartialOrder, recognition.search_orderings = saved
 
     return restore
 
@@ -227,7 +221,7 @@ def main(argv=None) -> int:
     parser.add_argument("--relabelled", type=int, default=400)
     args = parser.parse_args(argv)
     print(f"unpruned search capped at {args.cap:g} s per graph")
-    tally: dict = {"deciding": False}
+    tally: dict = {}
     restore = instrument(tally)
     bad = 0
 
@@ -267,7 +261,7 @@ def main(argv=None) -> int:
             bad += got is None
     restore()  # time it without the tallies
     for make in (triangle_graph, permutation_graph):
-        for n in (100, 300):
+        for n in (100, 300, 1000):
             g = Graph.from_edges(n, make(random.Random(n), n).items)
             times = {recognition.recognize: [], recognition.apex_ordering: []}
             for _ in range(5):

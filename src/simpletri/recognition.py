@@ -65,8 +65,11 @@ because T is transitive: it is an apex ordering of G, the block that
      no ordering below the best;
    - at a leaf Ḡ is fully oriented.  One that is not transitive is dropped,
      T is skipped (step 2 gave ext(T) on it, the first best, and the best
-     only falls), and step 2 runs on the rest.  By the theorem behind step
-     2 it finds an ordering on each, so finding none raises RuntimeError.
+     only falls), and step 2's search runs on the rest without
+     ``IntervalFormula.satisfiable()``: the search alone is exact, and by
+     the theorem behind step 2 each leaf's formula is satisfiable, so the
+     call could only return True.  The search finds an ordering on each
+     leaf, so finding none raises RuntimeError.
 
    :func:`rejection_certificates` runs the search over all orderings by a
    ``PatternRule`` on the three patterns alone.
@@ -100,6 +103,7 @@ from .orders import (
 )
 from .patterns import APEX_PATTERNS, PatternRule, search_orderings
 from .triangles import TriangleRepresentation, order_to_triangles
+from .twosat import IntervalFormula
 
 __all__ = [
     "apex_ordering",
@@ -154,14 +158,20 @@ def least_apex_ordering(g: Graph) -> Optional[tuple[int, ...]]:
 
 def _by_components(g: Graph, order) -> Optional[tuple[int, ...]]:
     """None at the first component of g that :func:`_decide` rejects, else the
-    blocks ordered by ``order(sub, T, ext(T))`` on each relabelled ``sub``."""
-    full, blocks, parts = (1 << g.n) - 1, [], []
-    for comp, _ in _components(g.adj, full):
+    blocks ordered by ``order(sub, T, ext(T))`` on each relabelled ``sub``;
+    a connected g with two or more vertices is decided and ordered as it is."""
+    full = (1 << g.n) - 1
+    comps = [comp for comp, _ in _components(g.adj, full)]
+    if comps == [full] and g.n > 1:
+        decided = _decide(g)
+        return None if decided is None else order(g, *decided)
+    blocks, parts = [], []
+    for comp in comps:
         vs = list(iter_bits(comp))
         blocks.append(vs)
         if len(vs) > 1:
             label = {v: i for i, v in enumerate(vs)}
-            sub = g if comp == full else Graph._from_adj(len(vs), (
+            sub = Graph._from_adj(len(vs), (
                 sum(1 << label[u] for u in iter_bits(g.adj[v])) for v in vs))
             if (decided := _decide(sub)) is None:
                 return None
@@ -209,7 +219,9 @@ def _walk(g: Graph, t: PartialOrder, best: tuple[int, ...]) -> tuple[int, ...]:
                 order = PartialOrder(n, tuple(out))
             except ValueError:  # the orientation is not transitive
                 continue
-            ext = _first_interval_extension(order)
+            # step 2's search alone; satisfiable() is True here (module doc)
+            ext = next((o for o, hit in search_orderings(order.pred, IntervalFormula(order))
+                        if hit is None), None)
             if ext is None:
                 raise RuntimeError(f"accepted graph has no apex ordering: {sorted(g.edges)}")
             best = min(best, ext)

@@ -61,14 +61,15 @@ FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 @pytest.fixture(scope="module")
-def ordering_corpus(small_graphs):
+def ordering_corpus(small_graphs, ordering_predicates):
     """Per (graph, ordering): the four acceptance conditions plus realizations.
 
     The conditions are cocomparability and the C4 rule (b2), building a
     realization from the ordering (b3, ``realize`` does not raise, which is
     ``check_apex_ordering``), the complement's comparability and 2K2 rule
     (b4), and no cp, p1 or p2 on the complement (b5).  Each accepted pair
-    is built once, and b3 keeps what it built.
+    is built once, and b3 keeps what it built.  Cocomparability and the
+    complement's comparability are read from ``ordering_predicates``.
 
     cond_mismatch collects tuples where the four formulations disagree,
     realizations holds (graph, ordering, representation) for every accepted
@@ -83,10 +84,9 @@ def ordering_corpus(small_graphs):
         for g in small_graphs[n]:
             gc = complement(g)
             accepted_any = False
-            for sigma in permutations(range(n)):
-                cocomp = is_cocomparability_ordering(g, sigma)
+            for sigma, (cocomp, _), (_, comp_c) in zip(
+                    permutations(range(n)), ordering_predicates[g], ordering_predicates[gc]):
                 c4 = fulfills_c4_rule(g, sigma)
-                comp_c = is_comparability_ordering(gc, sigma)
                 k22_c = fulfills_2k2_rule(gc, sigma)
                 b2 = cocomp and c4
                 try:

@@ -9,12 +9,15 @@ pinned to the first complete ordering of the ungated engine search.  It
 decides each component with two or more vertices once, all before any
 walk, and a rejecting decision calls nothing after it; ``apex_ordering``
 decides per component too, and on a connected graph returns its decision's
-ordering.  The step-2 runs at
-the walk's leaves never backtrack on the graphs with n <= 5, a leaf that is
-not transitive runs no step 2, nor does the decision's own orientation, and
+ordering.  The least orderings of the graphs with n <= 6 are pinned by
+digest.  The step-2 runs at the walk's leaves never backtrack on the
+graphs with n <= 5 and never call ``satisfiable()``, a leaf that is not
+transitive runs no step 2, nor does the decision's own orientation, and
 two graphs that took earlier searches seconds are recognized well within
-one.
+one.  The sweeps over n <= 6 read the session fixture ``graphs_up_to_six``
+(``conftest.py``) unless they spy on the calls.
 """
+import hashlib
 import os
 import random
 import time
@@ -25,22 +28,21 @@ from hypothesis import given, settings
 
 from simpletri import recognition
 from simpletri._bits import iter_bits
-from simpletri.exhaustive import all_graphs, random_partial_order
+from simpletri.exhaustive import random_partial_order
 from simpletri.graphs import (
     APEX_PATTERNS,
     Graph,
     Orientation,
-    _components,
-    complement,
     cycle_graph,
     is_transitive_orientation,
     transitive_orientation,
 )
 from simpletri.io import load_graph
 from simpletri.oracles import enumerate_orientations
-from simpletri.orders import PartialOrder, _first_interval_extension
+from simpletri.orders import PartialOrder
 from simpletri.patterns import PatternRule, search_orderings
 from simpletri.recognition import check_apex_ordering, is_simple_triangle, recognize
+from simpletri.twosat import IntervalFormula
 
 from strategies import graphs
 
@@ -92,13 +94,13 @@ def reference_transitive_orientation(g):
     return PartialOrder(g.n, tuple(succ))
 
 
-def test_transitive_orientation_is_the_reference_loop_up_to_six():
+def test_transitive_orientation_is_the_reference_loop_up_to_six(graphs_up_to_six):
+    """On every graph with n <= 6, each the complement of one of them."""
     oriented = 0
-    for n in range(7):
-        for g in all_graphs(n):
-            t = transitive_orientation(g)
-            assert t == reference_transitive_orientation(g), sorted(g.edges)
-            oriented += t is not None
+    for facts in graphs_up_to_six:
+        gc = facts.complement
+        assert facts.t == reference_transitive_orientation(gc), sorted(gc.edges)
+        oriented += facts.t is not None
     assert 0 < oriented < 33868
 
 
@@ -123,15 +125,14 @@ def test_transitive_orientation_matches_enumeration(small_graphs):
         assert is_transitive_orientation(g, Orientation(g.n, t.succ))
 
 
-def test_every_transitive_complement_orientation_extends_at_six():
+def test_every_transitive_complement_orientation_extends_at_six(graphs_up_to_six):
     """Step 2 rejects a graph only when the ungated search rejects it too:
     on n = 6 that is the 60 labelings of the prism."""
     rejected = 0
-    for g in all_graphs(6):
-        t = transitive_orientation(complement(g))
-        if t is not None and _first_interval_extension(t) is None:
+    for facts in graphs_up_to_six:
+        if facts.g.n == 6 and facts.t is not None and facts.decided is None:
             rejected += 1
-            assert ungated_search(g) is None, sorted(g.edges)
+            assert ungated_search(facts.g) is None, sorted(facts.g.edges)
     assert rejected == 60
 
 
@@ -165,19 +166,20 @@ INTRANSITIVE_LEAF_EDGES = [(0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (1, 3), (2, 3
 
 
 def test_recognize_raises_when_an_acceptance_finds_no_ordering(monkeypatch):
-    # step 2 answers the decision, then finds nothing at the walk's first
-    # leaf that runs it; this connected graph has such a leaf besides T
+    # the search at the walk's first leaf that runs step 2 finds nothing;
+    # this connected graph has such a leaf besides T, and the decision's
+    # step 2 runs its search in orders, unpatched
     g = Graph.from_edges(7, INTRANSITIVE_LEAF_EDGES)
-    step2, calls = recognition._first_interval_extension, []
+    calls = []
 
-    def leaf_finds_nothing(order):
-        calls.append(order)
-        return step2(order) if len(calls) == 1 else None
+    def leaf_finds_nothing(*args):
+        calls.append(args)
+        return iter(())
 
-    monkeypatch.setattr(recognition, "_first_interval_extension", leaf_finds_nothing)
+    monkeypatch.setattr(recognition, "search_orderings", leaf_finds_nothing)
     with pytest.raises(RuntimeError):
         recognize(g)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # Rejected by the decision: the prism at step 2 (its complement C6 orients,
@@ -217,9 +219,11 @@ def spied(monkeypatch):
     """The calls that ``recognize`` makes, in order: ``"decided"`` when a
     decision (``recognition._decide``) returns, ``"rejected"`` after it when
     it rejects, and the name of each helper of the walk and of step 2 when
-    it is called."""
+    it is called: ``_first_interval_extension`` is step 2 of a decision,
+    ``search_orderings`` that of a leaf."""
     calls = []
-    for name in ("_force_arcs", "_can_beat", "PartialOrder", "_first_interval_extension"):
+    for name in ("_force_arcs", "_can_beat", "PartialOrder", "_first_interval_extension",
+                 "search_orderings"):
         monkeypatch.setattr(recognition, name, spy(calls, name, getattr(recognition, name)))
     decide = recognition._decide
 
@@ -248,28 +252,38 @@ def after_decision(calls):
     return calls[last + 1:]
 
 
-def test_recognize_decides_at_most_once_and_rejects_by_the_decision_up_to_six(spied):
+# sha256 of the repr of the list of least apex orderings (None if rejected)
+# of every graph with n <= 6 in the order of all_graphs by vertex count
+LEAST_ORDERINGS_UP_TO_SIX = "3e33da697b7257d47c03df0798b98e04c947db578964692f733bef00af64a67a"
+
+
+def test_recognize_decides_at_most_once_and_rejects_by_the_decision_up_to_six(
+        spied, graphs_up_to_six):
     """Each component with two or more vertices is decided once, all before
-    the walk; a rejecting decision is the last and calls nothing after it."""
+    the walk; a rejecting decision is the last and calls nothing after it.
+    The least apex ordering is unique, so the digest of all 33,868 is
+    pinned: any change to it is a defect."""
     walked = split = 0
-    for n in range(7):
-        for g in all_graphs(n):
-            parts = sum(comp & comp - 1 != 0 for comp, _ in _components(g.adj, (1 << n) - 1))
-            accepted = is_simple_triangle(g)
-            spied.clear()
-            got = recognize(g)
-            assert (got is not None) == accepted, sorted(g.edges)
-            walk = after_decision(spied)
-            assert set(spied[:len(spied) - len(walk)]) <= {
-                "_first_interval_extension", "decided"}, sorted(g.edges)
-            if got is None:
-                assert 1 <= spied.count("decided") <= parts, sorted(g.edges)
-                assert walk == ["rejected"], sorted(g.edges)
-            else:
-                assert spied.count("decided") == parts, sorted(g.edges)
-                walked += "_force_arcs" in walk
-                split += parts > 1
+    least = []
+    for facts in graphs_up_to_six:
+        g = facts.g
+        parts = sum(comp & comp - 1 != 0 for comp in facts.components)
+        spied.clear()
+        got = recognize(g)
+        assert (got is not None) == (facts.apex is not None), sorted(g.edges)
+        walk = after_decision(spied)
+        assert set(spied[:len(spied) - len(walk)]) <= {
+            "_first_interval_extension", "decided"}, sorted(g.edges)
+        if got is None:
+            assert 1 <= spied.count("decided") <= parts, sorted(g.edges)
+            assert walk == ["rejected"], sorted(g.edges)
+        else:
+            assert spied.count("decided") == parts, sorted(g.edges)
+            walked += "_force_arcs" in walk
+            split += parts > 1
+        least.append(None if got is None else got[0])
     assert walked > 0 and split > 0
+    assert hashlib.sha256(repr(least).encode()).hexdigest() == LEAST_ORDERINGS_UP_TO_SIX
 
 
 @pytest.mark.parametrize("g", [
@@ -302,7 +316,25 @@ def test_walk_drops_an_intransitive_leaf(spied):
     got = recognize(g)
     assert got is not None and got[0] == ungated_search(g)
     walk = after_decision(spied)
-    assert walk.count("PartialOrder") > walk.count("_first_interval_extension")
+    assert walk.count("PartialOrder") > walk.count("search_orderings")
+
+
+# An accepted graph whose walk reaches a leaf besides T where step 2's
+# search refuses a branch, found among the graphs with n = 5.
+LEAF_REFUSES_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 4), (3, 4)]
+
+
+def test_leaf_search_calls_no_satisfiable(spied, least_backtracks, monkeypatch):
+    """A leaf runs step 2's search without ``IntervalFormula.satisfiable``,
+    also when that search refuses a branch, where the search of a decision
+    calls it; the answer is still the least apex ordering."""
+    monkeypatch.setattr(IntervalFormula, "satisfiable",
+                        spy(spied, "satisfiable", IntervalFormula.satisfiable))
+    g = Graph.from_edges(5, LEAF_REFUSES_EDGES)
+    got = recognize(g)
+    assert got is not None and got[0] == ungated_search(g)
+    assert least_backtracks["searches"] > 0 and least_backtracks["refused"] > 0
+    assert "satisfiable" not in after_decision(spied)
 
 
 def test_walk_goes_deeper_than_the_recursion_limit():
@@ -363,17 +395,15 @@ def test_apex_ordering_decides_each_part_of_a_relabelled_matching_apart(spied):
     assert best_of_three(recognition.apex_ordering, g) < 0.1
 
 
-def test_apex_ordering_of_a_connected_graph_is_its_decision_up_to_six():
+def test_apex_ordering_of_a_connected_graph_is_its_decision_up_to_six(graphs_up_to_six):
     """A connected graph is decided whole, without relabelling, so its apex
     ordering is the ext(T) of its own decision."""
     connected = 0
-    for n in range(7):
-        for g in all_graphs(n):
-            if len(list(_components(g.adj, (1 << n) - 1))) == 1:
-                decided = recognition._decide(g)
-                assert recognition.apex_ordering(g) == (
-                    None if decided is None else decided[1]), sorted(g.edges)
-                connected += 1
+    for facts in graphs_up_to_six:
+        if len(facts.components) == 1:
+            assert facts.apex == (
+                None if facts.decided is None else facts.decided[1]), sorted(facts.g.edges)
+            connected += 1
     assert connected == 27_476  # OEIS A001187, n = 1-6
 
 

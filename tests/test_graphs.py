@@ -58,11 +58,11 @@ class TestComplement:
         back = complement(complement(g))
         assert back == g and hash(back) == hash(g) and back.edges == g.edges
 
-    def test_is_the_pairwise_definition_up_to_six(self):
-        for n in range(7):
-            for g in all_graphs(n):
-                pairs = {(u, v) for u, v in combinations(range(n), 2) if not g.adjacent(u, v)}
-                assert complement(g).edges == pairs, sorted(g.edges)
+    def test_is_the_pairwise_definition_up_to_six(self, graphs_up_to_six):
+        for facts in graphs_up_to_six:
+            g = facts.g
+            pairs = {(u, v) for u, v in combinations(range(g.n), 2) if not g.adjacent(u, v)}
+            assert facts.complement.edges == pairs, sorted(g.edges)
 
 
 class TestMasks:
@@ -155,19 +155,16 @@ class TestOrderingPredicates:
         assert not is_cocomparability_ordering(TWO_K2, (0, 1, 2, 3))
         assert is_cocomparability_ordering(complete_graph(4), (0, 1, 2, 3))
 
-    def test_build_says_what_the_tuple_scan_says(self, small_graphs):
+    def test_build_says_what_the_tuple_scan_says(self, ordering_predicates):
         """The predicates orient along the ordering; on every ordering of
         every graph with n <= 5 they hold exactly when the scan over all
         position triples finds no cpc, respectively no cp."""
-        for n in range(6):
-            for g in small_graphs[n]:
-                for sigma in permutations(range(n)):
-                    assert is_cocomparability_ordering(g, sigma) == (
-                        scan_pattern(g, sigma, PATTERN_CPC) is None
-                    ), (sorted(g.edges), sigma)
-                    assert is_comparability_ordering(g, sigma) == (
-                        scan_pattern(g, sigma, PATTERN_CP) is None
-                    ), (sorted(g.edges), sigma)
+        for g, predicates in ordering_predicates.items():
+            for sigma, (cocomp, comp) in zip(permutations(range(g.n)), predicates):
+                assert cocomp == (scan_pattern(g, sigma, PATTERN_CPC) is None), (
+                    sorted(g.edges), sigma)
+                assert comp == (scan_pattern(g, sigma, PATTERN_CP) is None), (
+                    sorted(g.edges), sigma)
 
     @given(graphs(max_n=6), st.integers(0, 719))
     def test_cocomparability_is_complement_comparability(self, g, pick):
