@@ -5,7 +5,8 @@ orientations of its complement and runs step 2 at each leaf of the walk but
 the decision's own orientation T (``recognition`` module doc).  This script
 checks that its answer is the first complete ordering of the unpruned
 search ``search_orderings((0,) * n, PatternRule(g.adj, APEX_PATTERNS))``,
-or None with it:
+or None with it (``ungated_search`` of ``tests/references.py``, whose
+``counting_backtracks`` counts the backtracks below, as in tier-1):
 
 - on every labeled graph with at most ``--max-n`` vertices (33,868 with
   n <= 6);
@@ -59,71 +60,51 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 
 from simpletri import recognition
 from simpletri.exhaustive import all_graphs, random_partial_order
 from simpletri.graphs import Graph
-from simpletri.patterns import APEX_PATTERNS, PatternRule, search_orderings
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from corpora import permutation_graph, relabel, triangle_graph  # noqa: E402
-
-CAPPED = "capped"
-
-
-def unpruned(g: Graph, cap: float):
-    """First ordering of the unpruned search, None, or CAPPED after ``cap`` s."""
-    deadline = time.perf_counter() + cap
-    search = search_orderings((0,) * g.n, PatternRule(g.adj, APEX_PATTERNS))
-    for i, (ordering, hit) in enumerate(search):
-        if hit is None:
-            return ordering
-        if not i % 1024 and time.perf_counter() > deadline:
-            return CAPPED
-    return None
+from references import CAPPED, counting_backtracks, ungated_search  # noqa: E402
 
 
-def instrument(tally: dict):
-    """Patch ``recognition`` so that ``tally`` counts the walk's leaves
-    (``leaves``), the step-2 searches at them (``step2``) and their
-    backtracks (``last``, per ``recognize`` call); the decisions
+@contextmanager
+def counting_walk():
+    """Count the step-2 searches at the walk's leaves (``searches``) and their
+    backtracks with ``references.counting_backtracks``, and the leaves
+    themselves (``leaves``), in the counts it yields; the decisions
     (``recognition._decide``) run step 2 in ``orders`` and are not counted.
-    Returns a function that undoes the patches."""
-    saved = (recognition.PartialOrder, recognition.search_orderings)
-    partial_order, search = saved
+    Undoes its patches of ``recognition`` on exit."""
+    partial_order = recognition.PartialOrder
+    with counting_backtracks(recognition) as counts:
+        counts["leaves"] = 0
 
-    def leaf(n, succ):
-        tally["leaves"] += 1
-        return partial_order(n, succ)
+        def leaf(n, succ):
+            counts["leaves"] += 1
+            return partial_order(n, succ)
 
-    def counted(*args):
-        tally["step2"] += 1
-        refused = []
-        for ordering, hit in search(*args):
-            if hit is not None:
-                refused.append(ordering)
-            else:
-                tally["last"] += sum(b[:-1] != ordering[:len(b) - 1] for b in refused)
-            yield ordering, hit
-
-    recognition.PartialOrder, recognition.search_orderings = leaf, counted
-
-    def restore():
-        recognition.PartialOrder, recognition.search_orderings = saved
-
-    return restore
+        recognition.PartialOrder = leaf
+        try:
+            yield counts
+        finally:
+            recognition.PartialOrder = partial_order
 
 
-def compare(g: Graph, cap: float, tally: dict) -> None:
+def compare(g: Graph, cap: float, tally: dict, counts: dict) -> None:
     tally["graphs"] += 1
-    tally["last"] = 0
+    before = counts["backtracks"]
     got = recognition.recognize(g)
     got = None if got is None else got[0]
     tally["accepted"] += got is not None
     if got is not None:
-        tally["backtracking"] += tally["last"] > 0
-        tally["max_backtracks"] = max(tally["max_backtracks"], tally["last"])
-    expected = unpruned(g, cap)
+        last = counts["backtracks"] - before
+        tally["backtracking"] += last > 0
+        tally["max_backtracks"] = max(tally["max_backtracks"], last)
+    expected = ungated_search(g, time.perf_counter() + cap)
     if expected is CAPPED:
         tally["capped"] += 1
     elif got != expected:
@@ -137,10 +118,10 @@ def incomparability_graph(rng: random.Random, n: int) -> Graph:
                                 if not (p.less(u, v) or p.less(v, u))])
 
 
-def report(label: str, tally: dict, seconds: float) -> None:
+def report(label: str, tally: dict, counts: dict, seconds: float) -> None:
     print(f"{label}: {tally['graphs']} graphs, {tally['accepted']} accepted, "
           f"{tally['mismatches']} mismatches, {tally['capped']} capped, "
-          f"{tally['leaves']} leaves, {tally['step2']} leaf step-2 runs, "
+          f"{counts['leaves']} leaves, {counts['searches']} leaf step-2 runs, "
           f"{tally['backtracking']} accepted backtracking, at most "
           f"{tally['max_backtracks']} backtracks, {seconds:.1f} s")
 
@@ -221,19 +202,17 @@ def main(argv=None) -> int:
     parser.add_argument("--relabelled", type=int, default=400)
     args = parser.parse_args(argv)
     print(f"unpruned search capped at {args.cap:g} s per graph")
-    tally: dict = {}
-    restore = instrument(tally)
     bad = 0
 
     def run(label, graphs):
         nonlocal bad
-        keys = ("graphs", "accepted", "mismatches", "capped", "leaves", "step2",
-                "backtracking", "max_backtracks")
-        tally.update(dict.fromkeys(keys, 0))
+        tally = dict.fromkeys(("graphs", "accepted", "mismatches", "capped", "backtracking",
+                               "max_backtracks"), 0)
         t0 = time.perf_counter()
-        for g in graphs:
-            compare(g, args.cap, tally)
-        report(label, tally, time.perf_counter() - t0)
+        with counting_walk() as counts:
+            for g in graphs:
+                compare(g, args.cap, tally, counts)
+        report(label, tally, counts, time.perf_counter() - t0)
         bad += tally["mismatches"]
 
     run(f"all graphs, n <= {args.max_n}",
@@ -251,15 +230,16 @@ def main(argv=None) -> int:
     for n in (12, 16, 20):
         for s in range(3):
             g = Graph.from_edges(n, triangle_graph(random.Random(1000 * n + s), n).items)
-            tally.update(leaves=0, step2=0, last=0)
-            t0 = time.perf_counter()
-            got = recognition.recognize(g)
+            with counting_walk() as counts:
+                t0 = time.perf_counter()
+                got = recognition.recognize(g)
+                spent = time.perf_counter() - t0
             print(f"triangle_graph(random.Random({1000 * n + s}), {n}): "
-                  f"{'accepted' if got else 'REJECTED'}, {tally['leaves']} leaves, "
-                  f"{tally['step2']} leaf step-2 runs, {tally['last']} backtracks, "
-                  f"{(time.perf_counter() - t0) * 1000:.1f} ms")
+                  f"{'accepted' if got else 'REJECTED'}, {counts['leaves']} leaves, "
+                  f"{counts['searches']} leaf step-2 runs, {counts['backtracks']} backtracks, "
+                  f"{spent * 1000:.1f} ms")
             bad += got is None
-    restore()  # time it without the tallies
+    # the times below are taken without the counts
     for make in (triangle_graph, permutation_graph):
         for n in (100, 300, 1000):
             g = Graph.from_edges(n, make(random.Random(n), n).items)

@@ -8,7 +8,8 @@ the plain pattern search (``patterns.search_orderings`` with a
 ``PatternRule`` on p1 and p2) finds (or None with it), that
 ``IntervalFormula.satisfiable`` agrees on whether one exists, and counts
 the rule search's backtracks: refused branches off the path to its answer,
-or off the root when it has none.  On the naturally
+or off the root when it has none.  The plain search and the backtrack count
+are those of ``tests/references.py``, as tier-1 uses them.  On the naturally
 ordered relations it also checks the 2+2 rule on the identity extension:
 the interval construction stalls exactly when
 ``find_alternating_anticycle(p, ext, k_max=2)`` finds a 4-anticycle, and
@@ -25,6 +26,7 @@ an element worklist.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -38,15 +40,10 @@ from simpletri.orders import (
     find_alternating_anticycle,
     make_partial_order,
 )
-from simpletri.patterns import PATTERN_P1, PATTERN_P2, PatternRule, search_orderings
 from simpletri.twosat import IntervalFormula
 
-
-def engine_extension(p: PartialOrder):
-    """First extension without a 4-anticycle by the plain pattern search."""
-    comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
-    search = search_orderings(p.pred, PatternRule(comparable, (("p1", PATTERN_P1), ("p2", PATTERN_P2))))
-    return next((o for o, hit in search if hit is None), None)
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from references import counting_backtracks, engine_extension  # noqa: E402
 
 
 def crown_in_random_order(rng: random.Random, n: int) -> PartialOrder:
@@ -85,29 +82,6 @@ def random_linear_interval_order(rng: random.Random, n: int) -> PartialOrder:
     return make_partial_order(n, relations + [(u, v)])
 
 
-def off_path(refused: list, path: tuple) -> int:
-    """How many of the ``refused`` branches leave ``path``: backtracks."""
-    return sum(b[:-1] != path[:len(b) - 1] for b in refused)
-
-
-def counting_search(tally: dict):
-    """``patterns.search_orderings``, adding to ``tally`` the backtracks made
-    before each complete ordering it yields, or before it ends."""
-
-    def search(*args):
-        refused = []
-        for ordering, hit in search_orderings(*args):
-            if hit is None:
-                tally["backtracks"] += off_path(refused, ordering)
-                refused = []
-            else:
-                refused.append(ordering)
-            yield ordering, hit
-        tally["backtracks"] += off_path(refused, ())
-
-    return search
-
-
 def compare(p: PartialOrder, tally: dict) -> None:
     expected = engine_extension(p)
     got = orders._first_interval_extension(p)
@@ -133,9 +107,9 @@ def check_identity_extension(p: PartialOrder, tally: dict) -> None:
               f"construction {out}, 4-anticycle {short}")
 
 
-def report(label: str, tally: dict, seconds: float) -> None:
+def report(label: str, tally: dict, counts: dict, seconds: float) -> None:
     print(f"{label}: {tally['orders']} orders, {tally['rejected']} rejected, "
-          f"{tally['mismatches']} mismatches, {tally['backtracks']} backtracks, "
+          f"{tally['mismatches']} mismatches, {counts['backtracks']} backtracks, "
           f"{seconds:.1f} s")
 
 
@@ -147,23 +121,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bad = 0
     t0 = time.perf_counter()
-    tally = dict.fromkeys(("orders", "rejected", "mismatches", "backtracks", "blocked"), 0)
-    orders.search_orderings = counting_search(tally)
-    for n in range(args.max_n + 1):
-        for p in naturally_ordered_relations(n):
-            compare(p, tally)
-            check_identity_extension(p, tally)
-    report(f"naturally ordered relations, n <= {args.max_n}", tally, time.perf_counter() - t0)
+    tally = dict.fromkeys(("orders", "rejected", "mismatches", "blocked"), 0)
+    with counting_backtracks(orders) as counts:
+        for n in range(args.max_n + 1):
+            for p in naturally_ordered_relations(n):
+                compare(p, tally)
+                check_identity_extension(p, tally)
+    report(f"naturally ordered relations, n <= {args.max_n}", tally, counts,
+           time.perf_counter() - t0)
     print(f"  identity extensions with a 4-anticycle: {tally['blocked']}")
-    bad += tally["mismatches"] + tally["backtracks"]
+    bad += tally["mismatches"] + counts["backtracks"]
     t0 = time.perf_counter()
     rng = random.Random(args.seed)
     makers = (random_partial_order, crown_in_random_order, random_linear_interval_order)
     tally.update(dict.fromkeys(tally, 0))
-    for i in range(args.random):
-        compare(makers[i % 3](rng, rng.randint(7, 16)), tally)
-    report(f"seeded random orders, n = 7-16, seed {args.seed}", tally, time.perf_counter() - t0)
-    bad += tally["mismatches"] + tally["backtracks"]
+    with counting_backtracks(orders) as counts:
+        for i in range(args.random):
+            compare(makers[i % 3](rng, rng.randint(7, 16)), tally)
+    report(f"seeded random orders, n = 7-16, seed {args.seed}", tally, counts,
+           time.perf_counter() - t0)
+    bad += tally["mismatches"] + counts["backtracks"]
     return 1 if bad else 0
 
 

@@ -32,6 +32,7 @@ slow for the test suite.
 """
 from __future__ import annotations
 
+import os
 import random
 import sys
 import time
@@ -48,9 +49,11 @@ from simpletri.oracles import (
 from simpletri.recognition import apex_ordering, realize, recognize
 from simpletri.triangles import verify_representation
 
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from references import PRISM_EDGES  # noqa: E402
+
 N = 6
 SAMPLES = ((7, 2000), (8, 2000), (9, 300), (10, 100))  # (n, draws)
-PRISM = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]
 
 
 def sample_graphs(n: int, size: int):
@@ -66,9 +69,10 @@ def prism_family():
     """The prism plus 1-4 isolated vertices, then plus 1-4 universal ones:
     rejected, with a transitively orientable complement."""
     for k in range(1, 5):
-        yield Graph.from_edges(6 + k, PRISM)
+        yield Graph.from_edges(6 + k, PRISM_EDGES)
     for k in range(1, 5):
-        yield Graph.from_edges(6 + k, PRISM + [(u, v) for v in range(6, 6 + k) for u in range(v)])
+        universal = [(u, v) for v in range(6, 6 + k) for u in range(v)]
+        yield Graph.from_edges(6 + k, PRISM_EDGES + universal)
 
 
 def check(label: str, graphs) -> int:

@@ -13,6 +13,7 @@ from .errors import ParseError, SimpleTriError
 from .graphs import APEX_PATTERNS, find_pattern, fulfills_c4_rule
 from .io import emit_representation, load_graph, load_order
 from .oracles import (
+    DEFAULT_LIMIT,
     all_transitive_complements_extend,
     geometric_search_realization,
     has_alternating_transitive_pair,
@@ -44,7 +45,9 @@ def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
     except ValueError:
         raise ParseError(f"ordering {text!r} is not a comma-separated int list") from None
     if sorted(ordering) != list(range(n)):
-        raise ParseError(f"ordering {text!r} is not a permutation of 0..{n - 1}")
+        wrong = (f"is not a permutation of 0..{n - 1}" if n
+                 else "must be empty: the input has no elements")
+        raise ParseError(f"ordering {text!r} {wrong}")
     return ordering
 
 
@@ -168,7 +171,7 @@ def cmd_oracle_verify(args, say) -> int:
 # where arguments maps space-separated flags to ``add_argument`` keywords.  It
 # both builds the parser and dispatches, through the ``handler`` default.
 ROOT = ("Recognize simple-triangle graphs and linear-interval orders.", {
-    "--limit": dict(type=int, default=6, help="oracle size cap"),
+    "--limit": dict(type=int, default=DEFAULT_LIMIT, help="oracle size cap"),
     "--quiet": dict(action="store_true", help="suppress output"),
 }, {
     "recognize": ("test a graph file", {

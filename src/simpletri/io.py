@@ -7,6 +7,7 @@ and blank lines are ignored.  Vertices are 0-based integers everywhere.
 """
 from __future__ import annotations
 
+import io
 import json
 import sys
 from typing import Iterator
@@ -112,15 +113,19 @@ def parse_order(text: str) -> PartialOrder:
 
 
 def _read_source(path: str) -> str:
-    """The text of ``path``, '-' for standard input, less one leading
-    byte-order mark."""
+    """The text of ``path``, '-' for standard input, decoded alike from both
+    whatever the locale: strict UTF-8 less one leading byte-order mark, with
+    line breaks translated as ``open`` translates them."""
     if path == "-":
-        return sys.stdin.read().removeprefix("\ufeff")
-    with open(path, "r", encoding="utf-8-sig") as handle:
+        name, data = "standard input", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            name, data = path, handle.read()
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as text:
         try:
-            return handle.read()
+            return text.read()
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+            raise ParseError(f"{name} is not UTF-8 text: {exc.reason}") from None
 
 
 def load_graph(path: str) -> Graph:

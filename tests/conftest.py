@@ -7,8 +7,9 @@ from simpletri import orders, recognition
 from simpletri.exhaustive import all_graphs, all_partial_orders
 from simpletri.graphs import (_components, complement, is_cocomparability_ordering,
                               is_comparability_ordering, transitive_orientation)
-from simpletri.patterns import search_orderings
 from simpletri.recognition import recognize
+
+from references import counting_backtracks
 
 Facts = namedtuple("Facts", "g complement t decided components apex")
 
@@ -63,43 +64,19 @@ def recognition_results(small_graphs):
     }
 
 
-def count_backtracks(monkeypatch, module):
-    """Counts of the searches inside ``module``, of the branches they refuse
-    and of their backtracks, read from the yield stream.  A backtrack is a
-    refused branch that leaves the path to the first complete ordering, or
-    to the root when the search ends without one."""
-    counts = {"searches": 0, "refused": 0, "backtracks": 0}
-
-    def tally(refused, path):
-        counts["refused"] += len(refused)
-        counts["backtracks"] += sum(b[:-1] != path[:len(b) - 1] for b in refused)
-
-    def counted(*args):
-        counts["searches"] += 1
-        refused = []
-        for ordering, hit in search_orderings(*args):
-            if hit is None:
-                tally(refused, ordering)
-                refused = []
-            else:
-                refused.append(ordering)
-            yield ordering, hit
-        tally(refused, ())
-
-    monkeypatch.setattr(module, "search_orderings", counted)
-    return counts
+@pytest.fixture
+def backtracks():
+    """:func:`references.counting_backtracks` for the 2-SAT rule searches of
+    ``orders``."""
+    with counting_backtracks(orders) as counts:
+        yield counts
 
 
 @pytest.fixture
-def backtracks(monkeypatch):
-    """:func:`count_backtracks` for the 2-SAT rule searches of ``orders``."""
-    return count_backtracks(monkeypatch, orders)
-
-
-@pytest.fixture
-def least_backtracks(monkeypatch):
-    """:func:`count_backtracks` for the step-2 searches that
+def least_backtracks():
+    """:func:`references.counting_backtracks` for the step-2 searches that
     ``recognition.recognize`` runs at the leaves of its walk.  The step 2 of
     its decisions (``recognition._decide``) runs in ``orders`` and is not
     counted, so ``searches`` is the number of leaves that reach step 2."""
-    return count_backtracks(monkeypatch, recognition)
+    with counting_backtracks(recognition) as counts:
+        yield counts

@@ -6,16 +6,35 @@ engine's bitmask kernels (``graphs.find_pattern``,
 ``graphs.fulfills_c4_rule``).  These references share no code with either: a
 scan of every tuple of positions, and the C4 rule read off the list of
 induced 4-cycles, as the rule is defined.  The helpers below them are the
-brute-force definitions that only tests use: orientations built from and
+brute-force definitions that only tests and the check scripts under
+``scripts/`` use: orientations built from and
 read as arc sets, an acyclic union of two orientations, interval orders by
 their predecessor sets, and realizations found on the endpoint grid.
+
+The engine's plain searches are references too: the ungated search for
+apex orderings, whose first answer is the least apex ordering, and step 2's
+search with a ``PatternRule`` on p1 and p2, whose first answer is the first
+extension without a 4-anticycle.  ``counting_backtracks`` counts what a
+search backtracks, and the prism and the 3-crown are a rejected graph and
+a rejected order that tests and scripts build on.  The scripts import this
+module too, so nothing here may import hypothesis.
 """
+import time
+from contextlib import contextmanager
 from itertools import combinations, permutations
 
 from simpletri._bits import iter_bits
 from simpletri.errors import LimitExceeded
 from simpletri.graphs import Orientation, _check_orients, complement
+from simpletri.patterns import APEX_PATTERNS, PATTERN_P1, PATTERN_P2, PatternRule, search_orderings
 from simpletri.triangles import TriangleRepresentation, verify_representation
+
+# The triangular prism, the incomparability graph of the 3-crown below.
+PRISM_EDGES = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]
+# The relations of the 3-crown: each of 0, 1, 2 below two of 3, 4, 5.
+CROWN_RELATIONS = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
+INTERVAL_PATTERNS = (("p1", PATTERN_P1), ("p2", PATTERN_P2))
+CAPPED = "capped"
 
 
 def scan_pattern(g, ordering, pattern):
@@ -28,6 +47,65 @@ def scan_pattern(g, ordering, pattern):
         ):
             return verts
     return None
+
+
+def avoids_apex_patterns(g, sigma):
+    """The definition of an apex ordering, by the tuple scan."""
+    return all(scan_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
+
+
+def ungated_search(g, deadline=None):
+    """First ordering the engine search clears of cpc, p1 and p2, without
+    the decision step, or None; ``CAPPED`` once ``time.perf_counter()``
+    passes ``deadline``, which is read every 1,024 steps."""
+    search = search_orderings((0,) * g.n, PatternRule(g.adj, APEX_PATTERNS))
+    for i, (ordering, hit) in enumerate(search):
+        if hit is None:
+            return ordering
+        if deadline is not None and not i % 1024 and time.perf_counter() > deadline:
+            return CAPPED
+    return None
+
+
+def engine_extension(p):
+    """First extension of ``p`` without a 4-anticycle by the plain pattern
+    search, or None."""
+    comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
+    search = search_orderings(p.pred, PatternRule(comparable, INTERVAL_PATTERNS))
+    return next((o for o, hit in search if hit is None), None)
+
+
+@contextmanager
+def counting_backtracks(module):
+    """Replace ``module.search_orderings`` by itself counting, from its yield
+    stream, the searches, the branches they refuse and their backtracks;
+    yields the counts and puts the search back on exit.  A backtrack is a
+    refused branch that leaves the path to the next complete ordering, or
+    to the root when the search ends without one."""
+    counts = {"searches": 0, "refused": 0, "backtracks": 0}
+    search = module.search_orderings
+
+    def tally(refused, path):
+        counts["refused"] += len(refused)
+        counts["backtracks"] += sum(b[:-1] != path[:len(b) - 1] for b in refused)
+
+    def counted(*args):
+        counts["searches"] += 1
+        refused = []
+        for ordering, hit in search(*args):
+            if hit is None:
+                tally(refused, ordering)
+                refused = []
+            else:
+                refused.append(ordering)
+            yield ordering, hit
+        tally(refused, ())
+
+    module.search_orderings = counted
+    try:
+        yield counts
+    finally:
+        module.search_orderings = search
 
 
 def induced_four_cycles(g):

@@ -1,8 +1,11 @@
-"""Hypothesis strategies shared by the property tests."""
+"""Hypothesis strategies shared by the property tests, and a seeded draw of
+triangle graphs."""
+from itertools import combinations
+
 import hypothesis.strategies as st
 
 from simpletri.graphs import Graph
-from simpletri.orders import PartialOrder, make_partial_order
+from simpletri.orders import make_partial_order
 
 
 @st.composite
@@ -56,3 +59,18 @@ def orders_with_extension(draw, max_n=7, min_n=0):
 @st.composite
 def orderings(draw, n):
     return tuple(draw(st.permutations(range(n))))
+
+
+def triangle_graph(rng, n):
+    """Intersection graph of n random triangles between two lines: apexes a
+    random permutation of the top line, bases a random pairing of 2n bottom
+    points.  Two are disjoint when one lies left of the other on both lines."""
+    apex = rng.sample(range(n), n)
+    points = rng.sample(range(2 * n), 2 * n)
+    base = [sorted(points[2 * v:2 * v + 2]) for v in range(n)]
+    edges = []
+    for u, v in combinations(range(n), 2):
+        left, right = (u, v) if apex[u] < apex[v] else (v, u)
+        if not base[left][1] < base[right][0]:
+            edges.append((u, v))
+    return Graph.from_edges(n, edges)

@@ -6,13 +6,12 @@ every accepted pair) is computed once per module.
 """
 import os
 import random
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 
 from simpletri.errors import NotApexOrdering, NotSimpleTriangle
 from simpletri.exhaustive import (
-    all_graphs,
     naturally_ordered_relations,
     random_linear_extension,
     random_partial_order,
@@ -25,10 +24,8 @@ from simpletri.graphs import (
     fulfills_2k2_rule,
     fulfills_c4_rule,
     is_cocomparability_ordering,
-    is_comparability_ordering,
     transitive_orientation,
     PATTERN_CP,
-    PATTERN_CPC,
     PATTERN_P1,
     PATTERN_P2,
 )
@@ -281,20 +278,14 @@ def test_07_every_transitive_complement_orientation_extends(
                 assert all_transitive_complements_extend(g), sorted(g.edges)
 
 
-def test_08_permutation_graphs_are_accepted(small_graphs, recognition_results):
+def test_08_permutation_graphs_are_accepted(small_graphs, recognition_results,
+                                           ordering_predicates):
     """Graphs with both a comparability and a cocomparability ordering are
     never rejected."""
     found_permutation_graphs = 0
     for n in range(6):
         for g, rec in zip(small_graphs[n], recognition_results[n]):
-            has_comp = any(
-                is_comparability_ordering(g, sigma)
-                for sigma in permutations(range(n))
-            )
-            has_cocomp = any(
-                is_cocomparability_ordering(g, sigma)
-                for sigma in permutations(range(n))
-            )
+            has_cocomp, has_comp = map(any, zip(*ordering_predicates[g]))
             if has_comp and has_cocomp:
                 found_permutation_graphs += 1
                 assert rec is not None, sorted(g.edges)

@@ -30,7 +30,6 @@ from simpletri import recognition
 from simpletri._bits import iter_bits
 from simpletri.exhaustive import random_partial_order
 from simpletri.graphs import (
-    APEX_PATTERNS,
     Graph,
     Orientation,
     cycle_graph,
@@ -40,10 +39,10 @@ from simpletri.graphs import (
 from simpletri.io import load_graph
 from simpletri.oracles import enumerate_orientations
 from simpletri.orders import PartialOrder
-from simpletri.patterns import PatternRule, search_orderings
 from simpletri.recognition import check_apex_ordering, is_simple_triangle, recognize
 from simpletri.twosat import IntervalFormula
 
+from references import ungated_search
 from strategies import graphs
 
 SEED = 20261018
@@ -51,12 +50,6 @@ SEED = 20261018
 
 def fixture(name):
     return os.path.join(os.path.dirname(__file__), "fixtures", name)
-
-
-def ungated_search(g):
-    """First ordering the engine clears without the decision step, or None."""
-    search = search_orderings((0,) * g.n, PatternRule(g.adj, APEX_PATTERNS))
-    return next((o for o, hit in search if hit is None), None)
 
 
 def reference_transitive_orientation(g):

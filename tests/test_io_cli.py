@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import random
 import sys
@@ -27,7 +28,7 @@ from simpletri.orders import PartialOrder, make_partial_order
 from simpletri.triangles import TriangleRepresentation, verify_representation
 
 from references import c4_rule_by_cycles, scan_pattern
-from strategies import graphs, partial_orders
+from strategies import graphs, partial_orders, triangle_graph
 
 C4_TEXT = "4\n0 1\n1 2\n2 3\n3 0\n"
 C5_TEXT = "5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
@@ -275,6 +276,11 @@ def empty_file(tmp_path):
     return str(path)
 
 
+def feed_stdin(monkeypatch, data, encoding="utf-8"):
+    """Make ``sys.stdin`` a text stream of ``encoding`` over the bytes ``data``."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding=encoding))
+
+
 class TestCliRecognize:
     def test_accept(self, c4_file, capsys):
         assert main(["recognize", c4_file]) == 0
@@ -303,10 +309,25 @@ class TestCliRecognize:
         assert capsys.readouterr().out == ""
 
     def test_stdin(self, capsys, monkeypatch):
-        import io as _io
-
-        monkeypatch.setattr("sys.stdin", _io.StringIO(C4_TEXT))
+        feed_stdin(monkeypatch, C4_TEXT.encode("utf-8"))
         assert main(["recognize", "-"]) == 0
+
+    @pytest.mark.parametrize("data", [b"2\n0 1\n\xff\n", b"2\n# \xff\n0 1\n",
+                                      b"\xef\xbb\xbf2\n0 1\n"], ids=["bad", "bad-comment", "bom"])
+    @pytest.mark.parametrize("locale", ["utf-8", "latin-1"])
+    def test_stdin_is_decoded_as_a_file_is(self, data, locale, tmp_path, capsys, monkeypatch):
+        """Standard input is strict UTF-8 less one leading byte-order mark,
+        whatever encoding ``sys.stdin`` was opened with."""
+        path = tmp_path / "g.graph"
+        path.write_bytes(data)
+        code = main(["recognize", str(path)])
+        expected = capsys.readouterr()
+        assert code == (0 if data.startswith(b"\xef\xbb\xbf") else 2)
+        feed_stdin(monkeypatch, data, locale)
+        assert main(["recognize", "-"]) == code
+        got = capsys.readouterr()
+        assert got.out == expected.out
+        assert got.err == expected.err.replace(str(path), "standard input")
 
     def test_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.graph"
@@ -335,8 +356,6 @@ class TestCliRecognize:
         (["recognize"], C4_TEXT), (["order", "recognize"], CROWN_TEXT)])
     def test_leading_byte_order_mark_is_dropped(self, command, text, tmp_path, capsys,
                                                 monkeypatch):
-        import io as _io
-
         plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
         plain.write_text(text, encoding="utf-8")
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
@@ -344,7 +363,7 @@ class TestCliRecognize:
         expected = capsys.readouterr()
         assert main([*command, str(marked)]) == code
         assert capsys.readouterr() == expected
-        monkeypatch.setattr("sys.stdin", _io.StringIO("\ufeff" + text))
+        feed_stdin(monkeypatch, b"\xef\xbb\xbf" + text.encode("utf-8"))
         assert main([*command, "-"]) == code
         assert capsys.readouterr() == expected
 
@@ -420,6 +439,12 @@ class TestEmptyOrdering:
         assert main([*command, str(path), ""]) == 2
         assert "not a permutation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["check-ordering"], ["order", "intervals"]])
+    def test_zero_elements_take_the_empty_ordering(self, command, empty_file, capsys):
+        assert main([*command, empty_file, "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ordering '0' must be empty: the input has no elements\n")
+
 
 class TestCliCheckOrdering:
     def test_accepted(self, c4_file, capsys):
@@ -483,21 +508,6 @@ class TestCliCheckOrdering:
         assert set(exits) == {0, 1}
         assert {"C4 rule: yes", "C4 rule: no"} <= seen
         assert {name for name, _ in APEX_PATTERNS} <= {line.split(":")[0] for line in seen}
-
-
-def triangle_graph(rng, n):
-    """Intersection graph of n random triangles between two lines: two are
-    disjoint when one lies left of the other on both lines."""
-    apex = rng.sample(range(n), n)
-    points = rng.sample(range(2 * n), 2 * n)
-    base = [sorted(points[2 * v:2 * v + 2]) for v in range(n)]
-
-    def left(u, v):
-        return apex[u] < apex[v] and base[u][1] < base[v][0]
-
-    return Graph.from_edges(
-        n, [(u, v) for u, v in combinations(range(n), 2) if not (left(u, v) or left(v, u))]
-    )
 
 
 class TestCliOrder:

@@ -43,21 +43,25 @@ from simpletri.orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from simpletri.patterns import PATTERN_P1, PATTERN_P2
 from simpletri.recognition import recognize
 from simpletri.triangles import TriangleRepresentation, triangles_disjoint, verify_representation
 
-from references import grid_search_realization, scan_pattern, union_is_acyclic
+from references import (
+    CROWN_RELATIONS,
+    INTERVAL_PATTERNS,
+    PRISM_EDGES,
+    grid_search_realization,
+    scan_pattern,
+    union_is_acyclic,
+)
 from strategies import partial_orders
 
 C4 = cycle_graph(4)
 C5 = cycle_graph(5)
-PRISM = Graph.from_edges(
-    6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-)
+PRISM = Graph.from_edges(6, PRISM_EDGES)
 C5_PLUS_ISOLATED = Graph.from_edges(6, sorted(C5.edges))
 C5_PLUS_UNIVERSAL = Graph.from_edges(6, sorted(C5.edges) + [(v, 5) for v in range(5)])
-CROWN = make_partial_order(6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)])
+CROWN = make_partial_order(6, CROWN_RELATIONS)
 
 
 def sampled_six_vertex_graphs():
@@ -231,7 +235,7 @@ class TestTwoPlusTwoDrop:
             drop, kept = _two_plus_two_orderings(g.n, complement(g).adj), _transitive_orderings(g)
             for k, sigma in enumerate(permutations(range(g.n))):
                 if kept >> k & 1:
-                    hit = any(scan_pattern(g, sigma, pat) for pat in (PATTERN_P1, PATTERN_P2))
+                    hit = any(scan_pattern(g, sigma, pat) for _, pat in INTERVAL_PATTERNS)
                     assert (drop >> k & 1) == hit, (sorted(g.edges), sigma)
 
     def test_drop_is_a_four_anticycle_on_order_extensions(self):

@@ -22,7 +22,7 @@ from simpletri.exhaustive import (
     random_partial_order,
     relabel_order,
 )
-from simpletri.graphs import APEX_PATTERNS, PATTERN_P1, PATTERN_P2, Graph
+from simpletri.graphs import APEX_PATTERNS, Graph
 from simpletri.orders import (
     enumerate_linear_extensions,
     find_alternating_anticycle,
@@ -33,11 +33,9 @@ from simpletri.orders import (
 from simpletri.patterns import OrderedPattern, PatternRule, search_orderings
 from simpletri.recognition import recognize, rejection_certificates
 
-from references import scan_pattern
+from references import CROWN_RELATIONS, INTERVAL_PATTERNS, avoids_apex_patterns, scan_pattern
 
 SEED = 20261017
-CROWN = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
-INTERVAL_PATTERNS = (("p1", PATTERN_P1), ("p2", PATTERN_P2))
 
 
 def random_graph(rng, n):
@@ -56,7 +54,7 @@ def crown_or_random_order(rng, i, n):
     rest = [(u + 6, v + 6) for u, v in random_partial_order(rng, n - 6).pairs]
     labels = list(range(n))
     rng.shuffle(labels)
-    return relabel_order(make_partial_order(n, CROWN + rest), tuple(labels))
+    return relabel_order(make_partial_order(n, CROWN_RELATIONS + rest), tuple(labels))
 
 
 def split_stream(pred, rule):
@@ -114,8 +112,7 @@ def test_two_plus_two_rule_is_the_p1_p2_pair():
         for p in naturally_ordered_relations(n):
             comparability = Graph(n, p.pairs)
             clean = all(
-                scan_pattern(comparability, ext, pat) is None
-                for pat in (PATTERN_P1, PATTERN_P2)
+                scan_pattern(comparability, ext, pat) is None for _, pat in INTERVAL_PATTERNS
             )
             assert (find_alternating_anticycle(p, ext, k_max=2) is None) == clean
             checked += 1
@@ -135,7 +132,7 @@ def test_order_recognition_matches_enumerate_then_filter():
             rest = [(u + 6, v + 6) for u, v in random_partial_order(rng, n - 6).pairs]
             labels = list(range(n))
             rng.shuffle(labels)
-            p = relabel_order(make_partial_order(n, CROWN + rest), tuple(labels))
+            p = relabel_order(make_partial_order(n, CROWN_RELATIONS + rest), tuple(labels))
         expected = next(
             (
                 ext
@@ -160,12 +157,7 @@ def test_graph_recognition_matches_permutation_scan():
             n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
         )
         expected = next(
-            (
-                sigma
-                for sigma in permutations(range(n))
-                if all(scan_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
-            ),
-            None,
+            (sigma for sigma in permutations(range(n)) if avoids_apex_patterns(g, sigma)), None
         )
         got = recognize(g)
         assert (None if got is None else got[0]) == expected, sorted(g.edges)
@@ -182,11 +174,7 @@ def test_graph_search_yields_exactly_the_clean_permutations(small_graphs):
     graphs += [random_graph(rng, rng.randint(6, 7)) for _ in range(6)]
     outcomes = set()
     for g in graphs:
-        clean = [
-            sigma
-            for sigma in permutations(range(g.n))
-            if all(scan_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
-        ]
+        clean = [sigma for sigma in permutations(range(g.n)) if avoids_apex_patterns(g, sigma)]
         complete, pruned = split_stream((0,) * g.n, PatternRule(g.adj, APEX_PATTERNS))
         assert complete == clean, sorted(g.edges)
         assert_certificates(g, APEX_PATTERNS, pruned, clean)

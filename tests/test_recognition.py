@@ -36,7 +36,7 @@ from simpletri.triangles import (
 )
 from simpletri.orders import build_interval_representation
 
-from references import scan_pattern
+from references import PRISM_EDGES, avoids_apex_patterns
 from strategies import graphs
 
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
@@ -44,16 +44,9 @@ from corpora import triangle_graph as triangle_instance  # noqa: E402
 
 C4 = cycle_graph(4)
 C5 = cycle_graph(5)
-PRISM = Graph.from_edges(
-    6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
-)
+PRISM = Graph.from_edges(6, PRISM_EDGES)
 
 CHAIN_TRIANGLES = TriangleRepresentation((1, 2, 3), ((1, 2), (3, 4), (5, 6)))
-
-
-def avoids_apex_patterns(g, sigma):
-    """The definition of an apex ordering, by the tuple scan."""
-    return all(scan_pattern(g, sigma, pat) is None for _, pat in APEX_PATTERNS)
 
 
 def triangle_graph(rng, n):

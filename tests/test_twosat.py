@@ -13,7 +13,6 @@ triangle graphs with n = 40, and pin the two families that were exponential
 before.
 """
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,14 +25,13 @@ from simpletri.orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from simpletri.patterns import PATTERN_P1, PATTERN_P2, PatternRule, search_orderings
+from simpletri.patterns import search_orderings
 from simpletri.recognition import apex_ordering, is_simple_triangle, realize
 from simpletri.triangles import verify_representation
 from simpletri.twosat import IntervalFormula
 
-from strategies import orders_with_extension
-
-CROWN = [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
+from references import CROWN_RELATIONS, PRISM_EDGES, engine_extension
+from strategies import orders_with_extension, triangle_graph
 
 # No order with n <= 6 needs the negation branch of ``satisfiable``; this one does.
 FIRST_LITERAL_CONFLICTS = {
@@ -41,13 +39,6 @@ FIRST_LITERAL_CONFLICTS = {
     4: (5, 7, 8, 11, 12), 5: (7,), 6: (1, 5, 7, 9, 11, 12), 8: (5, 7), 9: (7, 12),
     10: (4, 5, 7, 8, 9, 11, 12), 11: (7, 12), 12: (7,),
 }
-
-
-def engine_extension(p):
-    """First extension without a 4-anticycle by the plain pattern search."""
-    comparable = tuple(s | q for s, q in zip(p.succ, p.pred))
-    search = search_orderings(p.pred, PatternRule(comparable, (("p1", PATTERN_P1), ("p2", PATTERN_P2))))
-    return next((o for o, hit in search if hit is None), None)
 
 
 def test_verdict_matches_the_search_on_naturally_ordered_relations(backtracks):
@@ -83,7 +74,7 @@ def test_recognizer_matches_the_search_on_small_orders(small_orders, backtracks)
 def test_transitivity_clauses():
     # the 2+2 clauses alone are met by an intransitive assignment; only
     # transitivity with one relation makes the 3-crown's formula unsatisfiable
-    p = make_partial_order(6, CROWN)
+    p = make_partial_order(6, CROWN_RELATIONS)
     assert not IntervalFormula(p).satisfiable()
 
 
@@ -164,7 +155,7 @@ def masks(n, literals):
 
 
 @given(orders_with_extension(max_n=8))
-@example((make_partial_order(8, CROWN), tuple(range(8))))  # unsatisfiable
+@example((make_partial_order(8, CROWN_RELATIONS), tuple(range(8))))  # unsatisfiable
 @example((make_partial_order(4, [(0, 2), (1, 3)]), (0, 1, 2, 3)))  # 1 is refused
 @settings(max_examples=100, deadline=None)
 def test_propagation_matches_a_naive_fixpoint(case):
@@ -201,26 +192,12 @@ def test_formula_is_sized_by_the_incomparable_pairs():
     # the formula keeps a few masks per element and no list of clauses
     n = 1006
     chain = [(v, v + 1) for v in range(6, n - 1)]
-    p = make_partial_order(n, CROWN + [(u, 6) for u in range(6)] + chain)
+    p = make_partial_order(n, CROWN_RELATIONS + [(u, 6) for u in range(6)] + chain)
     formula = IntervalFormula(p)
     state = [v for v in vars(formula).values() if not isinstance(v, int)]
     assert state and all(len(v) == n for v in state)
     assert sum(bin(m).count("1") for m in formula.inc) == 18
     assert not formula.satisfiable()
-
-
-def triangle_graph(rng, n):
-    """Intersection graph of n triangles: apexes a random permutation of the
-    top line, bases a random pairing of 2n bottom points."""
-    apex = rng.sample(range(n), n)
-    points = rng.sample(range(2 * n), 2 * n)
-    base = [sorted(points[2 * v: 2 * v + 2]) for v in range(n)]
-    edges = []
-    for u, v in combinations(range(n), 2):
-        left, right = (u, v) if apex[u] < apex[v] else (v, u)
-        if not base[left][1] < base[right][0]:
-            edges.append((u, v))
-    return Graph.from_edges(n, edges)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -251,11 +228,10 @@ def one_abandoned_branch(monkeypatch):
 
 
 def test_crown_with_six_free_elements_is_rejected_at_once(one_abandoned_branch):
-    assert recognize_linear_interval_order(make_partial_order(12, CROWN)) is None
+    assert recognize_linear_interval_order(make_partial_order(12, CROWN_RELATIONS)) is None
 
 
 def test_prism_with_six_universal_vertices_is_rejected_at_once(one_abandoned_branch):
     n = 12
-    prism = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)]
     universal = [(u, v) for v in range(6, n) for u in range(v)]
-    assert not is_simple_triangle(Graph.from_edges(n, prism + universal))
+    assert not is_simple_triangle(Graph.from_edges(n, PRISM_EDGES + universal))
