@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .errors import ParseError, SimpleTriError
 from .graphs import APEX_PATTERNS, find_pattern, fulfills_c4_rule
-from .io import emit_representation, load_graph, load_order
+from .io import _natural, emit_representation, load_graph, load_order
 from .oracles import (
     DEFAULT_LIMIT,
     all_transitive_complements_extend,
@@ -41,7 +41,7 @@ REJECT_MESSAGE = "not a simple-triangle graph"
 
 def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
     try:
-        ordering = tuple(int(part) for part in text.split(",")) if text else ()
+        ordering = tuple(_natural(part.strip()) for part in text.split(",")) if text else ()
     except ValueError:
         raise ParseError(f"ordering {text!r} is not a comma-separated int list") from None
     if sorted(ordering) != list(range(n)):

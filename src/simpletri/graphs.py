@@ -165,10 +165,8 @@ def _instances(g: Graph, ordering: Sequence[int], patterns):
             row |= bit[low.bit_length() - 1]
             adj ^= low
         by_position.append(row)
-    rule = PatternRule(by_position, patterns)
-    for v in range(g.n - 1):
-        if rule.place(v, rule.full & ~((2 << v) - 1)) is None:
-            yield rule.hit[1]
+    for _, witness in PatternRule(by_position, patterns).hits(range(g.n)):
+        yield witness
 
 
 def find_pattern(

@@ -54,13 +54,21 @@ def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
         start = end
 
 
+def _natural(text: str) -> int:
+    """``text`` as an integer, ASCII digits only: ``int`` alone also takes
+    a sign, ``_`` separators and other scripts' digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _read_count(lines, what: str) -> tuple[int, object]:
     try:
         lineno, line = next(lines)
     except StopIteration:
         raise ParseError(f"empty {what} file") from None
     try:
-        n = int(line)
+        n = _natural(line)
     except ValueError:
         raise ParseError(f"expected {what} size, got {line!r}", lineno) from None
     if not 0 <= n <= MAX_VERTICES:
@@ -77,7 +85,7 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _natural(parts[0]), _natural(parts[1])
         except ValueError:
             raise ParseError(f"non-integer endpoint in {line!r}", lineno) from None
         if not (0 <= u < n and 0 <= v < n):
@@ -103,7 +111,7 @@ def parse_order(text: str) -> PartialOrder:
         if len(parts) != 3 or parts[1] != "<":
             raise ParseError(f"expected 'u < v', got {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[2])
+            u, v = _natural(parts[0]), _natural(parts[2])
         except ValueError:
             raise ParseError(f"non-integer element in {line!r}", lineno) from None
         if not (0 <= u < n and 0 <= v < n):

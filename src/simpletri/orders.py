@@ -8,11 +8,11 @@ The central construction takes a partial order P together with a linear
 extension L and peels elements off in rounds, assigning integer interval
 endpoints as it goes.  When it succeeds, the produced intervals induce an
 interval order P_I with ``linear_order(L) ∩ P_I == P``.  When the peeling
-stalls, the extension contains an alternating 4-anticycle (the 2+2 rule),
-and the first one is returned as a certificate that no such interval order
-exists for this extension.  Linear extensions are enumerated by the
-search engine of :mod:`simpletri.patterns` that also recognizes
-simple-triangle graphs.  Linear-interval orders are recognized by that
+stalls, the extension contains a 4-anticycle (the 2+2 rule), and the first
+along L, named by the p1/p2 kernels of :mod:`simpletri.patterns`, is
+returned as a certificate that no such interval order exists for this
+extension.  Linear extensions are enumerated by the search engine of
+:mod:`simpletri.patterns` that also recognizes simple-triangle graphs.  Linear-interval orders are recognized by that
 engine too, pruned by the 2-SAT relaxation of :mod:`simpletri.twosat`,
 which rejects in polynomial time when unsatisfiable.
 """
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from ._bits import iter_bits, lowest_bit
 from .errors import CycleError, NotAnExtension, SizeMismatch
-from .patterns import search_orderings
+from .patterns import PATTERN_P1, PATTERN_P2, PatternRule, search_orderings
 from .twosat import IntervalFormula
 
 __all__ = [
@@ -112,32 +112,23 @@ class IntervalRepresentation:
 
 @dataclass(frozen=True)
 class Anticycle:
-    """Alternating anticycle certificate against a pair (P, L).
+    """4-anticycle of a pair (P, L), that is, a violation of the 2+2 rule.
 
-    Holds 2k distinct elements with ``a[i]`` below ``b[i]`` in P, while
-    ``a[i+1]`` precedes ``b[i]`` only in L (indices mod k).  k == 2 is
-    exactly a violation of the 2+2 rule.
+    Two pairs of four distinct elements, ``a == (a0, a1)`` and
+    ``b == (b0, b1)``: a0 below b0 and a1 below b1 in P, while a1 precedes
+    b0 and a0 precedes b1 in L only.  By the 2+2 rule no longer anticycle
+    needs a certificate (:func:`find_alternating_anticycle`).
     """
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    a: tuple[int, int]
+    b: tuple[int, int]
 
     def __post_init__(self):
-        if len(self.a) != len(self.b) or len(self.a) < 2:
-            raise ValueError("anticycle needs k >= 2 paired element lists")
-        if len(set(self.a) | set(self.b)) != 2 * len(self.a):
-            raise ValueError("anticycle elements must be distinct")
+        if len(self.a) != 2 or len(self.b) != 2 or len({*self.a, *self.b}) != 4:
+            raise ValueError("anticycle needs two pairs of four distinct elements")
 
-    @property
-    def k(self) -> int:
-        return len(self.a)
-
-    def elements(self) -> tuple[int, ...]:
-        out = []
-        for x, y in zip(self.a, self.b):
-            out.append(x)
-            out.append(y)
-        return tuple(out)
+    def elements(self) -> tuple[int, int, int, int]:
+        return self.a[0], self.b[0], self.a[1], self.b[1]
 
 
 def make_partial_order(n: int, relations: Iterable[tuple[int, int]]) -> PartialOrder:
@@ -221,63 +212,51 @@ def _dashed_masks(p: PartialOrder, order: Sequence[int]) -> list[int]:
     return [later & ~s for later, s in zip(_later_masks(order), p.succ)]
 
 
-def _four_anticycle(p: PartialOrder, dashed: list[int]) -> Optional[Anticycle]:
-    """First 4-anticycle in the lexicographic scan of (a0, b0, a1, b1), or None.
-
-    a0 and a1 lie below b0 and b1 in P, while b0 is dashed from a1 and b1
-    from a0, so a1 is drawn from the elements with a successor dashed from
-    a0.  The four elements are then distinct, since an element dashed from
-    u is neither u nor above u.
-    """
-    succ = p.succ
-    for a0 in range(p.n):
-        if not dashed[a0]:
-            continue
-        reach = [u for u in range(p.n) if succ[u] & dashed[a0]]
-        for b0 in iter_bits(succ[a0]):
-            for a1 in reach:
-                if dashed[a1] >> b0 & 1:
-                    return Anticycle((a0, a1), (b0, lowest_bit(succ[a1] & dashed[a0])))
-    return None
+def _first_anticycle(p: PartialOrder, order: Sequence[int]) -> Anticycle:
+    """First 4-anticycle along the extension ``order``: the first p1 or p2
+    instance (x0, x1, y0, y1) on P's comparability graph that a
+    ``PatternRule`` placed along ``order``, on P's own labels, hits.  In P,
+    p1 puts x0 below y0 and x1 below y1, and p2 x0 below y1 and x1 below
+    y0, with the other two pairs incomparable."""
+    comparable = [s | q for s, q in zip(p.succ, p.pred)]
+    rule = PatternRule(comparable, (("p1", PATTERN_P1), ("p2", PATTERN_P2)))
+    for name, (x0, x1, y0, y1) in rule.hits(order):
+        return Anticycle((x0, x1), (y0, y1) if name == "p1" else (y1, y0))
+    raise RuntimeError("peeling stalled without a 4-anticycle")
 
 
 def find_alternating_anticycle(
     p: PartialOrder, order: Sequence[int], k_max: Optional[int] = None
 ) -> Optional[Anticycle]:
-    """Smallest alternating anticycle of the extension ``order``, if any.
+    """The 4-anticycle of the extension ``order`` that
+    :func:`build_interval_representation` returns, or None when it builds
+    intervals or ``k_max``, kept for callers that pass 2, is below 2.
 
-    Returns None when ``k_max`` (default n // 2) is below 2, and otherwise
-    the first 4-anticycle in the lexicographic scan of (a0, b0, a1, b1).
-    No longer anticycle needs a search, by the 2+2 rule: an extension L
-    without a 4-anticycle has intervals whose interval order I satisfies
-    L ∩ I = P, and such intervals admit no anticycle of any length.  There
-    a[i] below b[i] in P gives r(a[i]) < l(b[i]), while a[i+1] before b[i]
-    in L but not below it in P gives r(a[i+1]) >= l(b[i]), so
-    r(a0) < r(a1) < ... < r(a0).
+    No longer alternating anticycle needs a search, by the 2+2 rule: an
+    extension L without a 4-anticycle has intervals whose interval order I
+    satisfies L ∩ I = P, and such intervals admit no anticycle of any
+    length.  There a[i] below b[i] in P gives r(a[i]) < l(b[i]), while
+    a[i+1] before b[i] in L but not below it in P gives
+    r(a[i+1]) >= l(b[i]), so r(a0) < r(a1) < ... < r(a0).
     Raises :class:`NotAnExtension` when ``order`` does not extend ``p``.
     """
-    if not is_linear_extension(p, order):
-        raise NotAnExtension(f"{tuple(order)!r} does not extend the order")
-    if k_max is None:
-        k_max = p.n // 2
-    if k_max < 2:
-        return None
-    return _four_anticycle(p, _dashed_masks(p, order))
+    out = build_interval_representation(p, order)
+    if isinstance(out, Anticycle) and (k_max is None or k_max >= 2):
+        return out
+    return None
 
 
 def is_valid_anticycle(p: PartialOrder, order: Sequence[int], ac: Anticycle) -> bool:
-    """Check an anticycle certificate against the pair (p, order)."""
+    """Check an anticycle certificate against the pair (p, order): the 2+2
+    relations, a0 below b0 and a1 below b1 in p, while a1 precedes b0 and a0
+    precedes b1 in ``order`` without preceding them in p."""
     pos = _positions(order)
-    k = ac.k
-    for i in range(k):
-        nxt = (i + 1) % k
-        if not p.less(ac.a[i], ac.b[i]):
-            return False
-        if not pos[ac.a[nxt]] < pos[ac.b[i]]:
-            return False
-        if p.less(ac.a[nxt], ac.b[i]):
-            return False
-    return True
+    (a0, a1), (b0, b1) = ac.a, ac.b
+    return (
+        p.less(a0, b0) and p.less(a1, b1)
+        and pos[a1] < pos[b0] and not p.less(a1, b0)
+        and pos[a0] < pos[b1] and not p.less(a0, b1)
+    )
 
 
 def build_interval_representation(
@@ -293,9 +272,10 @@ def build_interval_representation(
     extension without being above it in the order.
 
     Returns the interval representation on success.  If a round retires
-    nothing, the extension has a 4-anticycle, and the first one, the same as
-    :func:`find_alternating_anticycle` finds, is returned instead.  Raises
-    RuntimeError should the 2+2 rule fail and no 4-anticycle exist.
+    nothing, the extension has a 4-anticycle, and the first one along the
+    extension, a p1 or p2 instance on the comparability graph that the
+    pattern kernels name, is returned instead.  Raises RuntimeError should
+    the 2+2 rule fail and no 4-anticycle exist.
     """
     if not is_linear_extension(p, order):
         raise NotAnExtension(f"{tuple(order)!r} does not extend the order")
@@ -329,10 +309,7 @@ def build_interval_representation(
                 right[v] = tick
                 fresh |= waiting[v]
         if not retired:
-            found = _four_anticycle(p, dashed)
-            if found is None:
-                raise RuntimeError("peeling stalled without a 4-anticycle")
-            return found
+            return _first_anticycle(p, order)
         remaining &= ~retired
         in_s &= ~retired
     return IntervalRepresentation(tuple(zip(left, right)))

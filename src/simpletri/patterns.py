@@ -7,8 +7,9 @@ in ``recognition.rejection_certificates``), and ``twosat.IntervalFormula``
 by the 2-SAT relaxation of linear-interval orders, which is step 2 of both
 recognizers.  Whether a given ordering is an apex ordering is decided by
 building from it (``recognition.realize``); the rule's kernels are the one
-matcher that names a witness in it: ``graphs.find_pattern`` and the C4 and
-2K2 rules run a ``PatternRule`` along the ordering.
+matcher that names a witness in it: ``graphs.find_pattern``, the C4 and
+2K2 rules and the stall certificate of ``orders.build_interval_representation``
+place a ``PatternRule`` along an ordering (:meth:`PatternRule.hits`).
 """
 from __future__ import annotations
 
@@ -169,6 +170,15 @@ class PatternRule:
 
     def undo(self, token: bool) -> None:
         """Nothing to restore: ``upto[v]`` is rewritten whenever v is placed."""
+
+    def hits(self, ordering: Sequence[int]) -> Iterator[tuple[str, tuple[int, ...]]]:
+        """Place the whole ``ordering``, one vertex after another, and yield
+        ``hit`` at each vertex that is second to last in an instance."""
+        unplaced = self.full
+        for v in ordering:
+            unplaced ^= 1 << v
+            if self.place(v, unplaced) is None:
+                yield self.hit
 
 
 def search_orderings(

@@ -53,6 +53,8 @@ from simpletri.orders import (
 from simpletri.recognition import realize, recognize
 from simpletri.triangles import triangles_disjoint, verify_representation
 
+from references import INTERVAL_PATTERNS, scan_pattern
+
 RANDOM_SEED = 20260808
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -135,13 +137,17 @@ def test_01_order_recognition_matches_geometric_oracle(small_orders):
 
 def test_02_interval_construction_contract(small_orders):
     """Anticycle-free extensions build intervals with the exact intersection
-    property; extensions with a 4-anticycle get a valid certificate."""
+    property; extensions with a 4-anticycle get a valid certificate.  An
+    extension has one exactly when the reference scan finds p1 or p2 on the
+    comparability graph along it (``test_two_plus_two_rule_is_the_p1_p2_pair``)."""
     for n in range(6):
         for p in small_orders[n]:
+            comparability = Graph.from_edges(n, p.pairs)
             for ext in enumerate_linear_extensions(p):
-                blocked = find_alternating_anticycle(p, ext, k_max=2)
+                blocked = any(scan_pattern(comparability, ext, pat) for _, pat in INTERVAL_PATTERNS)
                 out = build_interval_representation(p, ext)
-                if blocked is None:
+                assert (find_alternating_anticycle(p, ext, k_max=2) is not None) == blocked
+                if not blocked:
                     assert isinstance(out, IntervalRepresentation)
                     assert all(1 <= lo < hi <= 2 * n for lo, hi in out.intervals)
                     assert (
@@ -150,18 +156,19 @@ def test_02_interval_construction_contract(small_orders):
                 else:
                     assert isinstance(out, Anticycle)
                     assert is_valid_anticycle(p, ext, out)
-                    assert out.k == 2 and out == blocked
     rng = random.Random(RANDOM_SEED)
     for _ in range(1000):
         p = random_partial_order(rng, rng.randint(0, 9))
         ext = random_linear_extension(rng, p)
         out = build_interval_representation(p, ext)
+        blocked = any(scan_pattern(Graph.from_edges(p.n, p.pairs), ext, pat) for _, pat in INTERVAL_PATTERNS)
+        assert isinstance(out, Anticycle) == blocked
         if isinstance(out, IntervalRepresentation):
             assert intersect_orders(linear_order(ext), out.induced_order()) == p
             assert find_alternating_anticycle(p, ext, k_max=2) is None
         else:
             assert is_valid_anticycle(p, ext, out)
-            assert out.k == 2 and out == find_alternating_anticycle(p, ext, k_max=2)
+            assert out == find_alternating_anticycle(p, ext, k_max=2)
 
 
 def test_03_any_anticycle_implies_a_short_one():
@@ -172,9 +179,10 @@ def test_03_any_anticycle_implies_a_short_one():
     Intervals with ``L ∩ I = P`` rule out anticycles of every length:
     a[i] below b[i] in P gives r(a[i]) < l(b[i]), and a[i+1] before b[i] in
     L but not below it in P gives r(a[i+1]) >= l(b[i]), so
-    r(a0) < r(a1) < ... < r(a0).  The 4-anticycle scan thus finds every
-    extension that has an anticycle.  Anticycle existence is invariant under
-    relabeling both the order and the extension (property-tested
+    r(a0) < r(a1) < ... < r(a0).  Whether L has a 4-anticycle is read by
+    the reference scan for p1 and p2 on the comparability graph, which
+    shares no code with the construction.  Anticycle existence is invariant
+    under relabeling both the order and the extension (property-tested
     separately), so scanning every order having the identity as extension
     covers all pairs; anticycles longer than 4 need six distinct elements,
     making n = 6 the first interesting size.
@@ -184,14 +192,15 @@ def test_03_any_anticycle_implies_a_short_one():
     for n in range(7):
         for p in naturally_ordered_relations(n):
             ext = tuple(range(n))
-            short = find_alternating_anticycle(p, ext, k_max=2)
+            comparability = Graph(n, p.pairs)
+            short = any(scan_pattern(comparability, ext, pat) for _, pat in INTERVAL_PATTERNS)
             out = build_interval_representation(p, ext)
-            if short is None:
+            if not short:
                 if not isinstance(out, IntervalRepresentation):
                     pytest.fail(f"no intervals without a 4-anticycle in {sorted(p.pairs)}")
                 assert intersect_orders(linear_order(ext), out.induced_order()) == p
             else:
-                assert out == short
+                assert isinstance(out, Anticycle) and is_valid_anticycle(p, ext, out)
                 with_short += 1
             total += 1
     assert total == 1 + 1 + 2 + 7 + 40 + 357 + 4824

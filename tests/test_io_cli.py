@@ -69,6 +69,15 @@ class TestParseGraph:
         with pytest.raises(ParseError):
             parse_graph("-1\n")
 
+    # int() alone reads the first two as 11 and 10, and takes the Arabic-Indic
+    # digits and the sign; str.isdigit() alone takes the superscript two
+    @pytest.mark.parametrize("text", [
+        "1_1\n", "11\n0 1_0\n", "3\n\u0660 \u0661\n", "3\n+1 2\n", "+3\n", "3\n0 \u00b2\n",
+    ])
+    def test_fields_are_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_graph(text)
+
     def test_vertex_count_cap(self):
         assert parse_graph(f"{MAX_VERTICES}\n").n == MAX_VERTICES
         with pytest.raises(ParseError):
@@ -124,6 +133,11 @@ class TestParseOrder:
     def test_parse_error(self):
         with pytest.raises(ParseError):
             parse_order("3\n0 1\n")
+
+    @pytest.mark.parametrize("text", ["1_1\n", "11\n0 < 1_0\n", "3\n\u0660 < \u0661\n", "3\n+1 < 2\n"])
+    def test_fields_are_ascii_digits(self, text):
+        with pytest.raises(ParseError):
+            parse_order(text)
 
     @given(partial_orders(max_n=7))
     @settings(max_examples=60)
@@ -463,6 +477,15 @@ class TestCliCheckOrdering:
 
     def test_bad_ordering(self, c4_file, capsys):
         assert main(["check-ordering", c4_file, "0,1,2"]) == 2
+
+    @pytest.mark.parametrize("ordering", ["\u0660,2,1,3", "+0,2,1,3", "0,2,1,0_3"])
+    def test_ordering_fields_are_ascii_digits(self, ordering, c4_file, capsys):
+        assert main(["check-ordering", c4_file, ordering]) == 2
+        assert "is not a comma-separated int list" in capsys.readouterr().err
+
+    def test_whitespace_around_ordering_fields(self, c4_file, capsys):
+        assert main(["check-ordering", c4_file, " 0, 2 ,1,3 "]) == 0
+        assert "apex ordering: yes" in capsys.readouterr().out
 
     def test_prints_what_the_reference_scans_give(self, small_graphs, tmp_path, capsys):
         """Every ordering of every graph with n <= 4, then seeded graphs with

@@ -140,9 +140,13 @@ class TestAnticycles:
         p = make_partial_order(6, [(0, 3), (1, 4), (2, 5), (0, 4), (1, 5), (2, 3)])
         ext = (0, 1, 2, 3, 4, 5)
         ac = find_alternating_anticycle(p, ext)
-        assert ac.k == 2
         assert ac.a == (0, 1) and ac.b == (3, 5)
-        assert is_valid_anticycle(p, ext, Anticycle((0, 1, 2), (3, 4, 5)))
+
+    @pytest.mark.parametrize("a, b", [((0, 1, 2), (3, 4, 5)), ((0,), (1,)), ((0, 1), (1, 2))])
+    def test_anticycle_is_two_pairs_of_four_distinct_elements(self, a, b):
+        # by the 2+2 rule only 4-anticycles occur, so a longer one is refused
+        with pytest.raises(ValueError, match="two pairs of four distinct"):
+            Anticycle(a, b)
 
     def test_not_an_extension(self):
         with pytest.raises(NotAnExtension):

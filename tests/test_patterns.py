@@ -102,10 +102,23 @@ def test_pattern_sizes_other_than_three_and_four_are_refused(size):
         OrderedPattern(size, frozenset(), frozenset())
 
 
+def interval_instances(p):
+    """Each 4-set of elements that is a p1 or p2 instance, by the scan, on
+    the comparability graph of ``p`` under the identity, with its name."""
+    for quad in combinations(range(p.n), 4):
+        sub = Graph(4, [(i, j) for i, j in combinations(range(4), 2) if p.less(quad[i], quad[j])])
+        for name, pat in INTERVAL_PATTERNS:
+            if scan_pattern(sub, range(4), pat):
+                yield quad, name
+
+
 def test_two_plus_two_rule_is_the_p1_p2_pair():
     """An extension has no 4-anticycle iff it avoids p1 and p2 on the
     comparability graph; every order with n <= 6 under the identity, which
-    covers all (order, extension) pairs up to relabeling."""
+    covers all (order, extension) pairs up to relabeling.  The certificate's
+    four elements, in extension order, are the p1 instance (a0, a1, b0, b1)
+    or the p2 instance (a0, a1, b1, b0), and the first along the extension:
+    no instance has an earlier third element."""
     checked = 0
     for n in range(7):
         ext = tuple(range(n))
@@ -114,7 +127,16 @@ def test_two_plus_two_rule_is_the_p1_p2_pair():
             clean = all(
                 scan_pattern(comparability, ext, pat) is None for _, pat in INTERVAL_PATTERNS
             )
-            assert (find_alternating_anticycle(p, ext, k_max=2) is None) == clean
+            ac = find_alternating_anticycle(p, ext, k_max=2)
+            assert (ac is None) == clean
+            if ac is not None:
+                instances = dict(interval_instances(p))
+                (a0, a1), (b0, b1) = ac.a, ac.b
+                quad = tuple(sorted(ac.elements()))
+                assert (quad, instances.get(quad)) in {
+                    ((a0, a1, b0, b1), "p1"), ((a0, a1, b1, b0), "p2")
+                }
+                assert quad[2] == min(other[2] for other in instances)
             checked += 1
     assert checked == 1 + 1 + 2 + 7 + 40 + 357 + 4824
 

@@ -1,7 +1,8 @@
-"""The check scripts under ``scripts/`` import their references from
-``tests/references.py`` and their draws from ``bench/corpora.py``; importing
-each one keeps those imports in step with the code they name.  The quick
-one also runs, and must put back the search it counts on."""
+"""Every script under ``scripts/`` imports the library, and the check
+scripts also their references from ``tests/references.py`` and their draws
+from ``bench/corpora.py``; importing each one keeps those imports in step
+with the code they name.  The quick check also runs, and must put back the
+search it counts on."""
 import importlib.util
 import os
 
@@ -10,8 +11,7 @@ import pytest
 from simpletri import orders
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts")
-CHECKS = ("check_least_ordering", "check_linear_interval_2sat", "check_oracles",
-          "check_ordering_theorem")
+SCRIPT_NAMES = sorted(name[:-3] for name in os.listdir(SCRIPTS) if name.endswith(".py"))
 
 
 def load(name):
@@ -21,7 +21,7 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("name", CHECKS)
+@pytest.mark.parametrize("name", SCRIPT_NAMES)
 def test_check_script_imports(name):
     assert callable(load(name).main)
 
