@@ -10,12 +10,13 @@ or None with it (``ungated_search`` of ``tests/references.py``, whose
 
 - on every labeled graph with at most ``--max-n`` vertices (33,868 with
   n <= 6);
-- on ``--random`` seeded graphs with n = 7-10, alternately the intersection
-  graph of random triangles (``bench/corpora.triangle_graph``) and the
-  incomparability graph of ``exhaustive.random_partial_order``.
+- on ``--random`` graphs with n = 7-10 drawn from ``random.Random(1)``,
+  alternately the intersection graph of random triangles
+  (``bench/corpora.triangle_graph``) and the incomparability graph of
+  ``exhaustive.random_partial_order``.
 
-The unpruned side stops after ``--cap`` seconds per graph; such a graph is
-counted as capped, not compared, and the cap is printed.  Over the graphs
+The unpruned side stops after ``CAP`` = 10 seconds per graph; such a graph
+is counted as capped, not compared, and the cap is printed.  Over the graphs
 above it prints how many leaves other than T the walks reached, how many
 of those ran step 2 (the others are not transitive), and how many accepted
 graphs had a step-2 run that backtracks, with the most backtracks of one
@@ -27,7 +28,7 @@ s = 0-2.  Then it prints what ``recognize`` costs over ``apex_ordering``
 (the decision alone) on ``triangle_graph`` and ``permutation_graph`` drawn
 with ``random.Random(n)``, n = 100, 300 and 1,000: the ratio of the median
 times of five rounds that call the two in turn; and both totals, with ``recognize``'s
-worst graph, over ``--relabelled`` draws: with ``rng = random.Random(7)``,
+worst graph, over ``RELABELLED`` = 400 draws: with ``rng = random.Random(7)``,
 each has n = ``rng.randint(10, 40)``, is a ``triangle_graph`` if its index
 is odd and a ``permutation_graph`` if even, and is relabelled at random
 (``corpora.relabel``).  Then it checks the component split against the
@@ -51,7 +52,7 @@ split walk 0.011 and 0.046 s against the whole walk's 1.50 and 3.78 s on
 the matchings and the unions, and the split decision 0.009 and 0.035 s
 against the whole decision's 0.132 and 0.096 s.
 
-    PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000] [--cap 10] [--seed 1] [--relabelled 400]
+    PYTHONPATH=src python scripts/check_least_ordering.py [--max-n 6] [--random 1000]
 """
 from __future__ import annotations
 
@@ -70,6 +71,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
 from corpora import permutation_graph, relabel, triangle_graph  # noqa: E402
 from references import CAPPED, counting_backtracks, ungated_search  # noqa: E402
+
+CAP = 10.0  # seconds of the unpruned search per graph
+SEED = 1
+RELABELLED = 400
 
 
 @contextmanager
@@ -126,10 +131,10 @@ def report(label: str, tally: dict, counts: dict, seconds: float) -> None:
           f"{tally['max_backtracks']} backtracks, {seconds:.1f} s")
 
 
-def relabelled(count: int):
-    """The ``--relabelled`` draws of the module doc."""
+def relabelled():
+    """The ``RELABELLED`` draws of the module doc."""
     rng = random.Random(7)
-    for i in range(count):
+    for i in range(RELABELLED):
         n = rng.randint(10, 40)
         inst = triangle_graph(rng, n) if i % 2 else permutation_graph(rng, n)
         yield Graph.from_edges(n, relabel(inst, rng).items)
@@ -197,11 +202,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--random", type=int, default=1000)
-    parser.add_argument("--cap", type=float, default=10.0)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--relabelled", type=int, default=400)
     args = parser.parse_args(argv)
-    print(f"unpruned search capped at {args.cap:g} s per graph")
+    print(f"unpruned search capped at {CAP:g} s per graph")
     bad = 0
 
     def run(label, graphs):
@@ -211,14 +213,14 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         with counting_walk() as counts:
             for g in graphs:
-                compare(g, args.cap, tally, counts)
+                compare(g, CAP, tally, counts)
         report(label, tally, counts, time.perf_counter() - t0)
         bad += tally["mismatches"]
 
     run(f"all graphs, n <= {args.max_n}",
         (g for n in range(args.max_n + 1) for g in all_graphs(n)))
     def seeded():
-        rng = random.Random(args.seed)
+        rng = random.Random(SEED)
         for i in range(args.random):
             n = rng.randint(7, 10)
             if i % 2:
@@ -226,7 +228,7 @@ def main(argv=None) -> int:
             else:
                 yield Graph.from_edges(n, triangle_graph(rng, n).items)
 
-    run(f"seeded triangle and cocomparability graphs, n = 7-10, seed {args.seed}", seeded())
+    run(f"seeded triangle and cocomparability graphs, n = 7-10, seed {SEED}", seeded())
     for n in (12, 16, 20):
         for s in range(3):
             g = Graph.from_edges(n, triangle_graph(random.Random(1000 * n + s), n).items)
@@ -253,16 +255,16 @@ def main(argv=None) -> int:
             print(f"{make.__name__}(random.Random({n}), {n}): recognize {least:.3f} s, "
                   f"apex_ordering {decision:.3f} s, ratio {least / decision:.2f}")
     least = decision = worst = 0.0
-    for g in relabelled(args.relabelled):
+    for g in relabelled():
         t0 = time.perf_counter()
         recognition.recognize(g)
         t1 = time.perf_counter()
         recognition.apex_ordering(g)
         t2 = time.perf_counter()
         least, decision, worst = least + t1 - t0, decision + t2 - t1, max(worst, t1 - t0)
-    print(f"{args.relabelled} relabelled draws, n = 10-40: recognize {least:.2f} s "
+    print(f"{RELABELLED} relabelled draws, n = 10-40: recognize {least:.2f} s "
           f"(worst graph {worst * 1000:.1f} ms), apex_ordering {decision:.2f} s")
-    bad += split_against_whole(f"seeded graphs, n = 7-10, seed {args.seed}", seeded())
+    bad += split_against_whole(f"seeded graphs, n = 7-10, seed {SEED}", seeded())
     bad += split_against_whole("relabelled perfect matchings, n = 20-200", matchings())
     bad += split_against_whole("relabelled unions of 2-5 triangle draws, n = 6-12 each",
                                triangle_unions())

@@ -22,7 +22,6 @@ from .orders import (
     Anticycle,
     build_interval_representation,
     enumerate_linear_extensions,
-    find_alternating_anticycle,
     recognize_linear_interval_order,
 )
 from .recognition import (
@@ -41,7 +40,8 @@ REJECT_MESSAGE = "not a simple-triangle graph"
 
 def _parse_ordering(text: str, n: int) -> tuple[int, ...]:
     try:
-        ordering = tuple(_natural(part.strip()) for part in text.split(",")) if text else ()
+        parts = text.split(",") if text.strip() else ()  # only whitespace: the empty ordering
+        ordering = tuple(_natural(part.strip()) for part in parts)
     except ValueError:
         raise ParseError(f"ordering {text!r} is not a comma-separated int list") from None
     if sorted(ordering) != list(range(n)):
@@ -124,8 +124,8 @@ def cmd_order_recognize(args, say) -> int:
         say("not a linear-interval order")
         first = next(enumerate_linear_extensions(p))
         _emit(say, "witness extension", first)
-        # never None: a rejected order has a 4-anticycle in every extension
-        _say_anticycle(say, find_alternating_anticycle(p, first, k_max=2))
+        # an Anticycle: a rejected order has a 4-anticycle in every extension
+        _say_anticycle(say, build_interval_representation(p, first))
         return 1
     ext, rep = result
     _emit(say, "extension", ext)

@@ -41,27 +41,18 @@ def naturally_ordered_relations(n: int) -> Iterator[PartialOrder]:
     form a down-set, and any down-set below n-1 keeps the relation
     transitive, so each order arises exactly once.
     """
-    for succ in _natural_successors(n):
-        yield PartialOrder(n, succ)
-
-
-def _natural_successors(n: int) -> Iterator[tuple[int, ...]]:
-    """Successor masks of :func:`naturally_ordered_relations`, built up."""
     if n == 0:
-        yield ()
+        yield PartialOrder(0, ())
         return
     top = 1 << (n - 1)
-    for succ in _natural_successors(n - 1):
-        pred = [0] * (n - 1)
-        for u, s in enumerate(succ):
-            for v in iter_bits(s):
-                pred[v] |= 1 << u
+    for p in naturally_ordered_relations(n - 1):
         downs = [0]
-        for v, below in enumerate(pred):
-            # pred[v] lies in 0..v-1, where every set in downs is closed already
+        for v, below in enumerate(p.pred):
+            # below lies in 0..v-1, where every set in downs is closed already
             downs += [d | 1 << v for d in downs if not below & ~d]
         for d in downs:
-            yield tuple(s | top if d >> u & 1 else s for u, s in enumerate(succ)) + (0,)
+            succ = tuple(s | top if d >> u & 1 else s for u, s in enumerate(p.succ))
+            yield PartialOrder(n, succ + (0,))
 
 
 def relabel_order(p: PartialOrder, perm: tuple[int, ...]) -> PartialOrder:

@@ -6,10 +6,10 @@ characterize comparability and cocomparability orderings, and the four-vertex
 ones are the extra obstructions of an apex ordering.  Whether an ordering is
 a (co)comparability ordering is decided by building from it: orienting the
 non-edges along it, which is transitive exactly when no cpc lies along it.
-:func:`find_pattern` and the C4 and 2K2 rules, which name a witness, run the
-search engine's :class:`~simpletri.patterns.PatternRule` along the ordering,
-on the graph relabelled by position.  Rules and predicates here are all pure
-functions over immutable values.
+:func:`find_pattern` and the C4 and 2K2 rules place the search engine's
+:class:`~simpletri.patterns.PatternRule` along the ordering, on the graph's
+own labels but for :func:`find_pattern`, which relabels it by position.
+Rules and predicates here are all pure functions over immutable values.
 """
 from __future__ import annotations
 
@@ -146,14 +146,16 @@ def _check_ordering(g: Graph, ordering: Sequence[int]) -> None:
     _check_permutation(ordering, g.n)
 
 
-def _instances(g: Graph, ordering: Sequence[int], patterns):
-    """Instances of ``patterns`` along ``ordering`` as tuples of positions:
-    for each position v, in turn, that is second to last in an instance, the
-    least one of the first pattern that has one there.
+def find_pattern(
+    g: Graph, ordering: Sequence[int], pattern: OrderedPattern
+) -> Optional[tuple[int, ...]]:
+    """First ordering-increasing vertex tuple matching ``pattern``, or None.
 
-    The graph is relabelled by position and one :class:`PatternRule` placed
-    along the positions; at v its kernels return the instance
-    ``(x0, [x1,] v, z)`` least in lexicographic order.
+    First in lexicographic order of the tuples' ordering positions, so the
+    returned witness is deterministic.  The graph is relabelled by position
+    and a :class:`PatternRule` placed along the positions; at each position
+    v that is second to last in an instance its kernels return the least
+    one ``(x0, [x1,] v, z)``, and the least of those is the witness.
     """
     _check_ordering(g, ordering)
     bit = [1 << p for p in _positions(ordering)]
@@ -165,20 +167,8 @@ def _instances(g: Graph, ordering: Sequence[int], patterns):
             row |= bit[low.bit_length() - 1]
             adj ^= low
         by_position.append(row)
-    for _, witness in PatternRule(by_position, patterns).hits(range(g.n)):
-        yield witness
-
-
-def find_pattern(
-    g: Graph, ordering: Sequence[int], pattern: OrderedPattern
-) -> Optional[tuple[int, ...]]:
-    """First ordering-increasing vertex tuple matching ``pattern``, or None.
-
-    First in lexicographic order of the tuples' ordering positions, so the
-    returned witness is deterministic: the least of the instances that
-    :func:`_instances` finds per second-to-last position.
-    """
-    first = min(_instances(g, ordering, [("", pattern)]), default=None)
+    hits = PatternRule(by_position, [("", pattern)]).hits(range(g.n))
+    first = min((witness for _, witness in hits), default=None)
     return None if first is None else tuple(ordering[p] for p in first)
 
 
@@ -210,7 +200,8 @@ def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
     ordering that meets it is an apex ordering, the paper's lemma that
     acceptance test 04 checks.
     """
-    return next(_instances(g, ordering, C4_PATTERNS), None) is None
+    _check_ordering(g, ordering)
+    return next(PatternRule(g.adj, C4_PATTERNS).hits(ordering), None) is None
 
 
 def fulfills_2k2_rule(g: Graph, ordering: Sequence[int]) -> bool:
@@ -382,19 +373,6 @@ def _touching_masks(g: Graph) -> tuple[tuple[int, ...], ...]:
                 per_b.append(touching)
         masks.append(tuple(per_b))
     return tuple(masks)
-
-
-def _cycle_p3s(g: Graph) -> tuple[tuple[int, int, int], ...]:
-    """Induced paths (a, b, c), a < c, that lie on a chordless cycle of
-    length >= 4, sorted: the non-adjacent pairs of :func:`_touching_masks`."""
-    adj = g.adj
-    found: set[tuple[int, int, int]] = set()
-    for b, masks in enumerate(_touching_masks(g)):
-        for touching in masks:
-            for a, c in combinations(iter_bits(touching), 2):
-                if not adj[a] >> c & 1:
-                    found.add((a, b, c))
-    return tuple(sorted(found))
 
 
 def is_alternating_orientation(g: Graph, o: Orientation) -> bool:

@@ -210,13 +210,13 @@ def parse_representation(text: str) -> TriangleRepresentation:
         raise ParseError(str(exc)) from None
 
 
-def _to_svg(t: TriangleRepresentation, scale: int = 40, height: int = 160) -> str:
-    margin = scale
+def _to_svg(t: TriangleRepresentation) -> str:
+    scale = margin = 40  # pixels per coordinate unit, and around the drawing
     coords = [1]
     for v in range(t.n):
         coords.extend((t.apex[v], t.base[v][0], t.base[v][1]))
     width = margin * 2 + scale * max(coords)
-    top, bottom = margin, margin + height
+    top, bottom = margin, margin + 160  # the two lines, 160 pixels apart
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{bottom + margin}" viewBox="0 0 {width} {bottom + margin}">',

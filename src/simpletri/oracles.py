@@ -33,7 +33,7 @@ from .errors import LimitExceeded, NotSimpleTriangle
 from .graphs import (
     Graph,
     Orientation,
-    _cycle_p3s,
+    _touching_masks,
     complement,
     is_alternating_orientation,
     is_transitive_orientation,
@@ -141,9 +141,15 @@ def _transitive_orderings(g: Graph) -> int:
 @functools.lru_cache(maxsize=1)
 def _alternating_orderings(g: Graph) -> int:
     """The orderings whose orientation of g is alternating: none puts b
-    between a and c for a path (a, b, c) of ``graphs._cycle_p3s``."""
-    P = _before_masks(g.n)
-    return _outside(g.n, (P[a][b] & P[b][c] | P[c][b] & P[b][a] for a, b, c in _cycle_p3s(g)))
+    between a and c for two non-adjacent a < c in one mask of
+    ``graphs._touching_masks`` at b, the ends of an induced path a-b-c on a
+    chordless cycle of length >= 4."""
+    P, adj = _before_masks(g.n), g.adj
+    return _outside(g.n, (
+        P[a][b] & P[b][c] | P[c][b] & P[b][a]
+        for b, masks in enumerate(_touching_masks(g)) for touching in masks
+        for a in iter_bits(touching) for c in iter_bits(touching & ~adj[a] & ~((2 << a) - 1))
+    ))
 
 
 def _two_plus_two_orderings(n: int, disjoint: Sequence[int]) -> int:

@@ -230,7 +230,7 @@ def find_alternating_anticycle(
 ) -> Optional[Anticycle]:
     """The 4-anticycle of the extension ``order`` that
     :func:`build_interval_representation` returns, or None when it builds
-    intervals or ``k_max``, kept for callers that pass 2, is below 2.
+    intervals or ``k_max``, kept for ``bench/run.py``, which passes 2, is below 2.
 
     No longer alternating anticycle needs a search, by the 2+2 rule: an
     extension L without a 4-anticycle has intervals whose interval order I

@@ -7,9 +7,10 @@ in ``recognition.rejection_certificates``), and ``twosat.IntervalFormula``
 by the 2-SAT relaxation of linear-interval orders, which is step 2 of both
 recognizers.  Whether a given ordering is an apex ordering is decided by
 building from it (``recognition.realize``); the rule's kernels are the one
-matcher that names a witness in it: ``graphs.find_pattern``, the C4 and
+matcher that looks for a pattern in it: ``graphs.find_pattern``, the C4 and
 2K2 rules and the stall certificate of ``orders.build_interval_representation``
-place a ``PatternRule`` along an ordering (:meth:`PatternRule.hits`).
+place a ``PatternRule`` along an ordering (:meth:`PatternRule.hits`), on the
+input's own labels but for ``find_pattern``, which relabels by position.
 """
 from __future__ import annotations
 
@@ -143,10 +144,10 @@ class PatternRule:
     of a pattern whose last vertex z is unplaced and the rest placed: z must
     come later, whether or not ``pred`` lets it come next.  ``hit`` records
     the first such pattern's name and witness, which ends at z and is the
-    least such one by label; ``graphs.find_pattern`` relabels the graph by
-    position, so that it is the least by position.  Every instance is found
-    at its second-to-last vertex, so the complete orderings are exactly the
-    pattern-avoiding ones.
+    least such one by label; only ``graphs.find_pattern`` relabels the graph
+    by position first, so that it is the least by position.  Every instance
+    is found at its second-to-last vertex, so the complete orderings are
+    exactly the pattern-avoiding ones.
     """
 
     def __init__(self, adj: Sequence[int], patterns: Sequence[tuple[str, OrderedPattern]]):

@@ -16,7 +16,7 @@ from simpletri.graphs import (
     PATTERN_CPC,
     PATTERN_P1,
     PATTERN_P2,
-    _cycle_p3s,
+    _touching_masks,
     complement,
     complete_graph,
     cycle_graph,
@@ -441,11 +441,22 @@ def brute_cycle_p3s(g):
     return tuple(sorted(found))
 
 
+def cycle_p3s(g):
+    """The sorted, distinct (a, b, c), a < c, with a and c non-adjacent in
+    one mask of ``_touching_masks`` at b."""
+    return tuple(sorted({
+        (a, b, c)
+        for b, masks in enumerate(_touching_masks(g)) for touching in masks
+        for a, c in combinations(iter_bits(touching), 2) if not g.adjacent(a, c)
+    }))
+
+
 class TestChordlessCycles:
-    """The cycle P3s: induced paths a-b-c on a chordless cycle of length >= 4."""
+    """The cycle P3s, induced paths a-b-c on a chordless cycle of length >= 4,
+    as read off the touching masks."""
 
     def test_c5_single_cycle(self):
-        assert _cycle_p3s(cycle_graph(5)) == (
+        assert cycle_p3s(cycle_graph(5)) == (
             (0, 1, 2),
             (0, 4, 3),
             (1, 0, 4),
@@ -454,14 +465,14 @@ class TestChordlessCycles:
         )
 
     def test_k4_has_none(self):
-        assert _cycle_p3s(complete_graph(4)) == ()
+        assert cycle_p3s(complete_graph(4)) == ()
 
     def test_prism_has_three_squares(self):
         # squares 0-1-4-3, 0-2-5-3 and 1-2-5-4, four triples each
         prism = Graph.from_edges(
             6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
         )
-        assert _cycle_p3s(prism) == (
+        assert cycle_p3s(prism) == (
             (0, 1, 4),
             (0, 2, 5),
             (0, 3, 4),
@@ -479,9 +490,9 @@ class TestChordlessCycles:
     def test_matches_subset_oracle_exhaustively(self):
         for n in range(6):
             for g in all_graphs(n):
-                assert _cycle_p3s(g) == brute_cycle_p3s(g)
+                assert cycle_p3s(g) == brute_cycle_p3s(g)
 
     @given(graphs(max_n=7))
     @settings(max_examples=150)
     def test_matches_subset_oracle_random(self, g):
-        assert _cycle_p3s(g) == brute_cycle_p3s(g)
+        assert cycle_p3s(g) == brute_cycle_p3s(g)

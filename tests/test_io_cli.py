@@ -454,6 +454,20 @@ class TestEmptyOrdering:
         assert "not a permutation" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["check-ordering"], ["order", "intervals"]])
+    @pytest.mark.parametrize("blank", [" ", "\t", "  \n "], ids=["space", "tab", "newline"])
+    def test_only_whitespace_is_the_empty_ordering(self, command, blank, empty_file, capsys):
+        assert main([*command, empty_file, blank]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", [["check-ordering"], ["order", "intervals"]])
+    def test_one_element_is_not_whitespace(self, command, tmp_path, capsys):
+        path = tmp_path / "one.txt"
+        path.write_text("1\n")
+        assert main([*command, str(path), " "]) == 2
+        assert capsys.readouterr().err == (
+            "error: ordering ' ' is not a permutation of 0..0\n")
+
+    @pytest.mark.parametrize("command", [["check-ordering"], ["order", "intervals"]])
     def test_zero_elements_take_the_empty_ordering(self, command, empty_file, capsys):
         assert main([*command, empty_file, "0"]) == 2
         assert capsys.readouterr().err == (
@@ -663,10 +677,10 @@ class TestCliOracle:
 
     def test_alternating_mask_is_built_once_per_verify(self, c4_file, capsys, monkeypatch):
         # the pair oracle and the extend oracle both read the alternating
-        # orderings, which an accepted verify builds once from the cycle P3s
+        # orderings, which an accepted verify builds once from the touching masks
         calls = []
-        cycle_p3s = oracles._cycle_p3s
-        monkeypatch.setattr(oracles, "_cycle_p3s", lambda g: calls.append(g) or cycle_p3s(g))
+        touching = oracles._touching_masks
+        monkeypatch.setattr(oracles, "_touching_masks", lambda g: calls.append(g) or touching(g))
         oracles._alternating_orderings.cache_clear()
         assert main(["oracle", "verify", c4_file]) == 0
         assert "complement orientations extend: yes" in capsys.readouterr().out

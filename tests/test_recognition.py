@@ -1,6 +1,4 @@
-import os
 import random
-import sys
 import time
 from itertools import permutations
 
@@ -37,22 +35,13 @@ from simpletri.triangles import (
 from simpletri.orders import build_interval_representation
 
 from references import PRISM_EDGES, avoids_apex_patterns
-from strategies import graphs
-
-sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))
-from corpora import triangle_graph as triangle_instance  # noqa: E402
+from strategies import graphs, triangle_graph
 
 C4 = cycle_graph(4)
 C5 = cycle_graph(5)
 PRISM = Graph.from_edges(6, PRISM_EDGES)
 
 CHAIN_TRIANGLES = TriangleRepresentation((1, 2, 3), ((1, 2), (3, 4), (5, 6)))
-
-
-def triangle_graph(rng, n):
-    """The triangle draw of ``bench/corpora.py`` as a graph."""
-    inst = triangle_instance(rng, n)
-    return Graph(n, inst.items)
 
 
 class TestTrianglesDisjoint:
