@@ -52,7 +52,6 @@ from itertools import permutations
 
 from simpletri.exhaustive import all_graphs, random_linear_extension, random_partial_order
 from simpletri.graphs import (
-    APEX_PATTERNS,
     Graph,
     complement,
     find_pattern,
@@ -61,6 +60,7 @@ from simpletri.graphs import (
     orientation_from_ordering,
     transitive_orientation,
 )
+from simpletri.patterns import APEX_PATTERNS
 from simpletri.recognition import apex_ordering, check_apex_ordering, least_apex_ordering
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "bench"))

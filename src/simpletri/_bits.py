@@ -1,4 +1,4 @@
-"""Small helpers for int-as-bitset bookkeeping."""
+"""Small helpers for int-as-bitset bookkeeping, mask relabelling included."""
 
 
 def iter_bits(mask: int):
@@ -12,6 +12,21 @@ def iter_bits(mask: int):
 def lowest_bit(mask: int) -> int:
     """Position of the least set bit; ``mask`` must be nonzero."""
     return (mask & -mask).bit_length() - 1
+
+
+def relabel(masks, vs) -> list[int]:
+    """The masks of ``vs``, which must lie within ``vs``, with each ``vs[i]``
+    renamed i.  A dict, so a component costs its own size, not the graph's."""
+    bit = {v: 1 << i for i, v in enumerate(vs)}
+    rows = []
+    for v in vs:
+        row, mask = 0, masks[v]
+        while mask:
+            low = mask & -mask
+            row |= bit[low.bit_length() - 1]
+            mask ^= low
+        rows.append(row)
+    return rows
 
 
 def set_row(rows: list, first: list[int], second: list[int], x: int, row: int) -> None:

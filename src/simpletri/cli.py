@@ -10,7 +10,7 @@ import sys
 from typing import Optional, Sequence
 
 from .errors import ParseError, SimpleTriError
-from .graphs import APEX_PATTERNS, find_pattern, fulfills_c4_rule
+from .graphs import find_pattern, fulfills_c4_rule
 from .io import _natural, emit_representation, load_graph, load_order
 from .oracles import (
     DEFAULT_LIMIT,
@@ -24,6 +24,7 @@ from .orders import (
     enumerate_linear_extensions,
     recognize_linear_interval_order,
 )
+from .patterns import APEX_PATTERNS
 from .recognition import (
     apex_ordering,
     check_apex_ordering,

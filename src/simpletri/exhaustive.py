@@ -9,7 +9,7 @@ import random
 from itertools import combinations, permutations
 from typing import Iterator
 
-from ._bits import iter_bits
+from ._bits import relabel
 from .graphs import Graph
 from .orders import PartialOrder, _positions, make_partial_order
 
@@ -57,9 +57,7 @@ def naturally_ordered_relations(n: int) -> Iterator[PartialOrder]:
 
 def relabel_order(p: PartialOrder, perm: tuple[int, ...]) -> PartialOrder:
     """Image of p under the element relabeling v -> perm[v]."""
-    inverse = _positions(perm)  # inverse[perm[u]] == u
-    succ = (sum(1 << perm[v] for v in iter_bits(p.succ[u])) for u in inverse)
-    return PartialOrder(p.n, tuple(succ))
+    return PartialOrder(p.n, tuple(relabel(p.succ, _positions(perm))))
 
 
 def all_partial_orders(n: int) -> list[PartialOrder]:

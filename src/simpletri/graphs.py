@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._bits import clear_rows, iter_bits, set_row
-from .errors import EdgeSetMismatch, NotComparabilityOrdering, SizeMismatch
-from .orders import PartialOrder, _check_permutation, _later_masks, _positions
-from .patterns import APEX_PATTERNS, C4_PATTERNS, OrderedPattern, PatternRule
+from ._bits import clear_rows, iter_bits, relabel, set_row
+from .errors import EdgeSetMismatch, NotComparabilityOrdering
+from .orders import PartialOrder, _check_permutation, _later_masks
+from .patterns import C4_PATTERNS, OrderedPattern, PatternRule
 from .patterns import PATTERN_CP, PATTERN_CPC, PATTERN_P1, PATTERN_P2
 
 __all__ = [
@@ -64,6 +64,8 @@ class Graph:
     adj: tuple[int, ...] = field(repr=False)
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if n < 0:
+            raise ValueError(f"vertex count {n} is negative")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < v < n):
@@ -94,9 +96,6 @@ class Graph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return self.adj[u] >> v & 1 == 1
-
-    def __len__(self) -> int:
-        return self.n
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
@@ -140,12 +139,6 @@ def _components(adj: Sequence[int], left: int) -> Iterator[tuple[int, int]]:
         yield comp, reach
 
 
-def _check_ordering(g: Graph, ordering: Sequence[int]) -> None:
-    if len(ordering) != g.n:
-        raise SizeMismatch(f"ordering has {len(ordering)} vertices, graph has {g.n}")
-    _check_permutation(ordering, g.n)
-
-
 def find_pattern(
     g: Graph, ordering: Sequence[int], pattern: OrderedPattern
 ) -> Optional[tuple[int, ...]]:
@@ -157,17 +150,8 @@ def find_pattern(
     v that is second to last in an instance its kernels return the least
     one ``(x0, [x1,] v, z)``, and the least of those is the witness.
     """
-    _check_ordering(g, ordering)
-    bit = [1 << p for p in _positions(ordering)]
-    by_position = []
-    for u in ordering:
-        row, adj = 0, g.adj[u]
-        while adj:
-            low = adj & -adj
-            row |= bit[low.bit_length() - 1]
-            adj ^= low
-        by_position.append(row)
-    hits = PatternRule(by_position, [("", pattern)]).hits(range(g.n))
+    _check_permutation(ordering, g.n)
+    hits = PatternRule(relabel(g.adj, ordering), [("", pattern)]).hits(range(g.n))
     first = min((witness for _, witness in hits), default=None)
     return None if first is None else tuple(ordering[p] for p in first)
 
@@ -200,7 +184,7 @@ def fulfills_c4_rule(g: Graph, ordering: Sequence[int]) -> bool:
     ordering that meets it is an apex ordering, the paper's lemma that
     acceptance test 04 checks.
     """
-    _check_ordering(g, ordering)
+    _check_permutation(ordering, g.n)
     return next(PatternRule(g.adj, C4_PATTERNS).hits(ordering), None) is None
 
 
@@ -220,7 +204,7 @@ def orient_complement_by_ordering(g: Graph, ordering: Sequence[int]) -> PartialO
     first; raises :class:`NotComparabilityOrdering` when the oriented
     non-edges are not transitive.
     """
-    _check_ordering(g, ordering)
+    _check_permutation(ordering, g.n)
     succ = tuple(later & ~adj for later, adj in zip(_later_masks(ordering), g.adj))
     try:
         return PartialOrder(g.n, succ)
@@ -334,7 +318,7 @@ class Orientation:
 
 def orientation_from_ordering(g: Graph, ordering: Sequence[int]) -> Orientation:
     """Direct every edge of g from the earlier to the later endpoint."""
-    _check_ordering(g, ordering)
+    _check_permutation(ordering, g.n)
     heads = (later & adj for later, adj in zip(_later_masks(ordering), g.adj))
     return Orientation(g.n, tuple(heads))
 

@@ -7,7 +7,6 @@ and blank lines are ignored.  Vertices are 0-based integers everywhere.
 """
 from __future__ import annotations
 
-import io
 import json
 import sys
 from typing import Iterator
@@ -122,18 +121,17 @@ def parse_order(text: str) -> PartialOrder:
 
 def _read_source(path: str) -> str:
     """The text of ``path``, '-' for standard input, decoded alike from both
-    whatever the locale: strict UTF-8 less one leading byte-order mark, with
-    line breaks translated as ``open`` translates them."""
+    whatever the locale: strict UTF-8 less one leading byte-order mark.  Line
+    breaks stay as they are: :func:`_significant_lines` splits at each."""
     if path == "-":
         name, data = "standard input", sys.stdin.buffer.read()
     else:
         with open(path, "rb") as handle:
             name, data = path, handle.read()
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig") as text:
-        try:
-            return text.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{name} is not UTF-8 text: {exc.reason}") from None
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name} is not UTF-8 text: {exc.reason}") from None
 
 
 def load_graph(path: str) -> Graph:

@@ -6,7 +6,8 @@ predecessor masks and its related pairs are derived from them.
 
 The central construction takes a partial order P together with a linear
 extension L and peels elements off in rounds, assigning integer interval
-endpoints as it goes.  When it succeeds, the produced intervals induce an
+endpoints as it goes; an element waits on its highest-labelled remaining
+predecessor.  When it succeeds, the produced intervals induce an
 interval order P_I with ``linear_order(L) ∩ P_I == P``.  When the peeling
 stalls, the extension contains a 4-anticycle (the 2+2 rule), and the first
 along L, named by the p1/p2 kernels of :mod:`simpletri.patterns`, is
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from ._bits import iter_bits, lowest_bit
+from ._bits import iter_bits
 from .errors import CycleError, NotAnExtension, SizeMismatch
 from .patterns import PATTERN_P1, PATTERN_P2, PatternRule, search_orderings
 from .twosat import IntervalFormula
@@ -83,9 +84,6 @@ class PartialOrder:
     def less(self, u: int, v: int) -> bool:
         """True iff u strictly precedes v."""
         return self.succ[u] >> v & 1 == 1
-
-    def __len__(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -168,6 +166,8 @@ def linear_order(order: Sequence[int]) -> PartialOrder:
 
 
 def _check_permutation(order: Sequence[int], n: int) -> None:
+    if len(order) != n:
+        raise SizeMismatch(f"ordering has {len(order)} elements, expected {n}")
     if sorted(order) != list(range(n)):
         raise ValueError(f"{order!r} is not a permutation of 0..{n - 1}")
 
@@ -191,8 +191,6 @@ def _positions(order: Sequence[int]) -> list[int]:
 
 def is_linear_extension(p: PartialOrder, order: Sequence[int]) -> bool:
     """True iff every element of ``order`` comes after all its predecessors in ``p``."""
-    if len(order) != p.n:
-        raise SizeMismatch(f"ordering has {len(order)} elements, order has {p.n}")
     _check_permutation(order, p.n)
     placed = 0
     for v in order:
@@ -249,11 +247,15 @@ def find_alternating_anticycle(
 def is_valid_anticycle(p: PartialOrder, order: Sequence[int], ac: Anticycle) -> bool:
     """Check an anticycle certificate against the pair (p, order): the 2+2
     relations, a0 below b0 and a1 below b1 in p, while a1 precedes b0 and a0
-    precedes b1 in ``order`` without preceding them in p."""
+    precedes b1 in ``order`` without preceding them in p, all four in
+    0..n-1.  Raises :class:`NotAnExtension` when ``order`` does not extend p."""
+    if not is_linear_extension(p, order):
+        raise NotAnExtension(f"{tuple(order)!r} does not extend the order")
     pos = _positions(order)
     (a0, a1), (b0, b1) = ac.a, ac.b
     return (
-        p.less(a0, b0) and p.less(a1, b1)
+        all(0 <= v < p.n for v in ac.elements())
+        and p.less(a0, b0) and p.less(a1, b1)
         and pos[a1] < pos[b0] and not p.less(a1, b0)
         and pos[a0] < pos[b1] and not p.less(a0, b1)
     )
@@ -269,7 +271,8 @@ def build_interval_representation(
     every endpoint lands in ``1..2n``.  An element receives its left endpoint
     when it becomes minimal among the remaining elements, and is retired with
     a right endpoint once no remaining non-minimal element follows it in the
-    extension without being above it in the order.
+    extension without being above it in the order.  Until minimal it waits
+    on its highest-labelled remaining predecessor; any one would serve.
 
     Returns the interval representation on success.  If a round retires
     nothing, the extension has a 4-anticycle, and the first one along the
@@ -280,12 +283,9 @@ def build_interval_representation(
     if not is_linear_extension(p, order):
         raise NotAnExtension(f"{tuple(order)!r} does not extend the order")
     n = p.n
-    if n == 0:
-        return IntervalRepresentation(())
     dashed = _dashed_masks(p, order)
     left = [0] * n
     right = [0] * n
-    pos = _positions(order)
     waiting = [0] * n  # waiting[u]: elements to check again for minimality once u retires
     remaining = fresh = (1 << n) - 1
     in_s = 0
@@ -293,10 +293,8 @@ def build_interval_representation(
     while remaining:
         tick += 1
         for v in iter_bits(fresh):
-            below = p.pred[v] & remaining
-            if below:  # wait on the later in the extension of two, likely to retire later
-                lo, hi = lowest_bit(below), below.bit_length() - 1
-                waiting[lo if pos[lo] > pos[hi] else hi] |= 1 << v
+            if below := p.pred[v] & remaining:
+                waiting[below.bit_length() - 1] |= 1 << v
             else:
                 in_s |= 1 << v
                 left[v] = tick

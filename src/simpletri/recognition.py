@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from ._bits import clear_rows, iter_bits, lowest_bit
+from ._bits import clear_rows, iter_bits, lowest_bit, relabel
 from .errors import NotApexOrdering, NotComparabilityOrdering
 from .graphs import (
     Graph,
@@ -170,9 +170,7 @@ def _by_components(g: Graph, order) -> Optional[tuple[int, ...]]:
         vs = list(iter_bits(comp))
         blocks.append(vs)
         if len(vs) > 1:
-            label = {v: i for i, v in enumerate(vs)}
-            sub = Graph._from_adj(len(vs), (
-                sum(1 << label[u] for u in iter_bits(g.adj[v])) for v in vs))
+            sub = Graph._from_adj(len(vs), relabel(g.adj, vs))
             if (decided := _decide(sub)) is None:
                 return None
             parts.append((vs, sub, decided))

@@ -73,8 +73,6 @@ def order_to_triangles(
     order: Sequence[int], rep: IntervalRepresentation
 ) -> TriangleRepresentation:
     """Place apices at 1-based extension positions over the given bases."""
-    if len(order) != rep.n:
-        raise SizeMismatch(f"ordering has {len(order)} elements, intervals {rep.n}")
     _check_permutation(order, rep.n)
     apex = tuple(i + 1 for i in _positions(order))
     return TriangleRepresentation(apex, rep.intervals)

@@ -103,8 +103,6 @@ class IntervalFormula:
         full = (1 << n) - 1
         inc = [full & ~(succ[v] | pred[v] | 1 << v) for v in range(n)]
         self.n, self.succ, self.pred, self.inc = n, succ, pred, inc
-        # the elements incomparable to some element; no other s has a 2+2 clause
-        self.loose = sum(1 << v for v in range(n) if inc[v])
         self.bef, self.aft = [0] * n, [0] * n
         self.bef_due, self.aft_due = [0] * n, [0] * n
 
@@ -134,8 +132,7 @@ class IntervalFormula:
         leave them unchanged when the closure sets a literal and its negation."""
         if not (row := row & ~bef[x]):
             return []
-        inc, loose = self.inc, self.loose
-        bef_due, aft_due = self.bef_due, self.aft_due
+        inc, bef_due, aft_due = self.inc, self.bef_due, self.aft_due
         sides = (
             (self.succ, self.pred, bef, aft, bef_due, aft_due),
             (self.pred, self.succ, aft, bef, aft_due, bef_due),
@@ -175,9 +172,9 @@ class IntervalFormula:
             # each s >_P x before each q in below incomparable to s, as rows
             # of the s or, when the q are fewer, as dual rows of the q: the
             # literals are the same, and the loop runs once per end
-            side, ends, mask = dual, up[x] & loose, below
-            if ends.bit_count() > (below & loose).bit_count():
-                side, ends, mask = not dual, below & loose, up[x]
+            side, ends, mask = dual, up[x], below
+            if ends.bit_count() > below.bit_count():
+                side, ends, mask = not dual, below, up[x]
                 first, second, due = second, first, other
             while ends:
                 low = ends & -ends

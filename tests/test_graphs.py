@@ -83,6 +83,11 @@ class TestMasks:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_rejects_a_negative_vertex_count(self):
+        # as PartialOrder and Orientation do
+        with pytest.raises(ValueError, match="negative"):
+            Graph(-1, ())
+
 
 class TestFindPattern:
     def test_c4_identity_has_p2(self):

@@ -13,7 +13,7 @@ import simpletri.io
 from simpletri import cli, oracles, recognition
 from simpletri.cli import main
 from simpletri.errors import CycleError, DuplicateEdge, ParseError, SelfLoop
-from simpletri.graphs import APEX_PATTERNS, Graph, cycle_graph
+from simpletri.graphs import Graph, cycle_graph
 from simpletri.io import (
     MAX_VERTICES,
     _significant_lines,
@@ -25,6 +25,7 @@ from simpletri.io import (
     parse_representation,
 )
 from simpletri.orders import PartialOrder, make_partial_order
+from simpletri.patterns import APEX_PATTERNS
 from simpletri.triangles import TriangleRepresentation, verify_representation
 
 from references import c4_rule_by_cycles, scan_pattern

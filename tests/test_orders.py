@@ -152,6 +152,19 @@ class TestAnticycles:
         with pytest.raises(NotAnExtension):
             find_alternating_anticycle(TWO_PLUS_TWO, (2, 0, 1, 3))
 
+    @pytest.mark.parametrize("order, error", [
+        ((0, 1, 2), SizeMismatch), ((0, 0, 2, 3), ValueError), ((2, 0, 1, 3), NotAnExtension),
+    ], ids=["short", "repeat", "not-an-extension"])
+    def test_valid_anticycle_checks_the_ordering(self, order, error):
+        # the peeling's check: a malformed ordering is refused, not read
+        with pytest.raises(error):
+            is_valid_anticycle(TWO_PLUS_TWO, order, Anticycle((0, 1), (2, 3)))
+
+    def test_valid_anticycle_refuses_elements_out_of_range(self):
+        # -4 would index element 0, which does complete a 2+2 with 1, 2 and 3
+        assert not is_valid_anticycle(TWO_PLUS_TWO, (0, 1, 2, 3), Anticycle((-4, 1), (2, 3)))
+        assert not is_valid_anticycle(TWO_PLUS_TWO, (0, 1, 2, 3), Anticycle((0, 1), (2, 4)))
+
     def test_k_max_bounds_search(self):
         p = make_partial_order(6, [(0, 3), (1, 4), (2, 5), (0, 4), (1, 5), (2, 3)])
         assert find_alternating_anticycle(p, (0, 1, 2, 3, 4, 5), k_max=1) is None

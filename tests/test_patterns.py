@@ -22,7 +22,7 @@ from simpletri.exhaustive import (
     random_partial_order,
     relabel_order,
 )
-from simpletri.graphs import APEX_PATTERNS, Graph
+from simpletri.graphs import Graph
 from simpletri.orders import (
     enumerate_linear_extensions,
     find_alternating_anticycle,
@@ -30,7 +30,7 @@ from simpletri.orders import (
     make_partial_order,
     recognize_linear_interval_order,
 )
-from simpletri.patterns import OrderedPattern, PatternRule, search_orderings
+from simpletri.patterns import APEX_PATTERNS, OrderedPattern, PatternRule, search_orderings
 from simpletri.recognition import recognize, rejection_certificates
 
 from references import CROWN_RELATIONS, INTERVAL_PATTERNS, avoids_apex_patterns, scan_pattern

@@ -1,5 +1,6 @@
 """The package exports only functions that something besides the unit tests
-uses, so that helpers kept for tests alone live in ``tests/references.py``.
+uses, so that helpers kept for tests alone live in ``tests/references.py``,
+and each of its modules reads every name it imports.
 """
 import ast
 import glob
@@ -64,3 +65,36 @@ def test_every_exported_function_has_a_caller():
         ):
             unused.add(name)
     assert unused == UNUSED_ON_PURPOSE
+
+
+def unread_imports(path):
+    """The names that the module at ``path`` imports and never reads, less
+    those of its ``__all__``, its ``__future__`` imports and the imports
+    marked ``# noqa: F401``."""
+    with open(path, encoding="utf-8") as handle:
+        source = handle.read()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported, read, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            marked = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            if not marked and getattr(node, "module", None) != "__future__":
+                imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported.update(ast.literal_eval(node.value))
+    return imported - read - exported
+
+
+def test_every_import_is_read():
+    """A module of the package other than ``__init__.py`` reads each name it
+    imports, so that no re-export hides behind an import."""
+    unread = {
+        os.path.basename(path): unread_imports(path)
+        for path in glob.glob(os.path.join(SOURCE, "*.py"))
+        if os.path.basename(path) != "__init__.py"
+    }
+    assert {name: names for name, names in unread.items() if names} == {}

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from simpletri.errors import NotApexOrdering, SizeMismatch
 from simpletri.exhaustive import all_graphs
 from simpletri.graphs import (
-    APEX_PATTERNS,
     Graph,
     complete_graph,
     cycle_graph,
@@ -17,6 +16,7 @@ from simpletri.graphs import (
     is_cocomparability_ordering,
 )
 from simpletri.orders import make_partial_order
+from simpletri.patterns import APEX_PATTERNS
 from simpletri.recognition import (
     apex_ordering,
     check_apex_ordering,
